@@ -1,16 +1,20 @@
 """Group cohomology of finite abelian groups acting on finite abelian groups.
 
-For a cyclic group of order n generated by s, the Tate groups are computed
-from the two-term periodic resolution: with N = 1 + s + ... + s^(n-1),
+Every cohomology group here comes from one free resolution.  For
+G = Z/n_1 x ... x Z/n_r with generators s_i and norms
+N_i = 1 + s_i + ... + s_i^(n_i - 1), it is the tensor product of the
+factors' two-periodic resolutions (Brown, Cohomology of Groups, I.6, V.1):
+the degree-d term is free on the multi-indices alpha with |alpha| = d, and
 
-    H^0_hat = ker(s - 1) / N M,      H^1 = ker N / (s - 1) M,
+    d e_alpha = sum_i (-1)^(alpha_1 + ... + alpha_(i-1)) tau_i(alpha_i) e_(alpha - eps_i)
 
-and H^2 is isomorphic to H^0_hat by periodicity.  For small non-cyclic
-abelian groups, H^1 and H^2 come from the bar resolution: cochains are
-functions G -> M (or G x G -> M) and the cocycle and coboundary conditions
-are integer linear systems solved by lattice arithmetic, never by
-enumerating maps.  The cost grows steeply with |G|, which is why the group
-order is capped.
+with tau_i(a) = s_i - 1 for odd a and N_i for even a.  A d-cochain is one
+element of M per multi-index, so cocycles and coboundaries are integer
+lattices of a size independent of |G|, and H^d is one lattice quotient,
+never an enumeration of maps.  For cyclic G this is the periodic
+resolution itself:
+
+    H^1 = ker N / (s - 1) M,      H^2 = ker(s - 1) / N M = H^0_hat.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from math import prod
 
 from .abelian import (
     FinAbGroup,
+    columns,
     diagonal_columns,
     finite_quotient,
     identity_matrix,
@@ -29,7 +34,7 @@ from .abelian import (
 )
 from .errors import ResourceError, UnsupportedError, ValidationError
 
-DEFAULT_GROUP_BOUND = 64
+GROUP_BOUND = 64  # largest group order h_general accepts
 
 
 @dataclass(frozen=True)
@@ -169,48 +174,75 @@ def multiplicative_group_module(q: int, n: int) -> GModule:
     return GModule.cyclic(n, module, ((q % order,),))
 
 
-def _norm_matrix(m: GModule):
+def _action_blocks(m: GModule):
+    """(s_i - 1, N_i) for each generator s_i, with N_i = sum of its powers."""
     fs = m.module.invariant_factors
     k = m.module.rank
-    sigma = m.sigma()
-    total = [[0] * k for _ in range(k)]
-    power = identity_matrix(k)
-    for _ in range(m.group.order):
-        for i in range(k):
-            for j in range(k):
-                total[i][j] = (total[i][j] + power[i][j]) % fs[i]
-        power = [list(r) for r in _reduce_rows(mat_mul(sigma, power), fs)]
-    return total
+    blocks = []
+    for sigma, n in zip(m.action, m.group.generator_orders):
+        norm = identity_matrix(k)
+        for _ in range(n - 1):  # Horner: N <- 1 + s N
+            norm = [[(sum(sigma[i][t] * norm[t][j] for t in range(k)) + (i == j)) % fs[i]
+                     for j in range(k)] for i in range(k)]
+        smo = [[sigma[i][j] - (i == j) for j in range(k)] for i in range(k)]
+        blocks.append((smo, norm))
+    return blocks
 
 
-def _sigma_minus_one(m: GModule):
-    sigma = m.sigma()
-    k = m.module.rank
-    return [[sigma[i][j] - (1 if i == j else 0) for j in range(k)] for i in range(k)]
+def _indices(r, d):
+    """The multi-indices alpha in N^r with |alpha| = d."""
+    if r == 0:
+        return [()] if d == 0 else []
+    return [(a,) + rest for a in range(d + 1) for rest in _indices(r - 1, d - a)]
+
+
+def _coboundary(blocks, d, k):
+    """Integer matrix of delta_d: C^d -> C^(d+1), k coordinates per index."""
+    r = len(blocks)
+    src = {alpha: t for t, alpha in enumerate(_indices(r, d))}
+    tgt = _indices(r, d + 1)
+    rows = [[0] * (len(src) * k) for _ in range(len(tgt) * k)]
+    for b, beta in enumerate(tgt):
+        sign = 1
+        for i, a in enumerate(beta):
+            if a:
+                # tau_i(a) = s_i - 1 for odd a, N_i for even a
+                block = blocks[i][a % 2 == 0]
+                base = src[beta[:i] + (a - 1,) + beta[i + 1:]] * k
+                for x in range(k):
+                    for y in range(k):
+                        rows[b * k + x][base + y] += sign * block[x][y]
+            if a % 2:
+                sign = -sign
+    return rows
+
+
+def _cohomology(m: GModule, degree: int) -> FinAbGroup:
+    """H^degree(G, M) = ker delta_d / im delta_(d-1) for degree >= 1."""
+    if m.module.is_trivial() or m.group.order == 1:
+        return FinAbGroup.trivial()
+    fs = list(m.module.invariant_factors)
+    k = len(fs)
+    blocks = _action_blocks(m)
+    cochains = len(_indices(len(blocks), degree))
+    targets = len(_indices(len(blocks), degree + 1))
+    nvars = cochains * k
+    cocycles = preimage_generators(
+        _coboundary(blocks, degree, k), diagonal_columns(fs * targets), nvars)
+    den = columns(_coboundary(blocks, degree - 1, k)) + diagonal_columns(fs * cochains)
+    return finite_quotient(cocycles + den, den, nvars)
 
 
 def tate_h0(m: GModule) -> FinAbGroup:
-    """H^0_hat(G, M) = M^G / N M for cyclic G."""
-    if m.module.is_trivial():
-        return FinAbGroup.trivial()
-    k = m.module.rank
-    lam = m.module.relation_columns()
-    invariants = preimage_generators(_sigma_minus_one(m), lam, k)
-    norm = _norm_matrix(m)
-    norm_cols = [[norm[i][j] for i in range(k)] for j in range(k)]
-    return finite_quotient(invariants + norm_cols + lam, norm_cols + lam, k)
+    """H^0_hat(G, M) = M^G / N M for cyclic G, the resolution's H^2."""
+    m.sigma()  # raises UnsupportedError unless G is cyclic
+    return _cohomology(m, 2)
 
 
 def h1_cyclic(m: GModule) -> FinAbGroup:
     """H^1(G, M) = ker N / (sigma - 1) M for cyclic G."""
-    if m.module.is_trivial():
-        return FinAbGroup.trivial()
-    k = m.module.rank
-    lam = m.module.relation_columns()
-    norm_kernel = preimage_generators(_norm_matrix(m), lam, k)
-    smo = _sigma_minus_one(m)
-    smo_cols = [[smo[i][j] for i in range(k)] for j in range(k)]
-    return finite_quotient(norm_kernel + smo_cols + lam, smo_cols + lam, k)
+    m.sigma()
+    return _cohomology(m, 1)
 
 
 def h2_cyclic(m: GModule) -> FinAbGroup:
@@ -223,148 +255,18 @@ def herbrand_quotient(m: GModule) -> Fraction:
     return Fraction(tate_h0(m).order, h1_cyclic(m).order)
 
 
-# ---------------------------------------------------------------------------
-# bar-resolution cohomology for small (possibly non-cyclic) abelian groups
+def h_general(m: GModule, degree: int) -> FinAbGroup:
+    """H^degree(G, M) for degree 1 or 2 and any finite abelian G.
 
-def _group_elements(group):
-    if isinstance(group, Cyclic):
-        return [(i,) for i in range(group.n)], (group.n,)
-    return _product_tuples(group.orders), group.orders
-
-
-def _product_tuples(orders):
-    elems = [()]
-    for m in orders:
-        elems = [e + (i,) for e in elems for i in range(m)]
-    return elems
-
-
-def _element_action(m: GModule, elem, cache):
-    if elem in cache:
-        return cache[elem]
-    fs = m.module.invariant_factors
-    k = m.module.rank
-    result = identity_matrix(k)
-    for mat, power in zip(m.action, elem):
-        result = [list(r) for r in _reduce_rows(
-            mat_mul(result, _mat_pow_mod([list(r) for r in mat], power, fs)), fs)]
-    cache[elem] = result
-    return result
-
-
-def h_general(m: GModule, degree: int, group_bound: int = DEFAULT_GROUP_BOUND) -> FinAbGroup:
-    """H^degree(G, M) for degree 1 or 2 via the bar resolution.
-
-    Cochains are functions G -> M resp. G x G -> M; cocycles and
-    coboundaries are integer lattices cut out by the standard differential
-    and the whole computation is one lattice quotient.
+    One lattice quotient of cocycles by coboundaries in the tensor-product
+    resolution.  For G of rank r and M of rank k a d-cochain has
+    C(d + r - 1, r - 1) * k integer coordinates, whatever the order of G.
     """
     if degree not in (1, 2):
         raise ValidationError("only degrees 1 and 2 are supported")
-    if m.group.order > group_bound:
-        raise ResourceError(
-            f"group order {m.group.order} exceeds the configured bound {group_bound}"
-        )
-    if m.module.is_trivial() or m.group.order == 1:
-        return FinAbGroup.trivial()
-
-    elems, orders = _group_elements(m.group)
-    fs = m.module.invariant_factors
-    k = m.module.rank
-    cache: dict = {}
-
-    def mul(a, b):
-        return tuple((x + y) % o for x, y, o in zip(a, b, orders))
-
-    if degree == 1:
-        keys = elems
-    else:
-        keys = [(g, h) for g in elems for h in elems]
-    index = {key: i for i, key in enumerate(keys)}
-    nvars = len(keys) * k
-
-    rows = []
-    moduli = []
-
-    def block(row, key, mat, sign):
-        base = index[key] * k
-        for i in range(k):
-            for j in range(k):
-                row[i][base + j] += sign * mat[i][j]
-
-    ident = identity_matrix(k)
-    if degree == 1:
-        for g in elems:
-            act_g = _element_action(m, g, cache)
-            for h in elems:
-                row = [[0] * nvars for _ in range(k)]
-                block(row, g, ident, 1)
-                block(row, h, act_g, 1)
-                block(row, mul(g, h), ident, -1)
-                rows.extend(row)
-                moduli.extend(fs)
-    else:
-        for g in elems:
-            act_g = _element_action(m, g, cache)
-            for h in elems:
-                gh = mul(g, h)
-                for l in elems:
-                    row = [[0] * nvars for _ in range(k)]
-                    block(row, (h, l), act_g, 1)
-                    block(row, (gh, l), ident, -1)
-                    block(row, (g, mul(h, l)), ident, 1)
-                    block(row, (g, h), ident, -1)
-                    rows.extend(row)
-                    moduli.extend(fs)
-
-    seen = set()
-    dedup_rows = []
-    dedup_moduli = []
-    for row, mod in zip(rows, moduli):
-        t = tuple(x % mod for x in row)
-        if any(t) and (t, mod) not in seen:
-            seen.add((t, mod))
-            dedup_rows.append(list(t))
-            dedup_moduli.append(mod)
-
-    cocycles = preimage_generators(dedup_rows, diagonal_columns(dedup_moduli), nvars)
-
-    lam_cols = []
-    for v in range(len(keys)):
-        for i in range(k):
-            col = [0] * nvars
-            col[v * k + i] = fs[i]
-            lam_cols.append(col)
-
-    cob_cols = []
-    if degree == 1:
-        for i in range(k):
-            col = [0] * nvars
-            for g in elems:
-                act_g = _element_action(m, g, cache)
-                base = index[g] * k
-                for r in range(k):
-                    col[base + r] += act_g[r][i] - (1 if r == i else 0)
-            cob_cols.append(col)
-    else:
-        for gg in elems:
-            for i in range(k):
-                col = [0] * nvars
-                for g in elems:
-                    act_g = _element_action(m, g, cache)
-                    for h in elems:
-                        base = index[(g, h)] * k
-                        if h == gg:
-                            for r in range(k):
-                                col[base + r] += act_g[r][i]
-                        if mul(g, h) == gg:
-                            col[base + i] -= 1
-                        if g == gg:
-                            col[base + i] += 1
-                cob_cols.append(col)
-
-    den = cob_cols + lam_cols
-    return finite_quotient(cocycles + den, den, nvars)
+    if m.group.order > GROUP_BOUND:
+        raise ResourceError(f"group order {m.group.order} exceeds the bound {GROUP_BOUND}")
+    return _cohomology(m, degree)
 
 
 def hom_g_dual(a: GModule, mu: GModule) -> FinAbGroup:

@@ -107,35 +107,94 @@ def _equivariant(h, p, q, m_factors):
     return True
 
 
-def bar_h1_by_enumeration(group_elems, mul, act_of, m_factors):
-    """H^1 by enumerating all functions G -> M.  Tiny inputs only."""
-    elements = all_tuples(m_factors)
-    zero = tuple([0] * len(m_factors))
+def _all_solutions(unknowns, elements, conditions):
+    """Every assignment of elements to the unknowns meeting all conditions.
 
+    A condition is (unknowns it reads, predicate on the assignment).  The
+    search is depth-first and tests each condition as soon as the unknowns
+    it reads are set, so it returns exactly what trying every assignment
+    would, without visiting the ones an early condition already rules out.
+    """
+    position = {u: i for i, u in enumerate(unknowns)}
+    due = [[] for _ in unknowns]
+    for reads, test in conditions:
+        due[max(position[u] for u in reads)].append(test)
+    found = []
+    f = {}
+
+    def extend(i):
+        if i == len(unknowns):
+            found.append(tuple(f[u] for u in unknowns))
+            return
+        for x in elements:
+            f[unknowns[i]] = x
+            if all(test(f) for test in due[i]):
+                extend(i + 1)
+        del f[unknowns[i]]
+
+    extend(0)
+    return found
+
+
+def _module_ops(m_factors):
     def madd(a, b):
         return tuple((x + y) % d for x, y, d in zip(a, b, m_factors))
 
     def msub(a, b):
         return tuple((x - y) % d for x, y, d in zip(a, b, m_factors))
 
-    cocycles = []
-    for values in product(elements, repeat=len(group_elems)):
-        f = dict(zip(group_elems, values))
-        ok = True
-        for g in group_elems:
-            for h in group_elems:
-                if f[mul(g, h)] != madd(f[g], act_of(g)(f[h])):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            cocycles.append(values)
-    coboundaries = set()
-    for m in elements:
-        values = tuple(msub(act_of(g)(m), m) for g in group_elems)
-        coboundaries.add(values)
-    flat_mods = [d for _ in group_elems for d in m_factors]
+    return madd, msub
+
+
+def _structure(cocycles, coboundaries, copies, m_factors):
+    flat_mods = [d for _ in range(copies) for d in m_factors]
     flat_cocycles = [tuple(x for v in vals for x in v) for vals in cocycles]
     flat_cob = [tuple(x for v in vals for x in v) for vals in coboundaries]
     return quotient_structure(flat_cocycles, flat_cob, flat_mods)
+
+
+def bar_h1_by_enumeration(group_elems, mul, act_of, m_factors):
+    """H^1 from all functions f: G -> M with f(gh) = f(g) + g f(h)."""
+    elements = all_tuples(m_factors)
+    madd, msub = _module_ops(m_factors)
+    conditions = [
+        ((g, h, mul(g, h)),
+         lambda f, g=g, h=h: f[mul(g, h)] == madd(f[g], act_of(g)(f[h])))
+        for g in group_elems for h in group_elems
+    ]
+    cocycles = _all_solutions(group_elems, elements, conditions)
+    coboundaries = {tuple(msub(act_of(g)(x), x) for g in group_elems) for x in elements}
+    return _structure(cocycles, coboundaries, len(group_elems), m_factors)
+
+
+def bar_h2_by_enumeration(group_elems, mul, act_of, m_factors):
+    """H^2 from normalized 2-cochains: functions f: G x G -> M that vanish
+    when either argument is the identity.  The cocycles are those with
+    g f(h, l) - f(gh, l) + f(g, hl) - f(g, h) = 0; modulo coboundaries of
+    normalized 1-cochains they give all of H^2."""
+    elements = all_tuples(m_factors)
+    madd, msub = _module_ops(m_factors)
+    zero = tuple([0] * len(m_factors))
+    one = next(e for e in group_elems if all(mul(e, g) == g for g in group_elems))
+    rest = [g for g in group_elems if g != one]
+    pairs = [(g, h) for g in rest for h in rest]
+
+    def at(f, g, h):
+        return f.get((g, h), zero)  # absent exactly when g or h is the identity
+
+    def cocycle(f, g, h, l):
+        return (madd(act_of(g)(at(f, h, l)), at(f, g, mul(h, l)))
+                == madd(at(f, mul(g, h), l), at(f, g, h)))
+
+    conditions = [
+        ([p for p in ((h, l), (g, mul(h, l)), (mul(g, h), l), (g, h)) if p in pairs],
+         lambda f, g=g, h=h, l=l: cocycle(f, g, h, l))
+        for g in rest for h in rest for l in rest
+    ]
+    cocycles = _all_solutions(pairs, elements, conditions)
+    coboundaries = set()
+    for values in product(elements, repeat=len(rest)):
+        c = dict(zip(rest, values))
+        coboundaries.add(tuple(
+            msub(madd(act_of(g)(c[h]), c[g]), c.get(mul(g, h), zero)) for g, h in pairs))
+    return _structure(cocycles, coboundaries, len(pairs), m_factors)

@@ -20,11 +20,34 @@ from capitula.cohomology import (
 from capitula.errors import ResourceError, UnsupportedError, ValidationError
 
 from cohomology_oracle import (
+    all_tuples,
     bar_h1_by_enumeration,
+    bar_h2_by_enumeration,
     cyclic_tate_by_enumeration,
     equivariant_homs_by_enumeration,
+    matrix_action,
 )
 from module_factory import random_cyclic_gmodule
+
+
+def bar_inputs(m):
+    """Group elements, product and action of a GModule for the bar oracles."""
+    orders = m.group.generator_orders
+    fs = m.module.invariant_factors
+    gens = [matrix_action([list(r) for r in mat], fs) for mat in m.action]
+
+    def mul(g, h):
+        return tuple((a + b) % n for a, b, n in zip(g, h, orders))
+
+    def act_of(g):
+        def act(x):
+            for gen, e in zip(gens, g):
+                for _ in range(e):
+                    x = gen(x)
+            return x
+        return act
+
+    return all_tuples(orders), mul, act_of, fs
 
 
 def minus_one(module):
@@ -150,7 +173,7 @@ class TestHGeneral:
             h_general(m, 1)
 
     def test_matches_cyclic_methods(self):
-        # cross-method agreement on modules of order <= 16
+        # against the cyclic Tate groups by enumeration, modules of order <= 16
         cases = []
         for n in (2, 3, 4):
             for ord_ in range(2, 17):
@@ -159,25 +182,52 @@ class TestHGeneral:
         cases.append(GModule.cyclic(4, FinAbGroup.of(16), ((3,),)))
         cases.append(GModule.cyclic(2, FinAbGroup((2, 4)), ((1, 0), (0, -1))))
         cases.append(GModule(Cyclic(2), FinAbGroup((4, 4)), (((0, 1), (1, 0)),)))
+        # H^1 = Z/4 but H^2 = H^0_hat = (Z/2)^2: tells the two degrees apart
+        cases.append(GModule.cyclic(8, FinAbGroup((2, 4)), ((1, 1), (0, 1))))
         for m in cases:
-            assert h_general(m, 1).invariant_factors == h1_cyclic(m).invariant_factors
-            assert h_general(m, 2).invariant_factors == h2_cyclic(m).invariant_factors
+            fs = m.module.invariant_factors
+            rows = [list(r) for r in m.action[0]]
+            n = m.group.order
+            assert h_general(m, 1).invariant_factors == cyclic_tate_by_enumeration(fs, rows, n, 1)
+            assert h_general(m, 2).invariant_factors == cyclic_tate_by_enumeration(fs, rows, n, 0)
 
     def test_matches_bar_enumeration(self):
-        m = GModule.cyclic(2, FinAbGroup.of(4), ((-1,),))
-        elems = [(0,), (1,)]
+        klein, nine = AbelianGroup((2, 2)), AbelianGroup((3, 3))
+        swap, rot = ((0, 1), (1, 0)), ((0, 1), (1, 1))
+        one = ((1,),)
+        cases = [
+            GModule.cyclic(2, FinAbGroup.of(4), ((-1,),)),
+            GModule(klein, FinAbGroup.of(4), (((-1,),), one)),
+            GModule(klein, FinAbGroup.of(3), (((-1,),), ((-1,),))),
+            GModule(klein, FinAbGroup((2, 2)), (swap, swap)),
+            GModule(klein, FinAbGroup((2, 4)), (((1, 0), (0, -1)), ((1, 0), (2, 1)))),
+            GModule(nine, FinAbGroup.of(7), (((2,),), ((4,),))),
+            GModule(nine, FinAbGroup((3, 3)), (((1, 1), (0, 1)), ((1, 0), (0, 1)))),
+            GModule(nine, FinAbGroup((3, 3)), (((1, 1), (0, 1)), ((1, 2), (0, 1)))),
+            GModule(nine, FinAbGroup((2, 2)), (rot, ((1, 0), (0, 1)))),
+        ]
+        for m in cases:
+            assert h_general(m, 1).invariant_factors == bar_h1_by_enumeration(*bar_inputs(m))
 
-        def mul(g, h):
-            return ((g[0] + h[0]) % 2,)
-
-        def act_of(g):
-            def act(x):
-                return ((-x[0]) % 4,) if g[0] else (x[0] % 4,)
-            return act
-
-        assert h_general(m, 1).invariant_factors == bar_h1_by_enumeration(
-            elems, mul, act_of, (4,)
-        )
+    def test_h2_matches_normalized_cocycle_enumeration(self):
+        klein = AbelianGroup((2, 2))
+        swap, ident = ((0, 1), (1, 0)), ((1, 0), (0, 1))
+        one, neg = ((1,),), ((-1,),)
+        cases = [
+            GModule(klein, FinAbGroup.of(2), (one, one)),
+            GModule(klein, FinAbGroup.of(3), (neg, one)),
+            GModule(klein, FinAbGroup.of(3), (neg, neg)),
+            GModule(klein, FinAbGroup.of(4), (one, one)),
+            GModule(klein, FinAbGroup.of(4), (neg, one)),
+            GModule(klein, FinAbGroup.of(4), (neg, neg)),
+            GModule(klein, FinAbGroup((2, 2)), (ident, ident)),
+            GModule(klein, FinAbGroup((2, 2)), (swap, ident)),
+            GModule(klein, FinAbGroup((2, 2)), (swap, swap)),
+            # a group of order 8
+            GModule.trivial_action(AbelianGroup((2, 4)), FinAbGroup.of(2)),
+        ]
+        for m in cases:
+            assert h_general(m, 2).invariant_factors == bar_h2_by_enumeration(*bar_inputs(m))
 
 
 class TestHomGDual:
