@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import prod
 
-from .arith import is_prime, lcm_list
+from .arith import ext_gcd, is_prime, lcm_list
 from .errors import ValidationError
 
 
@@ -330,6 +330,49 @@ def preimage_generators(matrix, lattice_cols, domain_dim=None):
     ker = kernel_basis(stacked)
     gens = [vec[:cols] for vec in ker]
     return [g for g in gens if any(g)]
+
+
+class HermiteModD:
+    """Incremental Hermite form of R + D Z^m, for the index of R modulo D.
+
+    Row i of the basis is zero before column i, its pivot is a positive
+    divisor of D, and every other entry is reduced into [0, D).  The basis
+    starts as D times the identity; add(vec) sweeps a vector of R down the
+    rows with one extended-gcd step per nonzero pivot column, a unimodular
+    2x2 change that keeps the span, so an addition costs O(m^2) operations
+    on integers below D (Domich-Kannan-Trotter 1987; Cohen, GTM 138,
+    Alg. 2.4.8).  index = [Z^m : R + D Z^m] is the product of the pivots.
+    It equals [Z^m : R] when D Z^m lies in R, and is at least D when R
+    has rank below m.
+    """
+
+    def __init__(self, m: int, modulus: int):
+        if modulus < 1:
+            raise ValidationError("the modulus of a Hermite form must be positive")
+        self.modulus = modulus
+        self._rows = [[modulus if i == j else 0 for j in range(m)] for i in range(m)]
+
+    @property
+    def index(self) -> int:
+        return prod(row[i] for i, row in enumerate(self._rows))
+
+    def add(self, vec) -> None:
+        d = self.modulus
+        m = len(self._rows)
+        if len(vec) != m:
+            raise ValidationError("vector has wrong length for the Hermite form")
+        v = [x % d for x in vec]
+        for i, row in enumerate(self._rows):
+            a, b = row[i], v[i]
+            if b == 0:
+                continue
+            g, s, t = ext_gcd(a, b)
+            ag, bg = a // g, b // g
+            for j in range(i + 1, m):
+                rj, vj = row[j], v[j]
+                row[j] = (s * rj + t * vj) % d
+                v[j] = (bg * rj - ag * vj) % d
+            row[i] = g
 
 
 def diagonal_columns(diag):

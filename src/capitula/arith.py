@@ -4,7 +4,7 @@ from math import gcd, lcm, prod
 
 from .errors import ValidationError
 
-__all__ = ["gcd", "lcm", "prod", "gcd_list", "lcm_list", "is_prime"]
+__all__ = ["gcd", "lcm", "prod", "gcd_list", "lcm_list", "ext_gcd", "is_prime"]
 
 
 def gcd_list(values):
@@ -25,6 +25,14 @@ def lcm_list(values):
     if not values:
         raise ValidationError("lcm of an empty collection is undefined here")
     return lcm(*values) if len(values) > 1 else abs(values[0])
+
+
+def ext_gcd(a, b):
+    """(g, x, y) with a*x + b*y = g, where g = gcd(a, b) for a, b >= 0."""
+    if b == 0:
+        return a, 1, 0
+    g, x, y = ext_gcd(b, a % b)
+    return g, y, x - (a // b) * y
 
 
 def is_prime(n: int) -> bool:

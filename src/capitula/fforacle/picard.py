@@ -5,19 +5,29 @@ low-degree places of K, modulo relations given by principal divisors.
 Relations are harvested from the base-field places themselves and from
 functions in Riemann-Roch spaces L(m P0) of a fixed rational place P0,
 computed by linear algebra over F_q in the monomial basis y^i t^j.  The
-degree-zero part of the quotient must have order exactly h = L(1); when
-it does not, the degree bound and the function-degree bound escalate
+degree-zero part L0 / R of the quotient must have order exactly h = L(1);
+when it does not, the degree bound and the function-degree bound escalate
 (+1 resp. x2) until the presentation is certified or a cap is hit.
 
-Valuations are exact.  At the (totally) ramified places of these
-prime-degree covers the n residues i*v_w(y) mod n are distinct, so
-v_w(sum a_i y^i) = min_i (n v(a_i) + i v_w(y)) with no cancellation; at
-inert places the basis y^i stays a unit basis and the minimum of the
-coefficient valuations wins; at split places the root of the defining
-equation is Hensel-lifted to F_q[t]/pi^N and the combination is evaluated
-there.  The infinite place runs through the same code in the u = 1/t
-model.  Every divisor computation is cross-checked against the valuation
-of the norm, place by place.
+Each new relation goes into a Hermite form of R + 2h L0 kept modulo 2h
+(abelian.HermiteModD), and the full presentation is built only when that
+index equals h.  The pre-check is necessary, not sufficient: [L0 : R] = h
+puts h L0 inside R, so the index is h, and a relation lattice of lower
+rank leaves it at least 2h; but a part of L0 / R of order prime to 2h is
+invisible modulo 2h, so only the full presentation's order decides.
+
+Valuations are exact.  At totally ramified places the n residues
+i*v_w(y) mod n are distinct, so v_w(sum a_i y^i) = min_i (n v(a_i) +
+i v_w(y)) with no cancellation; at inert places the basis y^i stays a
+unit basis and the minimum of the coefficient valuations wins; at split
+places the root of the defining equation is Hensel-lifted to
+F_q[t]/pi^N and the combination is evaluated there.  Only a totally
+split base place gets n places; any other gets one, so a base place with
+1 < g < n (possible only for composite Kummer degrees) gets too few, and
+the norm cross-check below rejects its divisors.  The infinite place
+runs through the same code in the u = 1/t model.  Every divisor
+computation is cross-checked against the valuation of the norm, place
+by place.
 """
 
 from __future__ import annotations
@@ -26,12 +36,13 @@ from dataclasses import dataclass, field as dataclass_field
 from ..abelian import (
     AbHom,
     FinAbGroup,
+    HermiteModD,
     QuotientPresentation,
     kernel,
     kernel_basis,
     preimage_generators,
 )
-from ..arith import gcd_list
+from ..arith import ext_gcd, gcd_list
 from ..errors import InconsistencyError, ResourceError, UnsupportedError, ValidationError
 from ..profile import CYCLIC, ExtensionProfile, FunctionField, PlaceProfile
 from .curves import (
@@ -790,6 +801,9 @@ def _try_presentation(arith, ram, genus, h, l_coeffs, b_bound, m_bound,
 
     relations: list[list[int]] = []
     seen: set[tuple] = set()
+    # deg p0 = 1, so dropping the p0 coordinate maps L0 onto Z^(k-1)
+    p0_at = index[p0]
+    index_mod_2h = HermiteModD(k - 1, 2 * h)
 
     def add_relation(div: dict[PlaceAbove, int]) -> bool:
         if any(w not in index for w in div):
@@ -802,10 +816,12 @@ def _try_presentation(arith, ram, genus, h, l_coeffs, b_bound, m_bound,
             return False
         seen.add(key)
         relations.append(vec)
+        index_mod_2h.add(vec[:p0_at] + vec[p0_at + 1:])
         return True
 
     def certified():
-        if len(relations) < k - 1:
+        # index h modulo 2h is necessary for [L0 : R] = h (module docstring)
+        if index_mod_2h.index != h:
             return None
         try:
             pres = QuotientPresentation(l0_basis, [list(r) for r in relations], k)
@@ -813,7 +829,6 @@ def _try_presentation(arith, ram, genus, h, l_coeffs, b_bound, m_bound,
             return None
         return pres if pres.group.order == h else None
 
-    one = Poly.one(field)
     for pi in monic_irreducibles_up_to(field, b_bound):
         coeffs = [RationalFunc.of(pi)] + [arith.zero_rat] * (curve.n - 1)
         div = arith.divisor_of(coeffs, b_bound)
@@ -821,18 +836,14 @@ def _try_presentation(arith, ram, genus, h, l_coeffs, b_bound, m_bound,
             add_relation(div)
 
     pres = certified()
-    basis = None
     if pres is None:
         basis = riemann_roch_basis(arith, p0, m_bound, genus)
         for cand in _candidate_functions(field, basis, config.max_candidates):
             div = arith.divisor_of(cand, b_bound, extra_bases=critical)
             if div is not None and add_relation(div):
-                if len(relations) >= k - 1:
-                    pres = certified()
-                    if pres is not None:
-                        break
-        if pres is None:
-            pres = certified()
+                pres = certified()
+                if pres is not None:
+                    break
     if pres is None:
         return None
 
@@ -1050,17 +1061,10 @@ def _gcd_combination(values):
         if g == 0:
             g, coefs[i] = v, 1
             continue
-        g, x, y = _ext_gcd(g, v)
+        g, x, y = ext_gcd(g, v)
         coefs = [c * x for c in coefs]
         coefs[i] = y
     return coefs
-
-
-def _ext_gcd(a, b):
-    if b == 0:
-        return a, 1, 0
-    g, x, y = _ext_gcd(b, a % b)
-    return g, y, x - (a // b) * y
 
 
 def realize_profile(curve, s_bases, degree_bound: int | None = None,

@@ -8,8 +8,11 @@ from hypothesis import strategies as st
 from capitula.abelian import (
     AbHom,
     FinAbGroup,
+    HermiteModD,
     cokernel,
     ell_rank,
+    finite_quotient,
+    identity_matrix,
     image_order,
     invert_unimodular,
     kernel,
@@ -112,6 +115,48 @@ class TestSmithNormalForm:
         assert mat_mul(u, invert_unimodular(u)) == [[1, 0], [0, 1]]
         with pytest.raises(ValidationError):
             invert_unimodular([[2, 0], [0, 1]])
+
+
+# up to 6 vectors of Z^m, m <= 5, entries in [-6, 6]
+small_vector_lists = st.integers(min_value=1, max_value=5).flatmap(
+    lambda m: st.tuples(st.just(m), st.lists(
+        st.lists(st.integers(min_value=-6, max_value=6), min_size=m, max_size=m),
+        max_size=6)))
+
+
+def hermite_of(m, modulus, vecs):
+    form = HermiteModD(m, modulus)
+    for v in vecs:
+        form.add(v)
+    return form
+
+
+class TestHermiteModD:
+    @settings(max_examples=200, deadline=None)
+    @given(small_vector_lists, st.integers(min_value=1, max_value=40))
+    def test_index_is_order_of_quotient_by_r_plus_d_zm(self, shape, modulus):
+        m, vecs = shape
+        scaled = [[modulus if i == j else 0 for i in range(m)] for j in range(m)]
+        quotient = finite_quotient(identity_matrix(m), vecs + scaled, m)
+        assert hermite_of(m, modulus, vecs).index == quotient.order
+
+    @settings(max_examples=200, deadline=None)
+    @given(small_vector_lists, st.integers(min_value=1, max_value=40))
+    def test_index_modulo_2h_is_necessary_for_index_h(self, shape, h):
+        # [Z^m : R] = h gives index h modulo 2h; lower rank gives index >= 2h
+        m, vecs = shape
+        try:
+            h = finite_quotient(identity_matrix(m), vecs, m).order
+        except ValidationError:
+            assert hermite_of(m, 2 * h, vecs).index >= 2 * h
+            return
+        assert hermite_of(m, 2 * h, vecs).index == h
+
+    def test_rejects_bad_input(self):
+        with pytest.raises(ValidationError):
+            HermiteModD(2, 0)
+        with pytest.raises(ValidationError):
+            HermiteModD(2, 4).add([1, 2, 3])
 
 
 class TestFinAbGroup:

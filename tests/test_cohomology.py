@@ -128,6 +128,22 @@ class TestCyclicTate:
             assert tate_h0(m).invariant_factors == cyclic_tate_by_enumeration(fs, rows, n, 0)
             assert h1_cyclic(m).invariant_factors == cyclic_tate_by_enumeration(fs, rows, n, 1)
 
+    def test_verify_suite_enumeration_matches_oracle(self):
+        # the structures `capitula verify cohomology` compares against
+        from capitula.verify import _cyclic_tate_by_enumeration
+
+        rng = random.Random(7)
+        modules = [GModule.cyclic(8, FinAbGroup((2, 4)), ((1, 1), (0, 1)))]
+        modules += [random_cyclic_gmodule(rng, max_n=6, max_order=40) for _ in range(60)]
+        for m in modules:
+            rows = [list(r) for r in m.action[0]]
+            fs = m.module.invariant_factors
+            n = m.group.order
+            h1, h0 = _cyclic_tate_by_enumeration(m)
+            assert h1.invariant_factors == cyclic_tate_by_enumeration(fs, rows, n, 1)
+            assert h0.invariant_factors == cyclic_tate_by_enumeration(fs, rows, n, 0)
+        assert _cyclic_tate_by_enumeration(modules[0]) == (FinAbGroup((4,)), FinAbGroup((2, 2)))
+
     def test_herbrand_is_one_randomized(self):
         rng = random.Random(42)
         for _ in range(60):

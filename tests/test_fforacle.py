@@ -190,6 +190,22 @@ class TestRamification:
                 assert data.e * data.f * data.g == curve.n
 
 
+    def test_splitting_degree_sum_counts_the_engine_places(self):
+        from capitula.fforacle.picard import CurveArithmetic
+        from capitula.verify import splitting_degree_sum_holds
+
+        # y^4 = (4t^2+2t+2)/(t+2) over F_5: at t^2+4t+2 the type is
+        # (e, f, g) = (1, 2, 2), but the engine builds one inert place
+        curve = curve_from_json({"kind": "kummer", "q": 5, "p_or_l": 4,
+                                 "Q_or_f": {"num": [2, 2, 4], "den": [2, 1]}})
+        arith = CurveArithmetic(curve)
+        base = BasePlace(parse_poly(curve.field, "t^2+4*t+2"))
+        data = local_invariants(curve, base)
+        assert data.e * data.f * data.g == curve.n
+        assert not splitting_degree_sum_holds(arith, base)
+        assert splitting_degree_sum_holds(arith, INFINITE)
+
+
 class TestZeta:
     def test_elliptic_count_and_l(self):
         curve = ASCurve.make(F2, RationalFunc.of(T2**3))
@@ -225,6 +241,32 @@ class TestPicard:
         pd = picard_group(corpus_entry("as_f2_r0").curve)
         assert pd.group.invariant_factors == (3,)
         assert pd.group.order == pd.h
+
+    def test_one_presentation_per_certified_group(self, monkeypatch):
+        # the mod-2h index check lets only the accepted relation set reach
+        # a full QuotientPresentation build
+        from capitula.fforacle import picard
+
+        builds = []
+        real = picard.QuotientPresentation
+
+        def counting(*args, **kwargs):
+            builds.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(picard, "QuotientPresentation", counting)
+        pic0 = {
+            "as_f2_r0": (3,), "as_f2_r1": (8,), "as_f2_r2": (2, 2),
+            "as_f3_r0": (2, 2), "as_f3_r1": (), "as_f4_g1": (3, 3),
+            "kummer_f3_g0": (), "kummer_f3_g1": (2, 2), "kummer_f4_g1": (3, 3),
+            "kummer_f3_dp2": (2, 2), "as_f3_g3": (3, 9),
+        }
+        for entry in corpus():
+            builds.clear()
+            pd = picard_group(entry.curve)
+            assert len(builds) == 1, entry.name
+            assert pd.group.invariant_factors == pic0[entry.name]
+            assert pd.group.order == pd.h
 
     def test_genus_zero_trivial(self):
         pd = picard_group(corpus_entry("kummer_f3_g0").curve)
