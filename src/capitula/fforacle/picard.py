@@ -19,13 +19,21 @@ invisible modulo 2h, so only the full presentation's order decides.
 Valuations are exact.  At totally ramified places the n residues
 i*v_w(y) mod n are distinct, so v_w(sum a_i y^i) = min_i (n v(a_i) +
 i v_w(y)) with no cancellation; at inert places the basis y^i stays a
-unit basis and the minimum of the coefficient valuations wins; at split
-places the root of the defining equation is Hensel-lifted to
-F_q[t]/pi^N and the combination is evaluated there.  Only a totally
-split base place gets n places; any other gets one, so a base place with
-1 < g < n (possible only for composite Kummer degrees) gets too few, and
-the norm cross-check below rejects its divisors.  The infinite place
-runs through the same code in the u = 1/t model.  Every divisor
+unit basis and the minimum of the coefficient valuations wins.  At a
+totally split place w, labelled by a residue r of y, the combination is
+first scaled to integral coefficients a_i, not all divisible by pi, and
+sum a_i r^i is evaluated in the residue field: a nonzero value means the
+valuation is the scaling exponent, which settles most evaluations.  Only
+when it vanishes is sum a_i R^i evaluated in F_q[t]/pi^N at the root R
+of the defining equation above r, the precision doubling from 8 until
+the value is nonzero.  The n places above the base are one Galois orbit
+(Stichtenoth, Algebraic Function Fields and Codes, Thm. 3.7.1), so one
+root is Hensel-lifted per base and precision and the others are R + c
+(Artin-Schreier) or c R (Kummer), c in F_q.  Only a totally split base
+place gets n places; any other gets one, so a base place with 1 < g < n
+(possible only for composite Kummer degrees) gets too few, and the norm
+cross-check below rejects its divisors, naming (e, f, g).  The infinite
+place runs through the same code in the u = 1/t model.  Every divisor
 computation is cross-checked against the valuation of the norm, place
 by place.
 """
@@ -97,46 +105,14 @@ class PlaceAbove:
         return f"PlaceAbove({self.id})"
 
 
-class _SplitLifter:
-    """Hensel lifting of one root of the local defining equation."""
-
-    def __init__(self, engine, residue):
-        self.engine = engine
-        self.residue = residue
-        self._root = engine.model_point.lift(residue)
-        self._precision = 1
-
-    def root_mod(self, precision: int) -> Poly:
-        eng = self.engine
-        modulus = eng.pi**precision
-        r = self._root % modulus
-        if precision <= self._precision:
-            return r
-        d_hat = eng.defining_mod(precision)
-        curve = eng.arith.curve
-        if curve.kind == "artin_schreier":
-            p = curve.p
-            while True:
-                g = (r**p - r - d_hat) % modulus
-                if g.is_zero():
-                    break
-                r = (r + g) % modulus  # G' = -1
-        else:
-            ell = curve.ell
-            ell_c = Poly(curve.field, [curve.field.from_int(ell)])
-            while True:
-                g = (r**ell - d_hat) % modulus
-                if g.is_zero():
-                    break
-                deriv = (ell_c * r ** (ell - 1)) % modulus
-                r = (r - g * deriv.invmod(modulus)) % modulus
-        self._root = r
-        self._precision = precision
-        return r
-
-
 class LocalEngine:
-    """All places of K above one base place, with exact valuations."""
+    """All places of K above one base place, with exact valuations.
+
+    At a totally split base, labels[j] is the residue of y at place j and
+    root_mod(j, N) the root of the local equation above it: R0 + c_j
+    (Artin-Schreier) or c_j R0 (Kummer) for the one Hensel-lifted root R0
+    and the constant c_j in F_q that also built the label.
+    """
 
     def __init__(self, arith: "CurveArithmetic", base: BasePlace):
         self.arith = arith
@@ -152,7 +128,7 @@ class LocalEngine:
         self.model_defining = defining.reciprocal_substitution() if self.is_inf else defining
         self.data = local_invariants(curve, base)
         self.def_val = defining_valuation(curve, base)
-        n = curve.n
+        self._pi_powers: dict[int, Poly] = {}
 
         if curve.kind == "artin_schreier":
             self.sigma_shift = 0
@@ -165,39 +141,33 @@ class LocalEngine:
                 self.sigma_shift = self.def_val // curve.ell
                 self.s_y = self.sigma_shift
 
-        self.lifters: list[_SplitLifter] = []
         labels = []
         if self.data.kind == "split":
             kappa = self.model_point.kappa
-            if curve.kind == "kummer":
-                unit = self.model_defining * RationalFunc.of(self.pi)**(-self.def_val)
-            else:
-                unit = self.model_defining
-            ubar = self.model_point.reduce_rational(unit)
-            base_root = None
+            ubar = self.model_point.reduce_rational(self._unit())
             if curve.kind == "artin_schreier":
-                for cand in kappa.elements():
-                    if kappa.sub(kappa.pow(cand, curve.p), cand) == ubar:
-                        base_root = cand
-                        break
-                steps = [kappa.from_int(j) for j in range(curve.p)]
-                labels = [kappa.add(base_root, s) for s in steps]
+                base_root = next((cand for cand in kappa.elements()
+                                  if kappa.sub(kappa.pow(cand, curve.p), cand) == ubar),
+                                 None)
+                consts = [field.from_int(j) for j in range(curve.p)]
+                combine = kappa.add
             else:
-                for cand in kappa.elements():
-                    if kappa.pow(cand, curve.ell) == ubar:
-                        base_root = cand
-                        break
+                base_root = next((cand for cand in kappa.elements()
+                                  if kappa.pow(cand, curve.ell) == ubar), None)
                 zeta = primitive_root_of_unity(field, curve.ell)
-                zeta_k = self.model_point.embed(zeta)
-                labels = [base_root]
+                consts = [field.one()]
                 for _ in range(curve.ell - 1):
-                    labels.append(kappa.mul(labels[-1], zeta_k))
+                    consts.append(field.mul(consts[-1], zeta))
+                combine = kappa.mul
             if base_root is None:
                 raise InconsistencyError("split place has no residual root")
+            labels = [combine(base_root, self.model_point.embed(c)) for c in consts]
             order = sorted(range(len(labels)),
                            key=lambda i: kappa.element_index(labels[i]))
             labels = [labels[i] for i in order]
-            self.lifters = [_SplitLifter(self, lab) for lab in labels]
+            self._root_consts = [consts[i] for i in order]
+            self._root = self.model_point.lift(base_root)
+            self._root_precision = 1
         self.labels = labels
 
         deg_base = base.degree
@@ -213,17 +183,58 @@ class LocalEngine:
 
     # -- model-side helpers ------------------------------------------------
 
+    def _unit(self) -> RationalFunc:
+        """Q, resp. the unit part f / pi^v(f), in the model variable."""
+        if self.arith.curve.kind == "artin_schreier":
+            return self.model_defining
+        return self.model_defining * RationalFunc.of(self.pi)**(-self.def_val)
+
+    def pi_power(self, precision: int) -> Poly:
+        """pi^precision, cached: every split-place computation reduces by it."""
+        power = self._pi_powers.get(precision)
+        if power is None:
+            power = self._pi_powers[precision] = self.pi**precision
+        return power
+
     def defining_mod(self, precision: int) -> Poly:
         """Q (resp. the unit part of f) as an element of F_q[x]/pi^N."""
+        modulus = self.pi_power(precision)
+        rat = self._unit()
+        return (rat.num * rat.den.invmod(modulus)) % modulus
+
+    def root_mod(self, index: int, precision: int) -> Poly:
+        """The root of the local equation above labels[index], mod pi^N."""
+        modulus = self.pi_power(precision)
+        if precision > self._root_precision:
+            self._lift_root(precision)
+        c = self._root_consts[index]
+        if self.arith.curve.kind == "artin_schreier":
+            return (self._root + Poly(self.field, [c])) % modulus
+        return (self._root % modulus).scale(c)
+
+    def _lift_root(self, precision: int):
+        """Newton iteration for R0 modulo pi^N, reducing after every product."""
+        modulus = self.pi_power(precision)
+        d_hat = self.defining_mod(precision)
         curve = self.arith.curve
-        modulus = self.pi**precision
+        r = self._root
         if curve.kind == "artin_schreier":
-            rat = self.model_defining
+            while True:
+                g = (r.powmod(curve.p, modulus) - r - d_hat) % modulus
+                if g.is_zero():
+                    break
+                r = (r + g) % modulus  # G' = -1
         else:
-            rat = self.model_defining * RationalFunc.of(self.pi)**(-self.def_val)
-        num = rat.num % modulus
-        den_inv = rat.den.invmod(modulus)
-        return (num * den_inv) % modulus
+            ell_c = self.field.from_int(curve.ell)
+            while True:
+                r_pow = r.powmod(curve.ell - 1, modulus)
+                g = (r_pow * r - d_hat) % modulus
+                if g.is_zero():
+                    break
+                deriv = r_pow.scale(ell_c)
+                r = (r - g * deriv.invmod(modulus)) % modulus
+        self._root = r
+        self._root_precision = precision
 
     def model_coeffs(self, coeffs):
         if not self.is_inf:
@@ -246,37 +257,67 @@ class LocalEngine:
         if kind == "inert":
             return [min(self._model_val(c) + i * self.sigma_shift
                         for i, c in enumerate(mc) if not c.is_zero())]
-        # split: evaluate at each lifted root
+        # split: z = pi^w0 sum a_i Y^i with integral a_i, not all divisible by pi
         shift = self.sigma_shift
         pi_rat = RationalFunc.of(self.pi)
-        shifted = [c if c.is_zero() else c * pi_rat**(i * shift)
-                   for i, c in enumerate(mc)]
-        w0 = min(self._model_val(c) for c in shifted if not c.is_zero())
-        integral = [c if c.is_zero() else c * pi_rat**(-w0) for c in shifted]
-        out = []
+        w0 = min(self._model_val(c) + i * shift for i, c in enumerate(mc) if not c.is_zero())
+        integral = [c if c.is_zero() or i * shift == w0 else c * pi_rat**(i * shift - w0)
+                    for i, c in enumerate(mc)]
+        # residue first: a nonzero value of sum a_i label^i in kappa means v = w0
+        kappa = self.model_point.kappa
+        residues = [kappa.zero() if c.is_zero() else self.model_point.reduce_rational(c)
+                    for c in integral]
+        out = [w0] * len(self.labels)
+        pending = []
+        for j, label in enumerate(self.labels):
+            acc = kappa.zero()
+            for a in reversed(residues):
+                acc = kappa.add(kappa.mul(acc, label), a)
+            if kappa.is_zero(acc):
+                pending.append(j)
         precision = 8
         cap = self.arith.config.max_precision
-        for lifter in self.lifters:
-            while True:
-                val = self._split_val(integral, lifter, precision)
-                if val is not None:
-                    out.append(w0 + val)
-                    break
-                precision *= 2
-                if precision > cap:
-                    raise ResourceError("local expansion precision cap exceeded")
+        while pending:
+            if precision > cap:
+                raise ResourceError("local expansion precision cap exceeded")
+            reduced = self._reduce_integral(integral, precision)
+            left = []
+            for j in pending:
+                val = self._split_val(reduced, j, precision)
+                if val is None:
+                    left.append(j)
+                else:
+                    out[j] = w0 + val
+            pending = left
+            precision *= 2
         return out
 
-    def _split_val(self, integral_coeffs, lifter, precision):
-        modulus = self.pi**precision
-        root = lifter.root_mod(precision)
+    def _reduce_integral(self, integral, precision) -> list[Poly]:
+        """D a_i mod pi^N, for D the product of the distinct denominators.
+
+        The a_i are integral, so D is a unit at every place above the base
+        and multiplying by it, instead of dividing by each denominator,
+        leaves every valuation unchanged.
+        """
+        modulus = self.pi_power(precision)
+        dens = []
+        for c in integral:
+            if not c.is_zero() and c.den not in dens:
+                dens.append(c.den)
+        common = Poly.one(self.field)
+        for den in dens:
+            common = common * den
+        return [c.num if c.is_zero() else (c.num * (common // c.den)) % modulus
+                for c in integral]
+
+    def _split_val(self, reduced, index, precision):
+        """v_pi of sum reduced[i] r^i at the root above labels[index], or None
+        when pi^precision divides it."""
+        modulus = self.pi_power(precision)
+        root = self.root_mod(index, precision)
         total = Poly.zero(self.field)
-        power = Poly.one(self.field)
-        for c in integral_coeffs:
-            if not c.is_zero():
-                den_inv = c.den.invmod(modulus)
-                total = (total + (c.num % modulus) * den_inv * power) % modulus
-            power = (power * root) % modulus
+        for a in reversed(reduced):
+            total = (total * root + a) % modulus
         if total.is_zero():
             return None
         v = total.valuation(self.pi)
@@ -402,8 +443,10 @@ class CurveArithmetic:
                 else nrm.valuation_at(base.pi)
             check = sum(f_w * v for f_w, v in zip((w.f for w in eng.places), vals))
             if check != norm_val:
+                d = eng.data
                 raise InconsistencyError(
-                    f"norm valuation mismatch above {base.id}: {check} != {norm_val}")
+                    f"norm valuation mismatch above {base.id}: {check} != {norm_val}; "
+                    f"(e, f, g) = {(d.e, d.f, d.g)}, {len(eng.places)} place(s) built")
             for w, v in zip(eng.places, vals):
                 if v:
                     out[w] = v
@@ -495,13 +538,13 @@ def riemann_roch_basis(arith: CurveArithmetic, p0: PlaceAbove, m: int, genus: in
         rows = []
         for base in constraint_bases:
             eng = arith.engine(base)
-            for w, lifter_idx in _places_with_lifters(eng):
+            for w, root_idx in _places_with_roots(eng):
                 lreq = -m if w == p0 else 0
                 if base in den_mults:
                     lreq += w.e * den_mults[base]
                 elif base.is_infinite:
                     lreq += -w.e * den_degree
-                rows.extend(_constraint_rows(eng, lifter_idx, lreq, j_max, multipliers))
+                rows.extend(_constraint_rows(eng, root_idx, lreq, j_max, multipliers))
         basis = _nullspace(field, rows, nvars)
         if len(basis) == expected:
             break
@@ -539,13 +582,13 @@ def _kummer_zero_bases(arith) -> list[BasePlace]:
     return out
 
 
-def _places_with_lifters(eng: LocalEngine):
+def _places_with_roots(eng: LocalEngine):
     if eng.data.kind == "split":
         return [(w, i) for i, w in enumerate(eng.places)]
     return [(eng.places[0], -1)]
 
 
-def _constraint_rows(eng: LocalEngine, lifter_idx: int, lreq: int, j_max: int,
+def _constraint_rows(eng: LocalEngine, root_idx: int, lreq: int, j_max: int,
                      multipliers):
     """F_q-linear conditions forcing v_w(sum_ij c_ij t^j E_i y^i) >= lreq."""
     field = eng.field
@@ -584,7 +627,6 @@ def _constraint_rows(eng: LocalEngine, lifter_idx: int, lreq: int, j_max: int,
         return rows
 
     # split place
-    lifter = eng.lifters[lifter_idx]
     shift = eng.sigma_shift
     max_mult_deg = max(mult.degree for mult in multipliers)
     if eng.is_inf:
@@ -592,9 +634,9 @@ def _constraint_rows(eng: LocalEngine, lifter_idx: int, lreq: int, j_max: int,
         depth = lreq + offset
         if depth < 1:
             return rows
-        modulus = eng.pi**depth
+        modulus = eng.pi_power(depth)
         width = depth
-        root = lifter.root_mod(depth)
+        root = eng.root_mod(root_idx, depth)
         root_pows = [Poly.one(field)]
         for _ in range(n - 1):
             root_pows.append((root_pows[-1] * root) % modulus)
@@ -613,9 +655,9 @@ def _constraint_rows(eng: LocalEngine, lifter_idx: int, lreq: int, j_max: int,
 
     if lreq < 1:
         return rows
-    modulus = eng.pi**lreq
+    modulus = eng.pi_power(lreq)
     width = eng.pi.degree * lreq
-    root = lifter.root_mod(lreq)
+    root = eng.root_mod(root_idx, lreq)
     root_pows = [Poly.one(field)]
     for _ in range(n - 1):
         root_pows.append((root_pows[-1] * root) % modulus)

@@ -108,6 +108,18 @@ class Poly:
             e >>= 1
         return result
 
+    def powmod(self, e, mod):
+        """self^e modulo mod, reducing after every product."""
+        result = Poly.one(self.field) % mod
+        cur = self % mod
+        while e:
+            if e & 1:
+                result = (result * cur) % mod
+            e >>= 1
+            if e:
+                cur = (cur * cur) % mod
+        return result
+
     def divmod(self, other):
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")

@@ -39,6 +39,7 @@ from capitula.fforacle import (
     splitting,
     zeta_functional_equation_holds,
 )
+from capitula.fforacle.curves import ResiduePoint
 from capitula.fforacle.gf import (
     IRREDUCIBLE_TABLE,
     PrimeField,
@@ -351,6 +352,204 @@ class TestPicard:
         pi = T2**2 + T2 + ONE2
         profile, pd = realize_profile(curve, [BasePlace(pi)])
         assert profile.h_FS == 2
+
+
+# ---------------------------------------------------------------------------
+# split-place valuations against a per-label Hensel oracle
+
+ORACLE_PRECISION = 32
+
+
+def _valuation_curves():
+    """The corpus (bases of degree <= 2) and a cubic Kummer cover over F_7
+    whose split bases list their places in another order than the Galois
+    orbit (bases of degree 1)."""
+    f7 = GF(7)
+    t7 = Poly.x(f7)
+    cubic = KummerCurve.make(f7, 3, RationalFunc.of(t7**2 + t7))
+    return [(e.name, e.curve, 2) for e in corpus()] + [("kummer_f7_cubic", cubic, 1)]
+
+
+def _split_bases(curve, max_degree):
+    bases = [INFINITE] + [BasePlace(pi) for d in range(1, max_degree + 1)
+                          for pi in monic_irreducibles(curve.field, d)]
+    return [b for b in bases if local_invariants(curve, b).kind == "split"]
+
+
+def _model(curve, base):
+    """(pi, residue point, t -> model map): at infinity the model is u = 1/t."""
+    field = curve.field
+    if base.is_infinite:
+        pi = Poly.x(field)
+        return pi, ResiduePoint(field, BasePlace(pi)), lambda rat: rat.reciprocal_substitution()
+    return base.pi, ResiduePoint(field, base), lambda rat: rat
+
+
+def _local_equation(curve, base):
+    """(s, G): y = pi^s Y and G(Y) = 0 is the local equation with unit data."""
+    pi, _, to_model = _model(curve, base)
+    if curve.kind == "artin_schreier":
+        u = to_model(curve.Q)
+        return 0, lambda r, m: (r**curve.p - r - _mod(u, m)) % m
+    f = to_model(curve.f)
+    a = f.valuation_at(pi)
+    u = f * RationalFunc.of(pi)**(-a)
+    return a // curve.ell, lambda r, m: (r**curve.ell - _mod(u, m)) % m
+
+
+def _mod(rat, modulus):
+    return (rat.num * rat.den.invmod(modulus)) % modulus
+
+
+def _oracle_roots(curve, base, labels, precision=ORACLE_PRECISION):
+    """Each label's root of the local equation, Newton-lifted on its own."""
+    pi, point, _ = _model(curve, base)
+    field = curve.field
+    modulus = pi**precision
+    shift, equation = _local_equation(curve, base)
+    if curve.kind == "artin_schreier":
+        derivative = lambda r: Poly.constant(field, field.neg(field.one()))
+    else:
+        ell = curve.ell
+        derivative = lambda r: (r**(ell - 1)).scale(field.from_int(ell)) % modulus
+    roots = []
+    for label in labels:
+        r = point.lift(label)
+        for _ in range(precision):
+            g = equation(r, modulus)
+            if g.is_zero():
+                break
+            r = (r - g * derivative(r).invmod(modulus)) % modulus
+        assert equation(r, modulus).is_zero()
+        roots.append(r)
+    return shift, roots
+
+
+def _oracle_valuation(curve, base, shift, root, coeffs, precision=ORACLE_PRECISION):
+    """v_pi of sum c_i (pi^s root)^i, read modulo pi^precision."""
+    pi, _, to_model = _model(curve, base)
+    pi_rat = RationalFunc.of(pi)
+    terms = [(i, to_model(c) * pi_rat**(i * shift))
+             for i, c in enumerate(coeffs) if not c.is_zero()]
+    low = min(term.valuation_at(pi) for _, term in terms)
+    modulus = pi**precision
+    total = Poly.zero(curve.field)
+    for i, term in terms:
+        total = (total + _mod(term * pi_rat**(-low), modulus) * root**i) % modulus
+    assert not total.is_zero()
+    v = total.valuation(pi)
+    assert v < precision
+    return low + v
+
+
+def _vanishing_function(curve, base, shift, root, k):
+    """y - pi^s (root mod pi^k) in the t coordinate: order >= k at one place."""
+    pi, _, to_model = _model(curve, base)
+    approx = RationalFunc.of(pi)**shift * RationalFunc.of(root % pi**k)
+    zero = RationalFunc.of(Poly.zero(curve.field))
+    one = RationalFunc.of(Poly.one(curve.field))
+    return [-to_model(approx), one] + [zero] * (curve.n - 2)
+
+
+def _rr_functions(arith, genus):
+    from capitula.fforacle.picard import riemann_roch_basis
+
+    p0 = next(w for base in [INFINITE] + [BasePlace(pi) for pi in
+                                          monic_irreducibles(arith.curve.field, 1)]
+              for w in arith.places_above(base) if w.deg == 1)
+    basis = riemann_roch_basis(arith, p0, 2 * genus + 2, genus)
+    sums = [[a + b for a, b in zip(u, v)] for u, v in zip(basis, basis[1:])]
+    return basis + [z for z in sums if not all(c.is_zero() for c in z)]
+
+
+class TestSplitValuations:
+    def test_valuations_match_per_label_oracle(self):
+        from capitula.fforacle.picard import CurveArithmetic
+
+        compared = vanishing = 0
+        for name, curve, max_degree in _valuation_curves():
+            field = curve.field
+            arith = CurveArithmetic(curve)
+            _, genus = ramification_data(curve)
+            zero = RationalFunc.of(Poly.zero(field))
+            base_polys = [RationalFunc.of(pi) for pi in monic_irreducibles(field, 1)]
+            rr = _rr_functions(arith, genus)
+            for base in _split_bases(curve, max_degree):
+                eng = arith.engine(base)
+                shift, roots = _oracle_roots(curve, base, eng.labels)
+                functions = [[c] + [zero] * (curve.n - 1) for c in base_polys]
+                if not base.is_infinite:
+                    functions.append([RationalFunc.of(base.pi**2)] + [zero] * (curve.n - 1))
+                functions += rr
+                for root in roots:
+                    for k in (1, 10):  # 10 is past the starting precision 8
+                        functions.append(_vanishing_function(curve, base, shift, root, k))
+                for coeffs in functions:
+                    expected = [_oracle_valuation(curve, base, shift, r, coeffs)
+                                for r in roots]
+                    assert eng.valuations(coeffs) == expected, (name, base.id)
+                    compared += 1
+                for j, root in enumerate(roots):
+                    vals = eng.valuations(_vanishing_function(curve, base, shift, root, 10))
+                    assert vals[j] >= 10 + shift, (name, base.id)
+                    assert all(v == shift for i, v in enumerate(vals) if i != j)
+                    vanishing += 1
+        assert compared >= 300 and vanishing >= 50
+
+    def test_roots_solve_the_local_equation_above_their_labels(self):
+        from capitula.fforacle.picard import CurveArithmetic
+
+        checked = 0
+        for _, curve, max_degree in _valuation_curves():
+            arith = CurveArithmetic(curve)
+            for base in _split_bases(curve, max_degree):
+                eng = arith.engine(base)
+                pi, point, _ = _model(curve, base)
+                _, equation = _local_equation(curve, base)
+                _, roots = _oracle_roots(curve, base, eng.labels)
+                assert [w.label_index for w in eng.places] == sorted(
+                    point.kappa.element_index(lab) for lab in eng.labels)
+                for precision in (1, 8, 20, 5):
+                    modulus = pi**precision
+                    for j, label in enumerate(eng.labels):
+                        r = eng.root_mod(j, precision)
+                        assert equation(r, modulus).is_zero()
+                        assert point.reduce_poly(r) == label
+                        assert r == roots[j] % modulus
+                        checked += 1
+        assert checked > 100
+
+    def test_one_hensel_lift_per_split_base_and_precision(self, monkeypatch):
+        from collections import Counter
+
+        from capitula.fforacle.picard import LocalEngine
+
+        lifts = Counter()
+        real = LocalEngine.defining_mod
+
+        def counting(self, precision):
+            lifts[(self, precision)] += 1
+            return real(self, precision)
+
+        monkeypatch.setattr(LocalEngine, "defining_mod", counting)
+        for entry in corpus():
+            picard_group(entry.curve)
+        assert lifts, "no split place was lifted"
+        assert all(eng.data.kind == "split" for eng, _ in lifts)
+        assert set(lifts.values()) == {1}
+
+    def test_norm_mismatch_names_the_decomposition_type(self):
+        from capitula.errors import InconsistencyError
+        from capitula.fforacle.picard import CurveArithmetic
+
+        # the known failing cover: (e, f, g) = (1, 2, 2) at t^2+4t+2, one place built
+        curve = curve_from_json({"kind": "kummer", "q": 5, "p_or_l": 4,
+                                 "Q_or_f": {"num": [2, 2, 4], "den": [2, 1]}})
+        arith = CurveArithmetic(curve)
+        pi = parse_poly(curve.field, "t^2+4*t+2")
+        coeffs = [RationalFunc.of(pi)] + [arith.zero_rat] * (curve.n - 1)
+        with pytest.raises(InconsistencyError, match=r"\(1, 2, 2\), 1 place"):
+            arith.divisor_of(coeffs, None)
 
 
 class TestCurveJson:
