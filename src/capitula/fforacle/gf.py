@@ -9,14 +9,16 @@ as modulus, so evaluation "mod pi" needs no change of basis.
 Moduli for the standard extensions GF(p^k) are shipped as a fixed table
 (the lexicographically smallest monic irreducible, coefficient vector read
 as a base-p integer), so arithmetic is reproducible run to run; moduli over
-non-prime bases are derived at runtime by the same minimality rule and
-cached.  Field sizes are capped at 4096 by default.
+non-prime bases follow the same rule in element-index order
+(poly.first_monic_irreducible) and are cached.  Field sizes are capped at
+4096 by default.
 """
 
 from __future__ import annotations
 
 from ..arith import is_prime
 from ..errors import ResourceError, UnsupportedError, ValidationError
+from .poly import first_monic_irreducible
 
 MAX_FIELD_SIZE = 4096
 
@@ -280,11 +282,6 @@ class ExtField:
         return f"GF({self.order})"
 
 
-def frobenius(field, a, power=1):
-    """a^(p^power), the absolute Frobenius iterated."""
-    return field.pow(a, field.char**power)
-
-
 def absolute_trace(field, a) -> int:
     """Trace down to the prime field, returned as an int in 0..p-1."""
     total = field.zero()
@@ -384,7 +381,7 @@ def extension(field, degree: int, max_size: int = MAX_FIELD_SIZE):
     if isinstance(field, PrimeField) and (field.char, degree) in IRREDUCIBLE_TABLE:
         mod = [field.from_int(c) for c in IRREDUCIBLE_TABLE[(field.char, degree)]]
     else:
-        mod = _canonical_irreducible(field, degree)
+        mod = list(first_monic_irreducible(field, degree).coeffs)
     ext = ExtField(field, mod)
     _field_cache[key] = ext
     return ext
@@ -401,113 +398,3 @@ def _prime_power(q: int):
                 raise ValidationError("not a prime power")
             return p, k
     raise ValidationError("not a prime power")
-
-
-def _canonical_irreducible(field, degree):
-    """Smallest monic irreducible of the given degree, by element index."""
-    indices = [0] * degree
-    total = field.order**degree
-    for val in range(total):
-        v = val
-        coeffs = []
-        for _ in range(degree):
-            coeffs.append(field.element_from_index(v % field.order))
-            v //= field.order
-        coeffs.append(field.one())
-        if _is_irreducible_over(field, coeffs):
-            return coeffs
-    raise ValidationError("unreachable: irreducibles of every degree exist")
-
-
-def _is_irreducible_over(field, coeffs):
-    # x^(q^d) == x mod f, and x^(q^(d/l)) != x for prime l | d
-    d = len(coeffs) - 1
-    if d == 1:
-        return True
-
-    def polmod_pow_x(e_levels):
-        # compute x^(q^e_levels) mod f by repeated q-power
-        cur = [field.zero(), field.one()]
-        for _ in range(e_levels):
-            cur = _polmod_pow(field, cur, field.order, coeffs)
-        return cur
-
-    x = [field.zero(), field.one()]
-    if _trim(field, _polsub(field, polmod_pow_x(d), x)):
-        return False
-    dd = d
-    primes = set()
-    t = 2
-    while t * t <= dd:
-        if dd % t == 0:
-            primes.add(t)
-            while dd % t == 0:
-                dd //= t
-        t += 1
-    if dd > 1:
-        primes.add(dd)
-    for ell in primes:
-        diff = _trim(field, _polsub(field, polmod_pow_x(d // ell), x))
-        if not diff:
-            return False
-        if _poly_gcd_is_nonconstant(field, diff, coeffs):
-            return False
-    return True
-
-
-def _trim(field, v):
-    v = list(v)
-    while v and field.is_zero(v[-1]):
-        v.pop()
-    return v
-
-
-def _polsub(field, a, b):
-    n = max(len(a), len(b))
-    a = list(a) + [field.zero()] * (n - len(a))
-    b = list(b) + [field.zero()] * (n - len(b))
-    return [field.sub(x, y) for x, y in zip(a, b)]
-
-
-def _polmulmod(field, a, b, mod):
-    res = [field.zero()] * (len(a) + len(b) - 1) if a and b else []
-    for i, x in enumerate(a):
-        if field.is_zero(x):
-            continue
-        for j, y in enumerate(b):
-            res[i + j] = field.add(res[i + j], field.mul(x, y))
-    return _polrem(field, res, mod)
-
-
-def _polrem(field, a, mod):
-    a = list(a)
-    dm = len(mod) - 1
-    lead_inv = field.inv(mod[-1])
-    while True:
-        a = _trim(field, a)
-        if len(a) - 1 < dm:
-            break
-        c = field.mul(a[-1], lead_inv)
-        shift = len(a) - 1 - dm
-        for i, mc in enumerate(mod):
-            a[shift + i] = field.sub(a[shift + i], field.mul(c, mc))
-    return a
-
-
-def _polmod_pow(field, base, e, mod):
-    result = [field.one()]
-    cur = _polrem(field, base, mod)
-    while e:
-        if e & 1:
-            result = _polmulmod(field, result, cur, mod)
-        cur = _polmulmod(field, cur, cur, mod)
-        e >>= 1
-    return result
-
-
-def _poly_gcd_is_nonconstant(field, a, b):
-    a, b = _trim(field, a), _trim(field, b)
-    while b:
-        a = _polrem(field, a, b)
-        a, b = b, _trim(field, a)
-    return len(a) - 1 > 0

@@ -16,6 +16,16 @@ puts h L0 inside R, so the index is h, and a relation lattice of lower
 rank leaves it at least 2h; but a part of L0 / R of order prime to 2h is
 invisible modulo 2h, so only the full presentation's order decides.
 
+Every other class group is read off that one presentation.  The rational
+place p0 of the Riemann-Roch spaces has degree one, so the factor-base
+Pic = Z^k / R is Pic^0 + Z p0: a divisor D has the class (coordinates of
+D - deg D p0 in Pic^0, deg D), and sigma acts on Z^(r+1) by [[A, c],
+[0, 1]], A the action on Pic^0 and c the class of sigma(p0) - p0.  The
+S-class group C_{K,S} is the quotient of Z^(r+1) by the invariant factors
+of Pic^0 and the classes of the places in S (Cohen, GTM 138, 2.4.3), and
+the invariant classes (a, d) are those with (sigma - 1) a = -d c, so delta'
+is the order of c in the coinvariants Pic^0 / (sigma - 1) Pic^0.
+
 Valuations are exact.  At totally ramified places the n residues
 i*v_w(y) mod n are distinct, so v_w(sum a_i y^i) = min_i (n v(a_i) +
 i v_w(y)) with no cancellation; at inert places the basis y^i stays a
@@ -41,16 +51,18 @@ by place.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
+from math import gcd, lcm
 from ..abelian import (
     AbHom,
     FinAbGroup,
     HermiteModD,
     QuotientPresentation,
+    columns,
+    identity_matrix,
     kernel,
     kernel_basis,
-    preimage_generators,
 )
-from ..arith import ext_gcd, gcd_list
+from ..arith import gcd_list
 from ..errors import InconsistencyError, ResourceError, UnsupportedError, ValidationError
 from ..profile import CYCLIC, ExtensionProfile, FunctionField, PlaceProfile
 from .curves import (
@@ -728,6 +740,8 @@ class PicardData:
     group is Pic^0 in invariant-factor form, generators are divisor
     representatives on the factor base, sigma_action the induced matrix of
     the chosen Galois generator, and h = L(1) the certifying class number.
+    The degree-one place _p0 splits Pic = Pic^0 + Z p0, and _sigma_p0 holds
+    the Pic^0 coordinates of sigma(p0) - p0 (module docstring).
     """
 
     group: FinAbGroup
@@ -740,11 +754,18 @@ class PicardData:
     _relations: list = dataclass_field(repr=False, default_factory=list)
     _perm: list = dataclass_field(repr=False, default_factory=list)
     _pres0: object = dataclass_field(repr=False, default=None)
+    _p0: PlaceAbove | None = dataclass_field(repr=False, default=None)
+    _sigma_p0: tuple = dataclass_field(repr=False, default=())
     _arith: object = dataclass_field(repr=False, default=None)
     _ram: list = dataclass_field(repr=False, default_factory=list)
 
     def place_index(self, place: PlaceAbove) -> int:
-        return self.factor_base.index(place)
+        try:
+            return self.factor_base.index(place)
+        except ValueError:
+            raise UnsupportedError(
+                f"place {place.id} is outside the presentation; raise the degree bound"
+            ) from None
 
     def places_above(self, base: BasePlace) -> list[PlaceAbove]:
         return [w for w in self.factor_base if w.base == base]
@@ -894,6 +915,9 @@ def _try_presentation(arith, ram, genus, h, l_coeffs, b_bound, m_bound,
     for i, target in enumerate(perm):
         perm_rows[target][i] = 1
     sigma_matrix = pres.induced_matrix(perm_rows)
+    sigma_p0 = [0] * k
+    sigma_p0[perm[p0_at]] += 1
+    sigma_p0[p0_at] -= 1
     group = pres.group
     sigma = AbHom(group, group, sigma_matrix)
     generators = [
@@ -911,6 +935,8 @@ def _try_presentation(arith, ram, genus, h, l_coeffs, b_bound, m_bound,
         _relations=[list(r) for r in relations],
         _perm=perm,
         _pres0=pres,
+        _p0=p0,
+        _sigma_p0=pres.coords(sigma_p0),
         _arith=arith,
         _ram=list(ram),
     )
@@ -947,17 +973,11 @@ def _sigma_permutation(arith, fb):
 
 
 # ---------------------------------------------------------------------------
-# derived quantities
+# derived quantities, all on Pic = Pic^0 + Z p0 (module docstring)
 
 def galois_invariants(pd: PicardData) -> FinAbGroup:
     """J_K^G: the kernel of (sigma - 1) on the certified Pic^0."""
-    group = pd.group
-    kmat = [list(r) for r in pd.sigma_action.matrix]
-    for i in range(group.rank):
-        kmat[i][i] -= 1
-    hom = AbHom(group, group, tuple(tuple(r) for r in kmat))
-    inv, _ = kernel(hom)
-    return inv
+    return invariants_of(pd.group, pd.sigma_action)
 
 
 def invariants_of(group: FinAbGroup, action: AbHom) -> FinAbGroup:
@@ -968,50 +988,69 @@ def invariants_of(group: FinAbGroup, action: AbHom) -> FinAbGroup:
     return inv
 
 
+def _pic_class(pd: PicardData, divisor: dict) -> list[int]:
+    """(Pic^0 coordinates of D - deg D p0, deg D) for a factor-base divisor D."""
+    vec = [0] * len(pd.factor_base)
+    deg = 0
+    for w, mult in divisor.items():
+        vec[pd.place_index(w)] += mult
+        deg += mult * w.deg
+    vec[pd.place_index(pd._p0)] -= deg
+    return list(pd._pres0.coords(vec)) + [deg]
+
+
+def _s_class_quotient(pd: PicardData, s_places, extra_divisors=()) -> QuotientPresentation:
+    """C_{K,S} modulo the classes of extra_divisors, on Z^(r+1).
+
+    The relations are the invariant factors of Pic^0, the classes of the
+    places in S_K and the classes of the extra divisors.  S_K must be
+    nonempty, Galois stable and inside the factor base.
+    """
+    s_list = list(s_places)
+    if not s_list:
+        raise ValidationError("S_K must be nonempty")
+    idx = [pd.place_index(w) for w in s_list]
+    if any(pd._perm[i] not in idx for i in idx):
+        raise ValidationError("S_K is not Galois stable")
+    r = pd.group.rank
+    den = [col + [0] for col in pd.group.relation_columns()]
+    den += [_pic_class(pd, {w: 1}) for w in s_list]
+    den += [_pic_class(pd, div) for div in extra_divisors]
+    return QuotientPresentation(identity_matrix(r + 1), den, r + 1)
+
+
+def _class_subgroup_order(pd: PicardData, s_places, divisors) -> int:
+    """Order of the subgroup of C_{K,S} generated by the divisors' classes."""
+    whole = _s_class_quotient(pd, s_places).group.order
+    return whole // _s_class_quotient(pd, s_places, divisors).group.order
+
+
 def s_class_group(pd: PicardData, s_places) -> tuple[FinAbGroup, AbHom]:
     """Pic modulo the classes of the places in S_K, with the induced action.
 
     The set must be Galois stable and inside the factor base presentation.
     """
-    s_list = list(s_places)
-    if not s_list:
-        raise ValidationError("S_K must be nonempty")
-    k = len(pd.factor_base)
-    idx = []
-    for w in s_list:
-        if w not in pd.factor_base:
-            raise UnsupportedError(
-                f"place {w.id} is outside the presentation; raise the degree bound")
-        idx.append(pd.place_index(w))
-    for i in idx:
-        if pd._perm[i] not in idx:
-            raise ValidationError("S_K is not Galois stable")
-    num = [[1 if r == i else 0 for r in range(k)] for i in range(k)]
-    den = [list(r) for r in pd._relations]
-    for i in idx:
-        den.append([1 if r == i else 0 for r in range(k)])
-    pres = QuotientPresentation(num, den, k)
-    perm_rows = [[0] * k for _ in range(k)]
-    for i, target in enumerate(pd._perm):
-        perm_rows[target][i] = 1
-    action = AbHom(pres.group, pres.group, pres.induced_matrix(perm_rows))
-    return pres.group, action
+    pres = _s_class_quotient(pd, s_places)
+    sigma = [list(row) + [c] for row, c in zip(pd.sigma_action.matrix, pd._sigma_p0)]
+    sigma.append([0] * pd.group.rank + [1])
+    return pres.group, AbHom(pres.group, pres.group, pres.induced_matrix(sigma))
 
 
 def delta_prime(pd: PicardData) -> int:
-    """gcd of the degrees of Galois-invariant classes in the full Pic."""
-    k = len(pd.factor_base)
-    perm_minus_id = [[0] * k for _ in range(k)]
-    for i, target in enumerate(pd._perm):
-        perm_minus_id[target][i] += 1
-        perm_minus_id[i][i] -= 1
-    rel_cols = [list(r) for r in pd._relations]
-    gens = preimage_generators(perm_minus_id, rel_cols, k)
-    degs = [sum(v * w.deg for v, w in zip(g, pd.factor_base)) for g in gens]
-    degs = [d for d in degs if d]
-    if not degs:
-        raise InconsistencyError("no invariant classes of nonzero degree found")
-    dp = gcd_list(degs)
+    """gcd of the degrees of Galois-invariant classes in the full Pic.
+
+    (a, d) is invariant when (sigma - 1) a = -d c, c the class of
+    sigma(p0) - p0, so delta' is the order of c in Pic^0 / (sigma - 1) Pic^0.
+    """
+    rank = pd.group.rank
+    sigma_minus_1 = pd.sigma_action.matrix_rows()
+    for i in range(rank):
+        sigma_minus_1[i][i] -= 1
+    coinvariants = QuotientPresentation(
+        identity_matrix(rank), pd.group.relation_columns() + columns(sigma_minus_1), rank)
+    dp = 1
+    for f, y in zip(coinvariants.group.invariant_factors, coinvariants.coords(pd._sigma_p0)):
+        dp = lcm(dp, f // gcd(f, y))
     n = pd._arith.curve.n
     from ..formulas import delta_index
     delta = delta_index(n, [(r.e, r.place.degree) for r in pd._ram])
@@ -1032,17 +1071,9 @@ def base_class_number(s_bases) -> int:
 def strongly_ambiguous_order(pd: PicardData, s_places) -> int:
     """Order of the subgroup of C_{K,S} generated by classes of
     Galois-invariant divisors (the transgressive ambiguous classes)."""
-    k = len(pd.factor_base)
-    den = [list(r) for r in pd._relations]
-    s_idx = {pd.place_index(w) for w in s_places}
-    for i in s_idx:
-        den.append([1 if r == i else 0 for r in range(k)])
-    quotient_order = QuotientPresentation(
-        [[1 if r == i else 0 for r in range(k)] for i in range(k)], den, k
-    ).group.order
-    orbit_cols = []
+    orbit_sums = []
     seen = set()
-    for i in range(k):
+    for i in range(len(pd.factor_base)):
         if i in seen:
             continue
         orbit = [i]
@@ -1051,62 +1082,22 @@ def strongly_ambiguous_order(pd: PicardData, s_places) -> int:
             orbit.append(j)
             j = pd._perm[j]
         seen.update(orbit)
-        col = [0] * k
-        for idx in orbit:
-            col[idx] = 1
-        orbit_cols.append(col)
-    with_orbits = QuotientPresentation(
-        [[1 if r == i else 0 for r in range(k)] for i in range(k)],
-        den + orbit_cols, k
-    ).group.order
-    return quotient_order // with_orbits
+        orbit_sums.append({pd.factor_base[j]: 1 for j in orbit})
+    return _class_subgroup_order(pd, s_places, orbit_sums)
 
 
 def capitulation_kernel_order(pd: PicardData, s_bases, s_places) -> int:
     """|ker j|: classes of the base S-class group that die when extended.
 
-    C_{F,S} is cyclic of order gcd(deg v : v in S); the generator extends
-    to the e-weighted sum of the places above a degree-gcd combination.
+    C_{F,S} = Pic(P^1) / <S> is cyclic of order gcd(deg v : v in S),
+    generated by any divisor of degree one, such as the place at infinity,
+    which extends to the e-weighted sum of the places above it.
     """
     h_fs = base_class_number(s_bases)
     if h_fs == 1:
         return 1
-    degs = [b.degree for b in s_bases]
-    combo = _gcd_combination(degs)
-    k = len(pd.factor_base)
-    vec = [0] * k
-    for coef, base in zip(combo, s_bases):
-        if coef == 0:
-            continue
-        for w in pd.places_above(base):
-            vec[pd.place_index(w)] += coef * w.e
-    den = [list(r) for r in pd._relations]
-    for w in s_places:
-        i = pd.place_index(w)
-        den.append([1 if r == i else 0 for r in range(k)])
-    base_order = QuotientPresentation(
-        [[1 if r == i else 0 for r in range(k)] for i in range(k)], den, k
-    ).group.order
-    with_gen = QuotientPresentation(
-        [[1 if r == i else 0 for r in range(k)] for i in range(k)],
-        den + [vec], k
-    ).group.order
-    image_order = base_order // with_gen
-    return h_fs // image_order
-
-
-def _gcd_combination(values):
-    """Integer coefficients c with sum c_i values_i = gcd(values)."""
-    coefs = [0] * len(values)
-    g = 0
-    for i, v in enumerate(values):
-        if g == 0:
-            g, coefs[i] = v, 1
-            continue
-        g, x, y = ext_gcd(g, v)
-        coefs = [c * x for c in coefs]
-        coefs[i] = y
-    return coefs
+    con_inf = {w: w.e for w in pd.places_above(INFINITE)}
+    return h_fs // _class_subgroup_order(pd, s_places, [con_inf])
 
 
 def realize_profile(curve, s_bases, degree_bound: int | None = None,

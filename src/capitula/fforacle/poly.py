@@ -364,22 +364,28 @@ class RationalFunc:
 # ---------------------------------------------------------------------------
 # irreducible enumeration (the finite places of F_q(t))
 
-@lru_cache(maxsize=None)
-def _monic_irreducibles_cached(field, degree):
-    """All monic irreducibles of exact degree, in element-index order."""
-    out = []
-    total = field.order**degree
-    for val in range(total):
-        v = val
+def _irreducibles_in_order(field, degree):
+    """Monic irreducibles of exact degree, lazily, in element-index order:
+    the lower coefficients read as base-q digits, lowest first."""
+    for val in range(field.order**degree):
         coeffs = []
         for _ in range(degree):
-            coeffs.append(field.element_from_index(v % field.order))
-            v //= field.order
+            coeffs.append(field.element_from_index(val % field.order))
+            val //= field.order
         coeffs.append(field.one())
         poly = Poly(field, coeffs)
         if _is_irreducible(poly):
-            out.append(poly)
-    return tuple(out)
+            yield poly
+
+
+@lru_cache(maxsize=None)
+def _monic_irreducibles_cached(field, degree):
+    return tuple(_irreducibles_in_order(field, degree))
+
+
+def first_monic_irreducible(field, degree: int) -> Poly:
+    """The first monic irreducible of the given degree in element-index order."""
+    return next(_irreducibles_in_order(field, degree))
 
 
 def monic_irreducibles(field, degree: int):
@@ -405,7 +411,7 @@ def _is_irreducible(poly: Poly) -> bool:
     def x_q_power(levels):
         cur = x % poly
         for _ in range(levels):
-            cur = _pow_mod(cur, field.order, poly)
+            cur = cur.powmod(field.order, poly)
         return cur
 
     if not (x_q_power(d) - x % poly).is_zero():
@@ -426,17 +432,6 @@ def _is_irreducible(poly: Poly) -> bool:
         if g.degree > 0:
             return False
     return True
-
-
-def _pow_mod(base: Poly, e: int, mod: Poly) -> Poly:
-    result = Poly.one(base.field)
-    cur = base % mod
-    while e:
-        if e & 1:
-            result = (result * cur) % mod
-        cur = (cur * cur) % mod
-        e >>= 1
-    return result
 
 
 def factor_with_bounded_degree(poly: Poly, max_degree: int):

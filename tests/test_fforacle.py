@@ -1,6 +1,9 @@
 import pytest
 
-from capitula.abelian import AbHom, FinAbGroup
+from math import gcd
+
+from capitula.abelian import AbHom, FinAbGroup, QuotientPresentation, finite_quotient, \
+    preimage_generators
 from capitula.cohomology import Cyclic, GModule, h1_cyclic
 from capitula.errors import (
     DegenerateExtensionError,
@@ -17,6 +20,7 @@ from capitula.fforacle import (
     RationalFunc,
     as_reduce,
     base_change,
+    capitulation_kernel_order,
     corpus,
     corpus_entry,
     count_points,
@@ -37,6 +41,7 @@ from capitula.fforacle import (
     render_poly,
     s_class_group,
     splitting,
+    strongly_ambiguous_order,
     zeta_functional_equation_holds,
 )
 from capitula.fforacle.curves import ResiduePoint
@@ -47,7 +52,7 @@ from capitula.fforacle.gf import (
     multiplicative_order,
     pth_root,
 )
-from capitula.fforacle.poly import _is_irreducible
+from capitula.fforacle.poly import _is_irreducible, first_monic_irreducible
 
 
 F2, F3, F4 = GF(2), GF(3), GF(4)
@@ -62,6 +67,10 @@ class TestFiniteFields:
             poly = Poly.from_ints(base, coeffs)
             assert poly.degree == k
             assert _is_irreducible(poly)
+
+    def test_shipped_table_follows_the_first_irreducible_rule(self):
+        for (p, k), coeffs in IRREDUCIBLE_TABLE.items():
+            assert first_monic_irreducible(PrimeField(p), k).coeffs == coeffs, (p, k)
 
     def test_field_orders_and_arithmetic(self):
         for q in (2, 3, 4, 5, 8, 9):
@@ -352,6 +361,109 @@ class TestPicard:
         pi = T2**2 + T2 + ONE2
         profile, pd = realize_profile(curve, [BasePlace(pi)])
         assert profile.h_FS == 2
+
+
+# ---------------------------------------------------------------------------
+# S-class quantities against quotients of the whole factor-base lattice
+
+# the last set is the first quadratic place alone, so that h_FS = 2
+S_SETS = (("inf",), ("inf", "t"), ("inf", "t", "t+2"), ("quadratic",))
+
+
+def _s_bases(field, s_ids):
+    return list(dict.fromkeys(
+        BasePlace(monic_irreducibles(field, 2)[0]) if x == "quadratic"
+        else parse_base_place(field, x) for x in s_ids))
+
+
+def _reference_s_quantities(pd, s_bases, s_k):
+    """C_{K,S}, its invariants, the strongly ambiguous order, |ker j| and
+    delta', all computed on Z^k modulo the relations R of the factor base."""
+    fb = pd.factor_base
+    k = len(fb)
+    unit = [[int(i == j) for i in range(k)] for j in range(k)]
+    rel = [list(r) for r in pd._relations] + [unit[fb.index(w)] for w in s_k]
+    perm_rows = [[int(pd._perm[j] == i) for j in range(k)] for i in range(k)]
+    pres = QuotientPresentation(unit, rel, k)
+    action = AbHom(pres.group, pres.group, pres.induced_matrix(perm_rows))
+    order = pres.group.order
+
+    orbit_cols, seen = [], set()
+    for start in range(k):
+        if start in seen:
+            continue
+        orbit, j = {start}, pd._perm[start]
+        while j != start:
+            orbit.add(j)
+            j = pd._perm[j]
+        seen |= orbit
+        orbit_cols.append([int(i in orbit) for i in range(k)])
+    ambiguous = order // finite_quotient(unit, rel + orbit_cols, k).order
+
+    # C_{F,S} = Z / h_FS, generated by the class of the place at infinity
+    h_fs = 0
+    for base in s_bases:
+        h_fs = gcd(h_fs, base.degree)
+    con_inf = [0] * k
+    for w in pd.places_above(INFINITE):
+        con_inf[fb.index(w)] = w.e
+    image = order // finite_quotient(unit, rel + [con_inf], k).order
+    ker_j = h_fs // image
+
+    sigma_minus_1 = [[perm_rows[i][j] - int(i == j) for j in range(k)] for i in range(k)]
+    invariant = preimage_generators(sigma_minus_1, [list(r) for r in pd._relations], k)
+    dp = 0
+    for vec in invariant:
+        dp = gcd(dp, sum(v * w.deg for v, w in zip(vec, fb)))
+    return pres.group, invariants_of(pres.group, action), ambiguous, ker_j, dp
+
+
+class TestSClassQuantities:
+    @pytest.mark.parametrize("s_ids", S_SETS, ids=",".join)
+    @pytest.mark.parametrize("name", [e.name for e in corpus()])
+    def test_against_the_factor_base_lattice(self, name, s_ids):
+        curve = corpus_entry(name).curve
+        s_bases = _s_bases(curve.field, s_ids)
+        pd = picard_group(curve, extra_base_places=s_bases)
+        s_k = [w for base in s_bases for w in pd.places_above(base)]
+        group, action = s_class_group(pd, s_k)
+        got = (group, invariants_of(group, action), strongly_ambiguous_order(pd, s_k),
+               capitulation_kernel_order(pd, s_bases, s_k), delta_prime(pd))
+        assert got == _reference_s_quantities(pd, s_bases, s_k)
+
+    def test_capitulation_is_injective_for_odd_degree(self):
+        # the norm of the extended class is n times the class, and n is
+        # prime to h_FS = 2 for S = {one quadratic place}
+        checked = 0
+        for entry in corpus():
+            curve = entry.curve
+            if curve.n % 2 == 0:
+                continue
+            s_bases = _s_bases(curve.field, ("quadratic",))
+            pd = picard_group(curve, extra_base_places=s_bases)
+            s_k = pd.places_above(s_bases[0])
+            assert capitulation_kernel_order(pd, s_bases, s_k) == 1, entry.name
+            checked += 1
+        assert checked == 4
+
+    def _outside(self, pd, *degrees):
+        """The places of K above the first base place of each degree."""
+        bases = [BasePlace(monic_irreducibles(F2, d)[0]) for d in degrees]
+        return bases, [w for b in bases for w in pd._arith.places_above(b)]
+
+    def test_strongly_ambiguous_names_a_place_outside(self):
+        pd = picard_group(corpus_entry("as_f2_r0").curve)
+        _, outside = self._outside(pd, 4)
+        with pytest.raises(UnsupportedError, match="outside the presentation"):
+            strongly_ambiguous_order(pd, pd.places_above(INFINITE) + outside)
+
+    def test_capitulation_kernel_names_a_place_outside(self):
+        # y^2+y = t^3 over F_2 with S of degrees 4 and 6: h_FS = 2, and
+        # no place above S is in the presentation
+        pd = picard_group(corpus_entry("as_f2_r0").curve)
+        s_bases, s_k = self._outside(pd, 4, 6)
+        with pytest.raises(UnsupportedError, match="outside the presentation"):
+            capitulation_kernel_order(pd, s_bases, s_k)
 
 
 # ---------------------------------------------------------------------------
