@@ -364,23 +364,49 @@ class RationalFunc:
 # ---------------------------------------------------------------------------
 # irreducible enumeration (the finite places of F_q(t))
 
+def _monic_from_index(field, degree, val):
+    """The monic polynomial of the given degree whose lower coefficients
+    are the base-q digits of val, lowest first (its element index)."""
+    coeffs = []
+    for _ in range(degree):
+        coeffs.append(field.element_from_index(val % field.order))
+        val //= field.order
+    coeffs.append(field.one())
+    return Poly(field, coeffs)
+
+
+def _monic_index(poly: Poly) -> int:
+    field = poly.field
+    val = 0
+    for c in reversed(poly.coeffs[:-1]):
+        val = val * field.order + field.element_index(c)
+    return val
+
+
 def _irreducibles_in_order(field, degree):
-    """Monic irreducibles of exact degree, lazily, in element-index order:
-    the lower coefficients read as base-q digits, lowest first."""
+    """Monic irreducibles of exact degree, lazily, in element-index order."""
     for val in range(field.order**degree):
-        coeffs = []
-        for _ in range(degree):
-            coeffs.append(field.element_from_index(val % field.order))
-            val //= field.order
-        coeffs.append(field.one())
-        poly = Poly(field, coeffs)
+        poly = _monic_from_index(field, degree, val)
         if _is_irreducible(poly):
             yield poly
 
 
 @lru_cache(maxsize=None)
 def _monic_irreducibles_cached(field, degree):
-    return tuple(_irreducibles_in_order(field, degree))
+    """Every monic irreducible of exact degree, in element-index order, by a
+    product sieve: a monic polynomial of degree d is reducible exactly when
+    it has a monic irreducible factor a of degree k <= d/2, so marking a*b
+    for each such a and every monic b of degree d - k leaves the irreducibles."""
+    size = field.order**degree
+    reducible = bytearray(size)
+    for k in range(1, degree // 2 + 1):
+        cofactors = [_monic_from_index(field, degree - k, val)
+                     for val in range(field.order**(degree - k))]
+        for a in _monic_irreducibles_cached(field, k):
+            for b in cofactors:
+                reducible[_monic_index(a * b)] = 1
+    return tuple(_monic_from_index(field, degree, val)
+                 for val in range(size) if not reducible[val])
 
 
 def first_monic_irreducible(field, degree: int) -> Poly:

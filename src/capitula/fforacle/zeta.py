@@ -1,14 +1,25 @@
 """Point counting and L-polynomials of the oracle curves.
 
 N_m, the number of degree-one places after extending constants to
-F_{q^m}, is counted directly: every degree-one place of F_{q^m}(t) (the
-q^m affine ones and infinity) contributes n/e when its residue degree in
-the cover is 1 and nothing otherwise.  The numerator L(T) of the zeta
-function is then recovered from N_1..N_g by Newton's identities plus the
-functional equation, and the divisor class number is h = L(1).
+F_{q^m}, is read off the places of the base: a base place P of degree
+deg P with decomposition type (e_P, f_P, g_P) has g_P places above it,
+each of degree f_P deg P, and such a place splits into f_P deg P
+degree-one places over F_{q^m} when f_P deg P divides m and yields none
+otherwise (Rosen, Number Theory in Function Fields, ch. 5).  So
 
-Integrality of every Newton step and an independent recount of N_{g+1}
-act as internal consistency checks on the whole splitting machinery.
+    N_m = sum of g_P f_P deg P over the places P with f_P deg P | m,
+
+and one census of infinity and the monic irreducibles of degree <= top
+gives N_1..N_top with one `local_invariants` call per base place.  The
+numerator L(T) of the zeta function is then recovered from N_1..N_g by
+Newton's identities plus the functional equation, and the divisor class
+number is h = L(1).
+
+Integrality of every Newton step and a recount of N_{g+1}, taken from the
+same census and compared with the value L(T) predicts, act as internal
+consistency checks on the whole splitting machinery.  The recount runs
+whenever q^(g+1) is within the field-size cap.  `base_change` builds the
+cover over F_{q^m} itself; it is the independent check of the census.
 """
 
 from __future__ import annotations
@@ -24,7 +35,7 @@ from .curves import (
     ramification_data,
 )
 from .gf import MAX_FIELD_SIZE, extension
-from .poly import Poly, RationalFunc
+from .poly import RationalFunc, monic_irreducibles_up_to
 
 DEFAULT_MAX_POINT_DEGREE = 12
 
@@ -45,24 +56,31 @@ def base_change(curve, m: int, max_field_size: int = MAX_FIELD_SIZE):
     return KummerCurve(big, curve.ell, map_rat(curve.f), False)
 
 
+def _check_field_size(q: int, m: int, max_field_size: int):
+    if q**m > max_field_size:
+        raise ResourceError(f"field size {q}^{m} exceeds the cap {max_field_size}")
+
+
+def _census(curve, top: int) -> list[int]:
+    """[0, N_1, ..., N_top] from one pass over the base places of degree <= top."""
+    counts = [0] * (top + 1)
+    places = [INFINITE] + [BasePlace(pi) for pi in monic_irreducibles_up_to(curve.field, top)]
+    for place in places:
+        data = local_invariants(curve, place)
+        step = data.f * place.degree
+        for m in range(step, top + 1, step):
+            counts[m] += data.g * step
+    return counts
+
+
 def count_points(curve, m: int, max_degree: int = DEFAULT_MAX_POINT_DEGREE,
                  max_field_size: int = MAX_FIELD_SIZE) -> int:
     """N_m: degree-one places of the cover over F_{q^m}."""
     if m < 1 or m > max_degree:
         raise ResourceError(f"point count degree {m} outside 1..{max_degree}")
-    bc = base_change(curve, m, max_field_size)
-    big = bc.field
-    n = bc.n
-    total = 0
-    for c in big.elements():
-        pi = Poly(big, [big.neg(c), big.one()])
-        data = local_invariants(bc, BasePlace(pi))
-        if data.f == 1:
-            total += n // data.e
-    data = local_invariants(bc, INFINITE)
-    if data.f == 1:
-        total += n // data.e
-    return total
+    _reject_constant_ext(curve)
+    _check_field_size(curve.field.order, m, max_field_size)
+    return _census(curve, m)[m]
 
 
 def l_polynomial(curve, max_field_size: int = MAX_FIELD_SIZE) -> tuple[list[int], int]:
@@ -72,11 +90,10 @@ def l_polynomial(curve, max_field_size: int = MAX_FIELD_SIZE) -> tuple[list[int]
     q = curve.field.order
     if g == 0:
         return [1], 1
-    power_sums = [0]  # p_0 unused
-    for m in range(1, g + 1):
-        n_m = count_points(curve, m, max_degree=max(g + 1, DEFAULT_MAX_POINT_DEGREE),
-                           max_field_size=max_field_size)
-        power_sums.append(q**m + 1 - n_m)
+    _check_field_size(q, g, max_field_size)
+    recount = q ** (g + 1) <= max_field_size
+    counts = _census(curve, g + 1 if recount else g)
+    power_sums = [0] + [q**m + 1 - counts[m] for m in range(1, g + 1)]  # p_0 unused
     e = [1] + [0] * g
     for k in range(1, g + 1):
         acc = 0
@@ -93,14 +110,13 @@ def l_polynomial(curve, max_field_size: int = MAX_FIELD_SIZE) -> tuple[list[int]
     h = sum(coeffs)
     if h < 1:
         raise InconsistencyError(f"class number L(1) = {h} is not positive")
-    _self_check(curve, coeffs, g, q, max_field_size)
+    if recount:
+        _self_check(coeffs, g, q, counts[g + 1])
     return coeffs, h
 
 
-def _self_check(curve, coeffs, g, q, max_field_size):
-    """Recount N_{g+1} and compare with the prediction from L(T)."""
-    if q ** (g + 1) > max_field_size:
-        return
+def _self_check(coeffs, g, q, counted):
+    """Compare the counted N_{g+1} with the prediction from L(T)."""
     full_e = [(-1) ** i * coeffs[i] for i in range(2 * g + 1)]
     ps = [0] * (2 * g + 2)
     for k in range(1, g + 2):
@@ -111,7 +127,6 @@ def _self_check(curve, coeffs, g, q, max_field_size):
             acc += (-1) ** (k - 1) * k * full_e[k]
         ps[k] = acc
     predicted = q ** (g + 1) + 1 - ps[g + 1]
-    counted = count_points(curve, g + 1, max_degree=g + 1, max_field_size=max_field_size)
     if predicted != counted:
         raise InconsistencyError(
             f"L-polynomial predicts N_{g + 1} = {predicted}, counting gives {counted}")

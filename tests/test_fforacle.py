@@ -7,6 +7,8 @@ from capitula.abelian import AbHom, FinAbGroup, QuotientPresentation, finite_quo
 from capitula.cohomology import Cyclic, GModule, h1_cyclic
 from capitula.errors import (
     DegenerateExtensionError,
+    InconsistencyError,
+    ResourceError,
     UnsupportedError,
     ValidationError,
 )
@@ -44,7 +46,8 @@ from capitula.fforacle import (
     strongly_ambiguous_order,
     zeta_functional_equation_holds,
 )
-from capitula.fforacle.curves import ResiduePoint
+from capitula.fforacle import zeta
+from capitula.fforacle.curves import LocalData, ResiduePoint
 from capitula.fforacle.gf import (
     IRREDUCIBLE_TABLE,
     PrimeField,
@@ -52,7 +55,11 @@ from capitula.fforacle.gf import (
     multiplicative_order,
     pth_root,
 )
-from capitula.fforacle.poly import _is_irreducible, first_monic_irreducible
+from capitula.fforacle.poly import (
+    _irreducibles_in_order,
+    _is_irreducible,
+    first_monic_irreducible,
+)
 
 
 F2, F3, F4 = GF(2), GF(3), GF(4)
@@ -110,6 +117,12 @@ class TestPolyLayer:
         assert len(monic_irreducibles(F2, 4)) == 3
         assert len(monic_irreducibles(F3, 2)) == 3
         assert len(monic_irreducibles(F4, 2)) == 6
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+    def test_sieve_matches_rabin_filter(self, q):
+        field = GF(q)
+        for d in (1, 2, 3):
+            assert monic_irreducibles(field, d) == list(_irreducibles_in_order(field, d)), d
 
     def test_render_parse_roundtrip(self):
         for text in ("t", "t+1", "t^2+t+1", "t^3+2*t+1"):
@@ -216,7 +229,75 @@ class TestRamification:
         assert splitting_degree_sum_holds(arith, INFINITE)
 
 
+def _kummer(q, ell, num, den="1"):
+    field = GF(q)
+    return KummerCurve.make(field, ell, RationalFunc(parse_poly(field, num),
+                                                     parse_poly(field, den)))
+
+
+def _census_curves():
+    """Positive-genus corpus curves plus composite-degree Kummer covers,
+    each with q^(g+1) within the field-size cap."""
+    cases = [(e.name, e.curve) for e in corpus() if ramification_data(e.curve)[1] > 0]
+    cases += [
+        # y^4 = (4t^2+2t+2)/(t+2), the known failing cover: (e, f, g) =
+        # (1, 2, 2) at t^2+4t+2
+        ("kummer4_f5_known_failing",
+         curve_from_json({"kind": "kummer", "q": 5, "p_or_l": 4,
+                          "Q_or_f": {"num": [2, 2, 4], "den": [2, 1]}})),
+        ("kummer4_f5_g1", _kummer(5, 4, "t^3+4*t^2")),  # y^4 = t^2(t+4)
+        ("kummer4_f5_quadratic", _kummer(5, 4, "t^2+2", "t^2")),
+        ("kummer6_f7_g1", _kummer(7, 6, "t^5+4*t^4+3*t^3+6*t^2")),  # y^6 = t^2(t+6)^3
+        ("kummer6_f7_g2", _kummer(7, 6, "t^2+6*t")),
+        ("kummer4_f9_g1", _kummer(9, 4, "t^3+2*t^2")),  # y^4 = t^2(t+2)
+        ("kummer8_f9_g2", _kummer(9, 8, "t^5+2*t^4")),  # y^8 = t^4(t+2)
+    ]
+    return cases
+
+
+CENSUS_CURVES = _census_curves()
+
+
 class TestZeta:
+    @pytest.mark.parametrize("name, curve", CENSUS_CURVES, ids=[n for n, _ in CENSUS_CURVES])
+    def test_census_matches_base_change(self, name, curve):
+        _, g = ramification_data(curve)
+        assert g > 0
+        for m in range(1, g + 2):
+            assert count_points(curve, m) == count_points(base_change(curve, m), 1), m
+
+    def test_recount_catches_a_wrong_residue_degree(self, monkeypatch):
+        curve = corpus_entry("as_f2_r1").curve
+        q, g = 2, 2
+        honest = l_polynomial(curve)
+        visited = []
+
+        def swap_f_and_g_once(curve, place):
+            # one unramified place of degree g+1 reports (1, g, f) for (1, f, g)
+            data = local_invariants(curve, place)
+            visited.append(place.degree)
+            if place.degree == g + 1 and data.e == 1 and visited.count(g + 1) == 1:
+                return LocalData(place, 1, data.g, data.f)
+            return data
+
+        monkeypatch.setattr(zeta, "local_invariants", swap_f_and_g_once)
+        with pytest.raises(InconsistencyError, match=f"N_{g + 1} "):
+            l_polynomial(curve)
+        # below q^(g+1) the recount is skipped, so the census never reaches
+        # degree g+1 and the same L(T) comes back
+        visited.clear()
+        assert l_polynomial(curve, max_field_size=q**g) == honest
+        assert max(visited) == g
+
+    def test_field_size_cap(self):
+        curve = corpus_entry("as_f3_g3").curve
+        q, g = 3, 3
+        with pytest.raises(ResourceError):
+            l_polynomial(curve, max_field_size=q**g - 1)
+        with pytest.raises(ResourceError):
+            count_points(curve, g, max_field_size=q**g - 1)
+        assert l_polynomial(curve, max_field_size=q**g) == l_polynomial(curve)
+
     def test_elliptic_count_and_l(self):
         curve = ASCurve.make(F2, RationalFunc.of(T2**3))
         assert count_points(curve, 1) == 3
