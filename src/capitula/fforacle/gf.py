@@ -1,10 +1,18 @@
 """Exact finite field arithmetic for the function-field oracle.
 
-Fields are towers: GF(p) is a prime field whose elements are plain ints;
-an extension field holds a monic irreducible modulus over its base field
+GF(p) is a prime field whose elements are plain ints.  GF(p^k) with k >= 2
+is a table field: its elements are the ints 0..q-1, each the element's
+index in the polynomial basis of the shipped modulus (coefficients read as
+base-p digits, lowest first), and mul, inv, div and pow are lookups in
+log/antilog tables of a primitive element.  In characteristic 2 addition
+is XOR of indices; otherwise it goes through a Zech table,
+log(1 + g^n) (Huber, IEEE Trans. IT 36, 1990; FLINT fq_zech).
+
+An extension field holds a monic irreducible modulus over its base field
 and represents elements as coefficient tuples over the base.  Residue
-fields of places reuse the same machinery with the place's own polynomial
-as modulus, so evaluation "mod pi" needs no change of basis.
+fields of places and the cached extensions of `extension` are such
+towers over the constant field, so evaluation "mod pi" needs no change of
+basis and no table is built per place.
 
 Moduli for the standard extensions GF(p^k) are shipped as a fixed table
 (the lexicographically smallest monic irreducible, coefficient vector read
@@ -15,6 +23,8 @@ non-prime bases follow the same rule in element-index order
 """
 
 from __future__ import annotations
+
+from operator import pos, xor
 
 from ..arith import is_prime
 from ..errors import ResourceError, UnsupportedError, ValidationError
@@ -282,6 +292,113 @@ class ExtField:
         return f"GF({self.order})"
 
 
+class TableField:
+    """GF(p^k), k >= 2, on element indices 0..q-1 with log/antilog tables.
+
+    The tables are built once from the tower ExtField(GF(p), modulus) for
+    the primitive element g that comes first in index order.  With
+    n = q - 1, exp holds two periods of g^i, so exp[i] is the index of g^i
+    for every -2n <= i < 2n (negative i read from the end) and a sum or
+    difference of two logs needs no reduction; log inverts exp on the
+    nonzero indices, and zech[i] = log(1 + g^i), None where 1 + g^i = 0.
+    """
+
+    def __init__(self, p: int, k: int):
+        tower = ExtField(PrimeField(p), IRREDUCIBLE_TABLE[(p, k)])
+        q = p**k
+        self.char = p
+        self.order = q
+        self.degree_over_prime = k
+        n = q - 1
+        g = next(a for a in map(tower.element_from_index, range(p, q))
+                 if multiplicative_order(tower, a) == n)
+        exp = [0] * n
+        cur = tower.one()
+        for i in range(n):
+            exp[i] = tower.element_index(cur)
+            cur = tower.mul(cur, g)
+        log = [None] * q
+        for i, a in enumerate(exp):
+            log[a] = i
+        # adding 1 changes only the lowest base-p digit of an index
+        self._zech = [log[a - a % p + (a + 1) % p] for a in exp]
+        self._exp = exp + exp
+        self._log = log
+        self._half = n // 2
+        if p == 2:
+            self.add = self.sub = xor
+            self.neg = pos  # -a = a
+
+    def zero(self):
+        return 0
+
+    def one(self):
+        return 1
+
+    def from_int(self, k: int):
+        return k % self.char
+
+    def is_zero(self, a):
+        return a == 0
+
+    def add(self, a, b):
+        if not a:
+            return b
+        if not b:
+            return a
+        la = self._log[a]
+        z = self._zech[self._log[b] - la]
+        return 0 if z is None else self._exp[la + z]
+
+    def sub(self, a, b):
+        return self.add(a, self.neg(b))
+
+    def neg(self, a):
+        return self._exp[self._log[a] + self._half] if a else 0
+
+    def mul(self, a, b):
+        if a and b:
+            return self._exp[self._log[a] + self._log[b]]
+        return 0
+
+    def inv(self, a):
+        if not a:
+            raise ZeroDivisionError("inverse of zero")
+        return self._exp[-self._log[a]]
+
+    def div(self, a, b):
+        if not b:
+            raise ZeroDivisionError("inverse of zero")
+        return self._exp[self._log[a] - self._log[b]] if a else 0
+
+    def pow(self, a, e):
+        if not a:
+            if e < 0:
+                raise ZeroDivisionError("inverse of zero")
+            return 0 if e else 1
+        return self._exp[self._log[a] * e % (self.order - 1)]
+
+    def elements(self):
+        return range(self.order)
+
+    def element_index(self, a):
+        return a
+
+    def element_from_index(self, i):
+        if not 0 <= i < self.order:
+            raise ValidationError("element index out of range")
+        return i
+
+    def __eq__(self, other):
+        return isinstance(other, TableField) and other.order == self.order
+
+    def __hash__(self):
+        return hash(("TableField", self.order))
+
+    def __repr__(self):
+        return f"GF({self.order})"
+
+
 def absolute_trace(field, a) -> int:
     """Trace down to the prime field, returned as an int in 0..p-1."""
     total = field.zero()
@@ -293,11 +410,14 @@ def absolute_trace(field, a) -> int:
 
 
 def _prime_component(field, a) -> int:
-    while not isinstance(field, PrimeField):
+    while isinstance(field, ExtField):
         if any(not field.base.is_zero(c) for c in a[1:]):
             raise ValidationError("element is not in the prime subfield")
         a = a[0]
         field = field.base
+    # the prime subfield of a table field is indices 0..p-1
+    if a >= field.char:
+        raise ValidationError("element is not in the prime subfield")
     return a
 
 
@@ -352,18 +472,17 @@ _field_cache: dict = {}
 
 def GF(q: int, max_size: int = MAX_FIELD_SIZE):
     """The finite field with q elements (q a prime power up to the cap)."""
-    if q in _field_cache:
-        return _field_cache[q]
     if q > max_size:
         raise ResourceError(f"field size {q} exceeds the cap {max_size}")
+    if q in _field_cache:
+        return _field_cache[q]
     p, k = _prime_power(q)
     if k == 1:
         field = PrimeField(p)
     else:
         if (p, k) not in IRREDUCIBLE_TABLE:
             raise UnsupportedError(f"no shipped modulus for GF({p}^{k})")
-        field = ExtField(PrimeField(p), [PrimeField(p).from_int(c)
-                                         for c in IRREDUCIBLE_TABLE[(p, k)]])
+        field = TableField(p, k)
     _field_cache[q] = field
     return field
 

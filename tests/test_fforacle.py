@@ -50,7 +50,10 @@ from capitula.fforacle import zeta
 from capitula.fforacle.curves import LocalData, ResiduePoint
 from capitula.fforacle.gf import (
     IRREDUCIBLE_TABLE,
+    MAX_FIELD_SIZE,
+    ExtField,
     PrimeField,
+    _prime_component,
     absolute_trace,
     multiplicative_order,
     pth_root,
@@ -65,6 +68,25 @@ from capitula.fforacle.poly import (
 F2, F3, F4 = GF(2), GF(3), GF(4)
 T2, T3, T4 = Poly.x(F2), Poly.x(F3), Poly.x(F4)
 ONE2, ONE3 = Poly.one(F2), Poly.one(F3)
+
+
+def _tower(field):
+    """The tuple tower over GF(p) whose element indices GF(q) tabulates."""
+    p, k = field.char, field.degree_over_prime
+    return ExtField(PrimeField(p), IRREDUCIBLE_TABLE[(p, k)])
+
+
+def _over_tower(curve):
+    """The same cover with its constants moved to the tower, index for index."""
+    tower = _tower(curve.field)
+
+    def move(rat):
+        return RationalFunc(*(Poly(tower, map(tower.element_from_index, poly.coeffs))
+                              for poly in (rat.num, rat.den)))
+
+    if curve.kind == "artin_schreier":
+        return ASCurve.make(tower, move(curve.Q))
+    return KummerCurve.make(tower, curve.ell, move(curve.f))
 
 
 class TestFiniteFields:
@@ -106,6 +128,43 @@ class TestFiniteFields:
         orders = sorted({multiplicative_order(f8, e)
                          for e in f8.elements() if not f8.is_zero(e)})
         assert orders == [1, 7]
+
+    @pytest.mark.parametrize("p, k", sorted(pk for pk in IRREDUCIBLE_TABLE
+                                            if pk[0]**pk[1] <= 256))
+    def test_table_field_matches_the_tower(self, p, k):
+        flat = GF(p**k)
+        tower = _tower(flat)
+        elems = tower.elements()
+        index = tower.element_index
+        for a, x in zip(flat.elements(), elems):
+            assert flat.element_index(a) == a == index(x)
+            assert flat.neg(a) == index(tower.neg(x))
+            for e in (-3, -1, 0, 1, 2, 7, flat.order):
+                if a or e >= 0:
+                    assert flat.pow(a, e) == index(tower.pow(x, e)), (a, e)
+            if a:
+                assert flat.inv(a) == index(tower.inv(x))
+            for op in ("add", "sub", "mul"):
+                table_op, tower_op = getattr(flat, op), getattr(tower, op)
+                assert [table_op(a, b) for b in flat.elements()] \
+                    == [index(tower_op(x, y)) for y in elems], (op, a)
+
+    def test_exp_table_hits_every_nonzero_index_once(self):
+        for p, k in IRREDUCIBLE_TABLE:
+            q = p**k
+            if q <= MAX_FIELD_SIZE:
+                assert sorted(GF(q)._exp[:q - 1]) == list(range(1, q)), q
+
+    def test_prime_component_of_a_table_field(self):
+        f9 = GF(9)
+        assert [_prime_component(f9, a) for a in range(3)] == [0, 1, 2]
+        with pytest.raises(ValidationError):
+            _prime_component(f9, 3)
+
+    def test_cap_applies_to_a_cached_field(self):
+        assert GF(8).order == 8
+        with pytest.raises(ResourceError):
+            GF(8, max_size=4)
 
 
 class TestPolyLayer:
@@ -325,6 +384,36 @@ class TestZeta:
     def test_base_change_preserves_counts(self):
         curve = ASCurve.make(F2, RationalFunc.of(T2**3))
         assert count_points(curve, 2) == count_points(base_change(curve, 2), 1)
+
+
+def _table_field_covers():
+    f8, f9 = GF(8), GF(9)
+    t8, t9 = Poly.x(f8), Poly.x(f9)
+    # 2 and 5 index elements outside the prime fields of F_8 and F_9
+    return {
+        "as_f4_g1": corpus_entry("as_f4_g1").curve,
+        "kummer_f4_g1": corpus_entry("kummer_f4_g1").curve,
+        "as_f8_g1": ASCurve.make(f8, RationalFunc.of(t8**3 + t8.scale(2))),
+        "kummer_f9_g1": KummerCurve.make(f9, 2, RationalFunc.of(t9**3 + t9.scale(5))),
+    }
+
+
+class TestTableFieldOracle:
+    """The oracle gives the same answers over GF(q) and over the tower it tabulates."""
+
+    @pytest.mark.parametrize("name", sorted(_table_field_covers()))
+    def test_same_presentation_over_both_fields(self, name):
+        curve = _table_field_covers()[name]
+        tower_curve = _over_tower(curve)
+        assert isinstance(tower_curve.field, ExtField)
+
+        def summary(pd):
+            return ([w.id for w in pd.factor_base], pd.l_poly,
+                    pd.group.invariant_factors, pd.sigma_action.matrix)
+
+        flat = summary(picard_group(curve))
+        assert any("#" in place_id for place_id in flat[0])
+        assert flat == summary(picard_group(tower_curve))
 
 
 class TestPicard:
@@ -751,6 +840,23 @@ class TestCurveJson:
                "Q_or_f": {"num": [0, 0, 0, 1], "den": [1]}}
         curve = curve_from_json(raw)
         assert curve_to_json(curve) == raw
+
+    @pytest.mark.parametrize("raw", [
+        {"kind": "artin_schreier", "q": 4, "p_or_l": 2,
+         "Q_or_f": {"num": [1, 0, 0, 0, 1], "den": [0, 1]}},
+        {"kind": "kummer", "q": 4, "p_or_l": 3, "Q_or_f": {"num": [0, 1, 1], "den": [1]}},
+        {"kind": "artin_schreier", "q": 8, "p_or_l": 2,
+         "Q_or_f": {"num": [1, 1, 1], "den": [1, 1]}},
+        {"kind": "kummer", "q": 8, "p_or_l": 7,
+         "Q_or_f": {"num": [0, 0, 0, 0, 0, 0, 1, 1], "den": [1]}},
+        {"kind": "artin_schreier", "q": 9, "p_or_l": 3,
+         "Q_or_f": {"num": [1, 0, 1, 2], "den": [1, 0, 1]}},
+        {"kind": "kummer", "q": 9, "p_or_l": 4, "Q_or_f": {"num": [0, 0, 2, 0, 1], "den": [1]}},
+    ])
+    def test_roundtrip_over_table_fields(self, raw):
+        curve = curve_from_json(raw)
+        assert curve_to_json(curve) == raw
+        assert curve_to_json(_over_tower(curve)) == raw
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ValidationError):
