@@ -6,6 +6,14 @@ cover ramifies exactly at those poles (wildly, with different exponent
 (p-1)(m+1) at a pole of order m).  A Kummer curve is y^l = f(t) with
 l | q - 1; it ramifies where the order of f is not a multiple of l, tamely.
 
+Both are cyclic and share one model (Stichtenoth, Algebraic Function
+Fields and Codes, Prop. 3.7.3 and 3.7.8): y^n = c y + D(t), where D is
+`defining` (Q resp. f), with the Galois generator y -> zeta y + beta.
+Artin-Schreier is (c, zeta, beta) = (1, 1, 1) and Kummer is (0, zeta_l, 0)
+for the primitive l-th root of unity zeta_l that comes first in element
+order.  This module is the only one that tells the two families apart;
+the Picard engine reads the model alone.
+
 The infinite place is handled through the substitution t -> 1/u, which
 turns it into the finite place u = 0 of F_q(u); all local computations
 run on that uniform polynomial model.
@@ -14,7 +22,9 @@ run on that uniform polynomial model.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd
+from typing import NamedTuple
 
 from ..errors import (
     DegenerateExtensionError,
@@ -22,7 +32,7 @@ from ..errors import (
     UnsupportedError,
     ValidationError,
 )
-from .gf import ExtField, absolute_trace, is_power_residue, multiplicative_order, pth_root
+from .gf import ExtField, absolute_trace, is_power_residue, primitive_root_of_unity, pth_root
 from .poly import Poly, RationalFunc, factor_with_bounded_degree, render_poly
 
 
@@ -112,6 +122,14 @@ class ResiduePoint:
         return self.kappa.embed(base_elem)
 
 
+class CoverModel(NamedTuple):
+    """y^n = c y + D(t), with Galois generator y -> zeta y + beta."""
+
+    c: object
+    zeta: object
+    beta: object
+
+
 @dataclass(frozen=True)
 class ASCurve:
     """y^p - y = Q(t) with Q reduced (all pole orders prime to p)."""
@@ -131,6 +149,15 @@ class ASCurve:
     @property
     def kind(self):
         return "artin_schreier"
+
+    @property
+    def defining(self) -> RationalFunc:
+        return self.Q
+
+    @cached_property
+    def model(self) -> CoverModel:
+        one = self.field.one()
+        return CoverModel(one, one, one)
 
     @classmethod
     def make(cls, field, Q: RationalFunc) -> "ASCurve":
@@ -158,6 +185,15 @@ class KummerCurve:
     @property
     def kind(self):
         return "kummer"
+
+    @property
+    def defining(self) -> RationalFunc:
+        return self.f
+
+    @cached_property
+    def model(self) -> CoverModel:
+        zero = self.field.zero()
+        return CoverModel(zero, primitive_root_of_unity(self.field, self.ell), zero)
 
     @classmethod
     def make(cls, field, ell: int, f: RationalFunc) -> "KummerCurve":
@@ -285,16 +321,14 @@ class LocalData:
 
 
 def defining_valuation(curve: Curve, place: BasePlace) -> int:
-    """Order of Q (resp. f) at the place."""
-    data = curve.Q if curve.kind == "artin_schreier" else curve.f
+    """Order of the defining function D at the place."""
     if place.is_infinite:
-        return data.valuation_at_infinity()
-    return data.valuation_at(place.pi)
+        return curve.defining.valuation_at_infinity()
+    return curve.defining.valuation_at(place.pi)
 
 
 def local_invariants(curve: Curve, place: BasePlace) -> LocalData:
     """The (e, f, g) decomposition type of a base place in the cover."""
-    n = curve.n
     field = curve.field
     if curve.kind == "artin_schreier":
         v = defining_valuation(curve, place)
@@ -314,19 +348,14 @@ def local_invariants(curve: Curve, place: BasePlace) -> LocalData:
     d = gcd(ell, a % ell)
     e = ell // d
     point = ResiduePoint(field, place)
-    if place.is_infinite:
-        f_u = curve.f.reciprocal_substitution()
-        unit = f_u * RationalFunc.of(Poly.x(field))**(-a)
-        ubar = ResiduePoint(field, BasePlace(Poly.x(field))).reduce_rational(unit)
-        kappa = field
-    else:
-        unit = curve.f * RationalFunc.of(place.pi)**(-a)
-        ubar = point.reduce_rational(unit)
-        kappa = point.kappa
-    if d == 1:
-        return LocalData(place, e, 1, 1)
+    kappa = point.kappa
+    # f / pi^a for the uniformizer pi, which is 1/t at infinity
+    inv_pi = (RationalFunc.of(Poly.x(field)) if place.is_infinite
+              else RationalFunc(Poly.one(field), place.pi))
+    ubar = point.reduce_rational(curve.f * inv_pi**a)
+    # h is a d-th root of unity; its order, a divisor of d, is the residue degree
     h = kappa.pow(ubar, (kappa.order - 1) // d)
-    f_w = multiplicative_order(kappa, h) if h != kappa.one() else 1
+    f_w = next(k for k in range(1, d + 1) if d % k == 0 and kappa.pow(h, k) == kappa.one())
     return LocalData(place, e, f_w, ell // (e * f_w))
 
 
@@ -347,8 +376,6 @@ def ramification_data(curve: Curve) -> tuple[list[RamifiedPlace], int]:
     """Ramified places with different exponents, plus the genus from the
     Riemann-Hurwitz formula over the rational base."""
     _reject_constant_ext(curve)
-    field = curve.field
-    n = curve.n
     ram: list[RamifiedPlace] = []
     if curve.kind == "artin_schreier":
         p = curve.p
@@ -408,8 +435,9 @@ _CURVE_KEYS = {"kind", "q", "p_or_l", "Q_or_f"}
 def curve_from_json(data) -> Curve:
     """Parse the curve description schema.
 
-    Coefficients are integers indexing prime-subfield elements, ascending
-    degree order; unknown keys are rejected.
+    Coefficients are element indices of GF(q), 0..q-1 as `element_index`
+    numbers them (so 0..p-1 are the prime-subfield elements), in ascending
+    degree order; an index outside that range and unknown keys are rejected.
     """
     import json as _json
 
@@ -432,8 +460,17 @@ def curve_from_json(data) -> Curve:
     if not isinstance(fraction, dict) or "num" not in fraction \
             or set(fraction) - {"num", "den"}:
         raise ValidationError('Q_or_f must be {"num": [...], "den": [...]}')
-    num = Poly.from_ints(field, [int(c) for c in fraction["num"]])
-    den = Poly.from_ints(field, [int(c) for c in fraction.get("den", [1])])
+
+    def poly(key):
+        indices = [int(c) for c in fraction.get(key, [1])]
+        bad = next((c for c in indices if not 0 <= c < q), None)
+        if bad is not None:
+            raise ValidationError(
+                f"{key} coefficient {bad} is not an element index 0..{q - 1} of GF({q})")
+        return Poly(field, map(field.element_from_index, indices))
+
+    num = poly("num")
+    den = poly("den")
     if den.is_zero():
         raise ValidationError("denominator is zero")
     rat = RationalFunc(num, den)
@@ -450,7 +487,7 @@ def curve_from_json(data) -> Curve:
 
 def curve_to_json(curve: Curve) -> dict:
     field = curve.field
-    rat = curve.Q if curve.kind == "artin_schreier" else curve.f
+    rat = curve.defining
     return {
         "kind": curve.kind,
         "q": field.order,

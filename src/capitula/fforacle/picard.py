@@ -26,26 +26,34 @@ of Pic^0 and the classes of the places in S (Cohen, GTM 138, 2.4.3), and
 the invariant classes (a, d) are those with (sigma - 1) a = -d c, so delta'
 is the order of c in the coinvariants Pic^0 / (sigma - 1) Pic^0.
 
+Every cover is read through one model (curves.CoverModel): y^n = c y +
+D(t) with Galois generator sigma: y -> zeta y + beta, where Artin-Schreier
+covers are (c, zeta, beta) = (1, 1, 1) and Kummer covers (0, zeta_l, 0).
+This module never asks which family it holds.
+
 Valuations are exact.  At totally ramified places the n residues
 i*v_w(y) mod n are distinct, so v_w(sum a_i y^i) = min_i (n v(a_i) +
 i v_w(y)) with no cancellation; at inert places the basis y^i stays a
-unit basis and the minimum of the coefficient valuations wins.  At a
-totally split place w, labelled by a residue r of y, the combination is
-first scaled to integral coefficients a_i, not all divisible by pi, and
-sum a_i r^i is evaluated in the residue field: a nonzero value means the
-valuation is the scaling exponent, which settles most evaluations.  Only
-when it vanishes is sum a_i R^i evaluated in F_q[t]/pi^N at the root R
-of the defining equation above r, the precision doubling from 8 until
-the value is nonzero.  The n places above the base are one Galois orbit
-(Stichtenoth, Algebraic Function Fields and Codes, Thm. 3.7.1), so one
-root is Hensel-lifted per base and precision and the others are R + c
-(Artin-Schreier) or c R (Kummer), c in F_q.  Only a totally split base
-place gets n places; any other gets one, so a base place with 1 < g < n
-(possible only for composite Kummer degrees) gets too few, and the norm
-cross-check below rejects its divisors, naming (e, f, g).  The infinite
-place runs through the same code in the u = 1/t model.  Every divisor
-computation is cross-checked against the valuation of the norm, place
-by place.
+unit basis and the minimum of the coefficient valuations wins.  At an
+unramified place y = pi^s Y, with s = v(D)/n when c = 0 and s = 0
+otherwise (a pole of D is then ramified), so Y is integral and solves
+G(Y) = Y^n - c Y - D pi^(-ns) = 0.  At a totally split place w, labelled
+by a residue r of Y, the combination is first scaled to integral
+coefficients a_i, not all divisible by pi, and sum a_i r^i is evaluated
+in the residue field: a nonzero value means the valuation is the scaling
+exponent, which settles most evaluations.  Only when it vanishes is
+sum a_i R^i evaluated in F_q[t]/pi^N at the root R of G above r, the
+precision doubling from 8 until the value is nonzero.  The n places above
+the base are one Galois orbit (Stichtenoth, Algebraic Function Fields and
+Codes, Thm. 3.7.1), so one root R0 is Hensel-lifted per base and
+precision and the others are sigma^j(R0) = zeta_j R0 + beta_j (beta is
+nonzero only when s = 0, so sigma acts on Y as on y).  Only a totally
+split base place gets n places; any other gets one, so a base place with
+1 < g < n (possible only for composite Kummer degrees) gets too few, and
+the norm cross-check below rejects its divisors, naming (e, f, g).  The
+infinite place runs through the same code in the u = 1/t model.  Every
+divisor computation is cross-checked against the valuation of the norm,
+place by place.
 """
 
 from __future__ import annotations
@@ -74,7 +82,6 @@ from .curves import (
     local_invariants,
     ramification_data,
 )
-from .gf import primitive_root_of_unity
 from .poly import Poly, RationalFunc, factor_with_bounded_degree, monic_irreducibles_up_to
 from .zeta import l_polynomial
 
@@ -120,10 +127,12 @@ class PlaceAbove:
 class LocalEngine:
     """All places of K above one base place, with exact valuations.
 
-    At a totally split base, labels[j] is the residue of y at place j and
-    root_mod(j, N) the root of the local equation above it: R0 + c_j
-    (Artin-Schreier) or c_j R0 (Kummer) for the one Hensel-lifted root R0
-    and the constant c_j in F_q that also built the label.
+    y = pi^sigma_shift Y at an unramified base (module docstring), and
+    s_y is v_w(y) at a ramified one.  At a totally split base, labels[j]
+    is the residue of Y at place j: sigma^k of one residual root r0 of
+    Y^n - c Y - D, i.e. zeta_k r0 + beta_k.  root_mod(j, N) is the root
+    of the local equation above it, zeta_k R0 + beta_k for the one
+    Hensel-lifted root R0.
     """
 
     def __init__(self, arith: "CurveArithmetic", base: BasePlace):
@@ -136,70 +145,50 @@ class LocalEngine:
         self.pi = Poly.x(field) if self.is_inf else base.pi
         self.model_point = ResiduePoint(
             field, BasePlace(self.pi) if self.is_inf else base)
-        defining = curve.Q if curve.kind == "artin_schreier" else curve.f
-        self.model_defining = defining.reciprocal_substitution() if self.is_inf else defining
+        self.model_defining = (curve.defining.reciprocal_substitution() if self.is_inf
+                               else curve.defining)
         self.data = local_invariants(curve, base)
         self.def_val = defining_valuation(curve, base)
         self._pi_powers: dict[int, Poly] = {}
 
-        if curve.kind == "artin_schreier":
-            self.sigma_shift = 0
-            self.s_y = self.def_val if self.data.kind == "ramified" else 0
-        else:
-            if self.data.kind == "ramified":
-                self.s_y = self.def_val
-                self.sigma_shift = 0
-            else:
-                self.sigma_shift = self.def_val // curve.ell
-                self.s_y = self.sigma_shift
+        n = curve.n
+        c, zeta, beta = curve.model
+        d = self.data
+        ramified = d.kind == "ramified"
+        self.sigma_shift = 0 if ramified or not field.is_zero(c) else self.def_val // n
+        self.s_y = self.def_val if ramified else self.sigma_shift
 
-        labels = []
-        if self.data.kind == "split":
+        deg = d.f * base.degree
+        self.labels = []
+        self.places = [PlaceAbove(base, d.kind, d.e, d.f, -1, deg)]
+        if d.kind == "split":
             kappa = self.model_point.kappa
-            ubar = self.model_point.reduce_rational(self._unit())
-            if curve.kind == "artin_schreier":
-                base_root = next((cand for cand in kappa.elements()
-                                  if kappa.sub(kappa.pow(cand, curve.p), cand) == ubar),
-                                 None)
-                consts = [field.from_int(j) for j in range(curve.p)]
-                combine = kappa.add
-            else:
-                base_root = next((cand for cand in kappa.elements()
-                                  if kappa.pow(cand, curve.ell) == ubar), None)
-                zeta = primitive_root_of_unity(field, curve.ell)
-                consts = [field.one()]
-                for _ in range(curve.ell - 1):
-                    consts.append(field.mul(consts[-1], zeta))
-                combine = kappa.mul
+            embed = self.model_point.embed
+            c_k = embed(c)
+            # D / pi^(n s), the constant term of G, in the model variable
+            self.unit = self.model_defining * RationalFunc.of(self.pi)**(-n * self.sigma_shift)
+            ubar = self.model_point.reduce_rational(self.unit)
+            base_root = next((cand for cand in kappa.elements()
+                              if kappa.sub(kappa.pow(cand, n), kappa.mul(c_k, cand)) == ubar),
+                             None)
             if base_root is None:
                 raise InconsistencyError("split place has no residual root")
-            labels = [combine(base_root, self.model_point.embed(c)) for c in consts]
-            order = sorted(range(len(labels)),
-                           key=lambda i: kappa.element_index(labels[i]))
-            labels = [labels[i] for i in order]
-            self._root_consts = [consts[i] for i in order]
+            # sigma^k(Y) = zeta_k Y + beta_k
+            consts = [(field.one(), field.zero())]
+            for _ in range(n - 1):
+                zeta_k, beta_k = consts[-1]
+                consts.append((field.mul(zeta, zeta_k), field.add(field.mul(zeta, beta_k), beta)))
+            orbit = sorted(((kappa.add(kappa.mul(embed(zeta_k), base_root), embed(beta_k)),
+                             (zeta_k, beta_k)) for zeta_k, beta_k in consts),
+                           key=lambda pair: kappa.element_index(pair[0]))
+            self.labels = [label for label, _ in orbit]
+            self._root_consts = [const for _, const in orbit]
             self._root = self.model_point.lift(base_root)
             self._root_precision = 1
-        self.labels = labels
-
-        deg_base = base.degree
-        d = self.data
-        if d.kind == "split":
-            self.places = [
-                PlaceAbove(base, "split", d.e, d.f,
-                           self.model_point.kappa.element_index(lab), d.f * deg_base)
-                for lab in labels
-            ]
-        else:
-            self.places = [PlaceAbove(base, d.kind, d.e, d.f, -1, d.f * deg_base)]
+            self.places = [PlaceAbove(base, "split", d.e, d.f, kappa.element_index(label), deg)
+                           for label in self.labels]
 
     # -- model-side helpers ------------------------------------------------
-
-    def _unit(self) -> RationalFunc:
-        """Q, resp. the unit part f / pi^v(f), in the model variable."""
-        if self.arith.curve.kind == "artin_schreier":
-            return self.model_defining
-        return self.model_defining * RationalFunc.of(self.pi)**(-self.def_val)
 
     def pi_power(self, precision: int) -> Poly:
         """pi^precision, cached: every split-place computation reduces by it."""
@@ -209,9 +198,9 @@ class LocalEngine:
         return power
 
     def defining_mod(self, precision: int) -> Poly:
-        """Q (resp. the unit part of f) as an element of F_q[x]/pi^N."""
+        """D / pi^(n s) as an element of F_q[x]/pi^N."""
         modulus = self.pi_power(precision)
-        rat = self._unit()
+        rat = self.unit
         return (rat.num * rat.den.invmod(modulus)) % modulus
 
     def root_mod(self, index: int, precision: int) -> Poly:
@@ -219,32 +208,30 @@ class LocalEngine:
         modulus = self.pi_power(precision)
         if precision > self._root_precision:
             self._lift_root(precision)
-        c = self._root_consts[index]
-        if self.arith.curve.kind == "artin_schreier":
-            return (self._root + Poly(self.field, [c])) % modulus
-        return (self._root % modulus).scale(c)
+        zeta_k, beta_k = self._root_consts[index]
+        return (self._root % modulus).scale(zeta_k) + Poly.constant(self.field, beta_k)
 
     def _lift_root(self, precision: int):
         """Newton iteration for R0 modulo pi^N, reducing after every product."""
         modulus = self.pi_power(precision)
         d_hat = self.defining_mod(precision)
-        curve = self.arith.curve
+        field = self.field
+        n = self.arith.curve.n
+        c = self.arith.curve.model.c
+        c_poly = Poly.constant(field, c)
+        n_c = field.from_int(n)
+        # G'(Y) = n Y^(n-1) - c is the constant -c when p | n: invert it once
+        inv_c = field.inv(c) if field.is_zero(n_c) else None
         r = self._root
-        if curve.kind == "artin_schreier":
-            while True:
-                g = (r.powmod(curve.p, modulus) - r - d_hat) % modulus
-                if g.is_zero():
-                    break
-                r = (r + g) % modulus  # G' = -1
-        else:
-            ell_c = self.field.from_int(curve.ell)
-            while True:
-                r_pow = r.powmod(curve.ell - 1, modulus)
-                g = (r_pow * r - d_hat) % modulus
-                if g.is_zero():
-                    break
-                deriv = r_pow.scale(ell_c)
-                r = (r - g * deriv.invmod(modulus)) % modulus
+        while True:
+            r_pow = r.powmod(n - 1, modulus)
+            g = (r * (r_pow - c_poly) - d_hat) % modulus
+            if g.is_zero():
+                break
+            if inv_c is not None:
+                r = (r + g.scale(inv_c)) % modulus
+            else:
+                r = (r - g * (r_pow.scale(n_c) - c_poly).invmod(modulus)) % modulus
         self._root = r
         self._root_precision = precision
 
@@ -347,7 +334,8 @@ class CurveArithmetic:
         n = curve.n
         self.zero_rat = RationalFunc.of(Poly.zero(field))
         one = RationalFunc.of(Poly.one(field))
-        # y^k in the basis 1, y, ..., y^(n-1) for k up to 2n-2
+        c = curve.model.c
+        # y^k in the basis 1, y, ..., y^(n-1) for k up to 2n-2, by y^n = c y + D
         reps = [[self.zero_rat] * n for _ in range(2 * n - 1)]
         for k in range(n):
             reps[k][k] = one
@@ -356,11 +344,8 @@ class CurveArithmetic:
             vec = [self.zero_rat] + prev[: n - 1]
             top = prev[n - 1]
             if not top.is_zero():
-                if curve.kind == "artin_schreier":
-                    vec[1] = vec[1] + top
-                    vec[0] = vec[0] + top * curve.Q
-                else:
-                    vec[0] = vec[0] + top * curve.f
+                vec[1] = vec[1] + top.scale(c)
+                vec[0] = vec[0] + top * curve.defining
             reps[k] = vec
         self.y_reps = reps
         self._engines: dict[BasePlace, LocalEngine] = {}
@@ -378,10 +363,7 @@ class CurveArithmetic:
         n = self.curve.n
         if n == 2:
             a, b = coeffs
-            if self.curve.kind == "artin_schreier":
-                # (a + by)(a + b(y+1)) in characteristic 2
-                return a * a + a * b + b * b * self.curve.Q
-            return a * a - b * b * self.curve.f
+            return a * (a + b.scale(self.curve.model.c)) - b * b * self.curve.defining
         cols = []
         for j in range(n):
             col = [self.zero_rat] * n
@@ -469,10 +451,9 @@ class CurveArithmetic:
 
     def _critical_bases(self):
         """Base places where a monomial y^i t^j can have a pole: infinity
-        plus the poles of the defining function (zeros of a normalized
-        Kummer f only give y positive valuation and never threaten)."""
-        curve = self.curve
-        data = curve.Q if curve.kind == "artin_schreier" else curve.f
+        plus the poles of the defining function D (at a zero of D, y has
+        nonnegative valuation and never threatens)."""
+        data = self.curve.defining
         bases = [INFINITE]
         if data.den.degree >= 1:
             _, factors, rest = factor_with_bounded_degree(data.den, data.den.degree)
@@ -488,10 +469,10 @@ class CurveArithmetic:
 def riemann_roch_basis(arith: CurveArithmetic, p0: PlaceAbove, m: int, genus: int):
     """Basis of L(m P0) for a degree-one place P0, as lists of y^i coefficients.
 
-    Candidate functions are spanned by t^j E_i(t) y^i / D(t), where the
-    denominator D collects the pole place (pi0^s) together with the poles
-    that y^i is allowed to cancel at ramified zeros of a Kummer defining
-    function: at a zero of order a the coefficient of y^i may carry a
+    Candidate functions are spanned by t^j E_i(t) y^i / H(t), where the
+    denominator H collects the pole place (pi0^s) together with the poles
+    that y^i is allowed to cancel at ramified zeros of the defining
+    function D: at a zero of order a the coefficient of y^i may carry a
     denominator of order floor(i a / n) (the valuation of y there is a).
     Linear constraints at the finitely many places where a monomial can
     have a pole cut out exactly L(m P0); completeness is certified by
@@ -510,16 +491,15 @@ def riemann_roch_basis(arith: CurveArithmetic, p0: PlaceAbove, m: int, genus: in
     p0_finite = not p0.base.is_infinite
     s = -(-m // p0.e) if p0_finite else 0  # ceil(m / e)
 
-    # denominator exponents: {base: multiplicity in D}, per-i reduction k
+    # denominator exponents: {base: multiplicity in H}, per-i reduction k
     den_mults: dict[BasePlace, int] = {}
     per_i_reduction: dict[BasePlace, list[int]] = {}
-    if curve.kind == "kummer":
-        for base in _kummer_zero_bases(arith):
-            a = defining_valuation(curve, base)
-            ks = [(i * a) // n for i in range(n)]
-            if max(ks):
-                per_i_reduction[base] = ks
-                den_mults[base] = max(ks)
+    for ram in ramification_data(curve)[0]:
+        a = 0 if ram.place.is_infinite else defining_valuation(curve, ram.place)
+        ks = [(i * a) // n for i in range(n)]
+        if max(ks):
+            per_i_reduction[ram.place] = ks
+            den_mults[ram.place] = max(ks)
     if p0_finite:
         den_mults[p0.base] = den_mults.get(p0.base, 0) + s
 
@@ -550,7 +530,7 @@ def riemann_roch_basis(arith: CurveArithmetic, p0: PlaceAbove, m: int, genus: in
         rows = []
         for base in constraint_bases:
             eng = arith.engine(base)
-            for w, root_idx in _places_with_roots(eng):
+            for root_idx, w in enumerate(eng.places):
                 lreq = -m if w == p0 else 0
                 if base in den_mults:
                     lreq += w.e * den_mults[base]
@@ -579,30 +559,10 @@ def riemann_roch_basis(arith: CurveArithmetic, p0: PlaceAbove, m: int, genus: in
     return out
 
 
-def _kummer_zero_bases(arith) -> list[BasePlace]:
-    """Finite ramified bases of a normalized Kummer cover (zeros of f)."""
-    f_num = arith.curve.f.num
-    if f_num.degree < 1:
-        return []
-    _, factors, rest = factor_with_bounded_degree(f_num, f_num.degree)
-    if not rest.is_constant():
-        raise InconsistencyError("defining numerator did not factor")
-    out = []
-    for pi in factors:
-        if defining_valuation(arith.curve, BasePlace(pi)) % arith.curve.ell:
-            out.append(BasePlace(pi))
-    return out
-
-
-def _places_with_roots(eng: LocalEngine):
-    if eng.data.kind == "split":
-        return [(w, i) for i, w in enumerate(eng.places)]
-    return [(eng.places[0], -1)]
-
-
 def _constraint_rows(eng: LocalEngine, root_idx: int, lreq: int, j_max: int,
                      multipliers):
-    """F_q-linear conditions forcing v_w(sum_ij c_ij t^j E_i y^i) >= lreq."""
+    """F_q-linear conditions forcing v_w(sum_ij c_ij t^j E_i y^i) >= lreq at
+    the place w = eng.places[root_idx]."""
     field = eng.field
     curve = eng.arith.curve
     n = curve.n
@@ -627,73 +587,49 @@ def _constraint_rows(eng: LocalEngine, root_idx: int, lreq: int, j_max: int,
                 drop = mult.valuation(eng.pi) if not mult.is_constant() else 0
                 if k_i - drop < 1:
                     continue
-                modulus = eng.pi**k_i
-                width = eng.pi.degree * k_i
-                pows = _power_residues(field, Poly.x(field), j_max, modulus, width,
-                                       start=mult % modulus)
-                for r in range(width):
-                    row = [field.zero()] * nvars
-                    for j in range(j_max + 1):
-                        row[i * (j_max + 1) + j] = pows[j][r]
-                    rows.append(row)
+                rows += _digit_rows(field, {i: mult}, range(j_max + 1), j_max,
+                                    eng.pi**k_i, nvars)
         return rows
 
-    # split place
-    shift = eng.sigma_shift
-    max_mult_deg = max(mult.degree for mult in multipliers)
+    # split place: the digits of t^j E_i R^i modulo pi^depth, R the root above w
     if eng.is_inf:
-        offset = j_max + max_mult_deg + (n - 1) * max(0, -shift)
+        # t^j E_i y^i = u^(i s - j - deg E_i) rev(E_i) Y^i in u = 1/t, scaled by
+        # u^offset to be integral; the exponent of u rises by one as j falls
+        shift = eng.sigma_shift
+        offset = j_max + max(mult.degree for mult in multipliers) + (n - 1) * max(0, -shift)
         depth = lreq + offset
-        if depth < 1:
-            return rows
-        modulus = eng.pi_power(depth)
-        width = depth
-        root = eng.root_mod(root_idx, depth)
-        root_pows = [Poly.one(field)]
-        for _ in range(n - 1):
-            root_pows.append((root_pows[-1] * root) % modulus)
-        u = Poly.x(field)
-        for r in range(width):
-            row = [field.zero()] * nvars
-            for i in range(n):
-                rev_mult = multipliers[i].reversed_coeffs()
-                for j in range(j_max + 1):
-                    exp = offset - j - multipliers[i].degree + i * shift
-                    mono = (u**exp * rev_mult * root_pows[i]) % modulus
-                    cs = mono.coeffs
-                    row[i * (j_max + 1) + j] = cs[r] if r < len(cs) else field.zero()
-            rows.append(row)
+        lead = [Poly.x(field)**(offset - j_max - mult.degree + i * shift) * mult.reversed_coeffs()
+                for i, mult in enumerate(multipliers)]
+        js = range(j_max, -1, -1)
+    else:
+        depth = lreq
+        lead = multipliers
+        js = range(j_max + 1)
+    if depth < 1:
         return rows
-
-    if lreq < 1:
-        return rows
-    modulus = eng.pi_power(lreq)
-    width = eng.pi.degree * lreq
-    root = eng.root_mod(root_idx, lreq)
-    root_pows = [Poly.one(field)]
-    for _ in range(n - 1):
-        root_pows.append((root_pows[-1] * root) % modulus)
-    for r in range(width):
-        row = [field.zero()] * nvars
-        for i in range(n):
-            base_mono = (multipliers[i] * root_pows[i]) % modulus
-            cur = base_mono
-            for j in range(j_max + 1):
-                cs = cur.coeffs
-                row[i * (j_max + 1) + j] = cs[r] if r < len(cs) else field.zero()
-                cur = (cur * Poly.x(field)) % modulus
-        rows.append(row)
-    return rows
+    modulus = eng.pi_power(depth)
+    root = eng.root_mod(root_idx, depth)
+    starts, root_pow = {}, Poly.one(field)
+    for i in range(n):
+        starts[i] = lead[i] * root_pow
+        root_pow = (root_pow * root) % modulus
+    return _digit_rows(field, starts, js, j_max, modulus, nvars)
 
 
-def _power_residues(field, base_poly, j_max, modulus, width, start=None):
-    out = []
-    cur = start if start is not None else Poly.one(field)
-    for _ in range(j_max + 1):
-        cs = list(cur.coeffs) + [field.zero()] * (width - len(cur.coeffs))
-        out.append(cs[:width])
-        cur = (cur * base_poly) % modulus
-    return out
+def _digit_rows(field, starts, js, j_max, modulus, nvars):
+    """One row per x-digit of F_q[x]/modulus.  Column i (j_max + 1) + j holds
+    starts[i] x^k modulo the modulus, k the position of j in js; columns
+    of an i outside starts are zero."""
+    width = modulus.degree
+    x = Poly.x(field)
+    zero = (field.zero(),) * width
+    digits = [zero] * nvars
+    for i, mono in starts.items():
+        mono = mono % modulus
+        for j in js:
+            digits[i * (j_max + 1) + j] = mono.coeffs + zero[len(mono.coeffs):]
+            mono = (mono * x) % modulus
+    return [[cs[r] for cs in digits] for r in range(width)]
 
 
 def _nullspace(field, rows, nvars):
@@ -945,26 +881,21 @@ def _try_presentation(arith, ram, genus, h, l_coeffs, b_bound, m_bound,
 def _sigma_permutation(arith, fb):
     """Index map w -> sigma(w) on the factor base.
 
-    The generator acts by y -> y+1 (Artin-Schreier) or y -> zeta y
-    (Kummer); on a split place labelled by the residue r of y this moves
-    the label to r-1 resp. zeta^(-1) r, and fixes every non-split place.
+    The generator acts by y -> zeta y + beta; on a split place labelled by
+    the residue r of Y this moves the label to (r - beta) / zeta, and it
+    fixes every non-split place.
     """
-    curve = arith.curve
+    _, zeta, beta = arith.curve.model
     index = {(w.base, w.label_index): i for i, w in enumerate(fb)}
     perm = [0] * len(fb)
     for i, w in enumerate(fb):
         if w.kind != "split":
             perm[i] = i
             continue
-        eng = arith.engine(w.base)
-        kappa = eng.model_point.kappa
+        point = arith.engine(w.base).model_point
+        kappa = point.kappa
         label = kappa.element_from_index(w.label_index)
-        if curve.kind == "artin_schreier":
-            new_label = kappa.sub(label, kappa.one())
-        else:
-            zeta = primitive_root_of_unity(curve.field, curve.ell)
-            zeta_k = eng.model_point.embed(zeta)
-            new_label = kappa.div(label, zeta_k)
+        new_label = kappa.div(kappa.sub(label, point.embed(beta)), point.embed(zeta))
         j = index.get((w.base, kappa.element_index(new_label)))
         if j is None:
             raise InconsistencyError("factor base is not Galois stable")

@@ -96,6 +96,8 @@ class Poly:
 
     def scale(self, c):
         f = self.field
+        if c == f.one():
+            return self
         return Poly(f, [f.mul(c, x) for x in self.coeffs])
 
     def __pow__(self, e):
@@ -284,6 +286,14 @@ class RationalFunc:
     def of(cls, num: Poly, den: Poly | None = None):
         return cls(num, den if den is not None else Poly.one(num.field))
 
+    @classmethod
+    def _reduced(cls, num: Poly, den: Poly):
+        """num/den already in lowest terms with monic den: no gcd is taken."""
+        out = object.__new__(cls)
+        out.num = num
+        out.den = den
+        return out
+
     @property
     def field(self):
         return self.num.field
@@ -302,11 +312,21 @@ class RationalFunc:
         return hash((self.num, self.den))
 
     def __add__(self, other):
+        if other.is_zero():
+            return self
+        if self.is_zero():
+            return other
         return RationalFunc(self.num * other.den + other.num * self.den,
                             self.den * other.den)
 
     def __neg__(self):
-        return RationalFunc(-self.num, self.den)
+        return RationalFunc._reduced(-self.num, self.den)
+
+    def scale(self, c) -> "RationalFunc":
+        """c * self for a constant c of the field."""
+        if self.field.is_zero(c):
+            return RationalFunc.of(Poly.zero(self.field))
+        return RationalFunc._reduced(self.num.scale(c), self.den)
 
     def __sub__(self, other):
         return self + (-other)

@@ -457,6 +457,28 @@ class TestPicard:
         assert pd.group.invariant_factors == (8,)
         assert galois_invariants(pd).invariant_factors == (2,)
 
+    def test_cover_model(self):
+        from capitula.fforacle.gf import multiplicative_order
+
+        for entry in corpus():
+            curve, field = entry.curve, entry.curve.field
+            c, zeta, beta = curve.model
+            if curve.kind == "artin_schreier":
+                assert (c, zeta, beta) == (field.one(),) * 3
+            else:
+                assert c == beta == field.zero()
+                assert multiplicative_order(field, zeta) == curve.n
+
+    def test_sigma_cycles_the_places_above_a_split_base(self):
+        for entry in corpus():
+            pd = picard_group(entry.curve)
+            for i, w in enumerate(pd.factor_base):
+                orbit = [i]
+                while pd._perm[orbit[-1]] != i:
+                    orbit.append(pd._perm[orbit[-1]])
+                assert {pd.factor_base[j].base for j in orbit} == {w.base}
+                assert len(orbit) == (entry.curve.n if w.kind == "split" else 1)
+
     def test_sigma_has_order_dividing_n(self):
         for entry in corpus():
             pd = picard_group(entry.curve)
@@ -834,6 +856,37 @@ class TestSplitValuations:
             arith.divisor_of(coeffs, None)
 
 
+class TestRiemannRoch:
+    @staticmethod
+    def _rational_places(arith):
+        """A degree-one place above infinity and one above a finite
+        rational base, where such places exist."""
+        field = arith.curve.field
+        finite = [BasePlace(pi) for pi in monic_irreducibles(field, 1)]
+        out = []
+        for bases in ([INFINITE], finite):
+            out += [w for base in bases for w in arith.places_above(base) if w.deg == 1][:1]
+        return out
+
+    @pytest.mark.parametrize("name", [e.name for e in corpus()])
+    def test_basis_lies_in_l_of_m_p0(self, name):
+        from capitula.fforacle.picard import CurveArithmetic, riemann_roch_basis
+
+        curve = corpus_entry(name).curve
+        arith = CurveArithmetic(curve)
+        _, genus = ramification_data(curve)
+        m = 2 * genus + 1
+        p0s = self._rational_places(arith)
+        assert p0s
+        for p0 in p0s:
+            basis = riemann_roch_basis(arith, p0, m, genus)
+            assert len(basis) == m + 1 - genus
+            for coeffs in basis:
+                div = arith.divisor_of(coeffs, None, extra_bases=[p0.base])
+                assert div.get(p0, 0) >= -m, (name, p0.id)
+                assert all(v >= 0 for w, v in div.items() if w != p0), (name, p0.id, div)
+
+
 class TestCurveJson:
     def test_roundtrip(self):
         raw = {"kind": "artin_schreier", "q": 2, "p_or_l": 2,
@@ -857,6 +910,35 @@ class TestCurveJson:
         curve = curve_from_json(raw)
         assert curve_to_json(curve) == raw
         assert curve_to_json(_over_tower(curve)) == raw
+
+    @pytest.mark.parametrize("raw, defining", [
+        ({"kind": "artin_schreier", "q": 4, "p_or_l": 2,
+          "Q_or_f": {"num": [0, 0, 0, 2], "den": [1]}}, "2*t^3"),
+        ({"kind": "artin_schreier", "q": 8, "p_or_l": 2,
+          "Q_or_f": {"num": [0, 2, 0, 1], "den": [1]}}, "t^3+2*t"),
+        ({"kind": "kummer", "q": 4, "p_or_l": 3,
+          "Q_or_f": {"num": [0, 3, 2], "den": [1]}}, "2*t^2+3*t"),
+        ({"kind": "kummer", "q": 8, "p_or_l": 7,
+          "Q_or_f": {"num": [0, 5, 6, 1], "den": [1]}}, "t^3+6*t^2+5*t"),
+        ({"kind": "artin_schreier", "q": 9, "p_or_l": 3,
+          "Q_or_f": {"num": [7, 0, 0, 0, 4], "den": [1]}}, "4*t^4+7"),
+        ({"kind": "kummer", "q": 9, "p_or_l": 4,
+          "Q_or_f": {"num": [5, 7, 1], "den": [1]}}, "t^2+7*t+5"),
+    ])
+    def test_coefficients_are_element_indices(self, raw, defining):
+        curve = curve_from_json(raw)
+        assert render_poly(curve.defining.num) == defining
+        assert curve_to_json(curve) == raw
+
+    @pytest.mark.parametrize("q, coeffs", [(4, [0, 0, 0, 4]), (8, [1, 8]), (9, [9, 1]),
+                                           (3, [0, 1, 3]), (5, [-1, 1])])
+    def test_index_outside_the_field_rejected(self, q, coeffs):
+        with pytest.raises(ValidationError, match="not an element index"):
+            curve_from_json({"kind": "kummer", "q": q, "p_or_l": 2,
+                             "Q_or_f": {"num": coeffs, "den": [1]}})
+        with pytest.raises(ValidationError, match="not an element index"):
+            curve_from_json({"kind": "kummer", "q": q, "p_or_l": 2,
+                             "Q_or_f": {"num": [0, 1], "den": coeffs}})
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ValidationError):
