@@ -432,6 +432,13 @@ def _reject_constant_ext(curve: Curve):
 _CURVE_KEYS = {"kind", "q", "p_or_l", "Q_or_f"}
 
 
+def _json_int(value, what: str) -> int:
+    """A JSON integer as it stands: bool, float and str are rejected, not converted."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValidationError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def curve_from_json(data) -> Curve:
     """Parse the curve description schema.
 
@@ -454,7 +461,7 @@ def curve_from_json(data) -> Curve:
         if key not in data:
             raise ValidationError(f"curve JSON is missing {key!r}")
     kind = data["kind"]
-    q = int(data["q"])
+    q = _json_int(data["q"], "q")
     field = GF(q)
     fraction = data["Q_or_f"]
     if not isinstance(fraction, dict) or "num" not in fraction \
@@ -462,7 +469,10 @@ def curve_from_json(data) -> Curve:
         raise ValidationError('Q_or_f must be {"num": [...], "den": [...]}')
 
     def poly(key):
-        indices = [int(c) for c in fraction.get(key, [1])]
+        coeffs = fraction.get(key, [1])
+        if not isinstance(coeffs, (list, tuple)):
+            raise ValidationError(f"Q_or_f {key} must be a list of element indices")
+        indices = [_json_int(c, f"{key} coefficient") for c in coeffs]
         bad = next((c for c in indices if not 0 <= c < q), None)
         if bad is not None:
             raise ValidationError(
@@ -474,7 +484,7 @@ def curve_from_json(data) -> Curve:
     if den.is_zero():
         raise ValidationError("denominator is zero")
     rat = RationalFunc(num, den)
-    degree = int(data["p_or_l"])
+    degree = _json_int(data["p_or_l"], "p_or_l")
     if kind == "artin_schreier":
         if degree != field.char:
             raise ValidationError(

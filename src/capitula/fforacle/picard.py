@@ -34,26 +34,33 @@ This module never asks which family it holds.
 Valuations are exact.  At totally ramified places the n residues
 i*v_w(y) mod n are distinct, so v_w(sum a_i y^i) = min_i (n v(a_i) +
 i v_w(y)) with no cancellation; at inert places the basis y^i stays a
-unit basis and the minimum of the coefficient valuations wins.  At an
-unramified place y = pi^s Y, with s = v(D)/n when c = 0 and s = 0
-otherwise (a pole of D is then ramified), so Y is integral and solves
-G(Y) = Y^n - c Y - D pi^(-ns) = 0.  At a totally split place w, labelled
-by a residue r of Y, the combination is first scaled to integral
-coefficients a_i, not all divisible by pi, and sum a_i r^i is evaluated
-in the residue field: a nonzero value means the valuation is the scaling
-exponent, which settles most evaluations.  Only when it vanishes is
-sum a_i R^i evaluated in F_q[t]/pi^N at the root R of G above r, the
-precision doubling from 8 until the value is nonzero.  The n places above
-the base are one Galois orbit (Stichtenoth, Algebraic Function Fields and
-Codes, Thm. 3.7.1), so one root R0 is Hensel-lifted per base and
-precision and the others are sigma^j(R0) = zeta_j R0 + beta_j (beta is
-nonzero only when s = 0, so sigma acts on Y as on y).  Only a totally
-split base place gets n places; any other gets one, so a base place with
-1 < g < n (possible only for composite Kummer degrees) gets too few, and
-the norm cross-check below rejects its divisors, naming (e, f, g).  The
-infinite place runs through the same code in the u = 1/t model.  Every
-divisor computation is cross-checked against the valuation of the norm,
-place by place.
+unit basis and the minimum of the coefficient valuations wins.  Both read
+the coefficient valuations off F_q(t) directly (deg den - deg num at
+infinity).  At an unramified place y = pi^s Y, with s = v(D)/n when c = 0
+and s = 0 otherwise (a pole of D is then ramified), so Y is integral and
+solves G(Y) = Y^n - c Y - D pi^(-ns) = 0.  At a totally split place w,
+labelled by a residue r of Y, the combination is first scaled to
+integral coefficients a_i, not all divisible by pi, with scaling exponent
+w0, and sum a_i r^i is evaluated in the residue field: a nonzero value
+means v_w = w0, which settles most evaluations.  The m places where it
+vanishes are then settled by one evaluation of sum a_i R^i in
+F_q[t]/pi^N, R the root of G above r, at the precision the norm names:
+the n numbers v_w - w0 sum to T = v_P(N z) - n w0 and each pending one
+is at least 1, so each is at most T - (m - 1), and N = max(2, T - m + 2)
+decides them all.  A value that vanishes modulo pi^N means the engine and
+the norm disagree and raises InconsistencyError.  The n places above the
+base are one Galois orbit (Stichtenoth, Algebraic Function Fields and
+Codes, Thm. 3.7.1), so one root R0 is Hensel-lifted per base, and the
+others are sigma^j(R0) = zeta_j R0 + beta_j (beta is nonzero only when
+s = 0, so sigma acts on Y as on y).  The lift doubles the precision at
+every Newton step, carries the inverse of G'(R0) from step to step, and
+checks G(R0) = 0 after each.  Only a totally split base place gets n
+places; any other gets one, so a base place with 1 < g < n (possible
+only for composite Kummer degrees) gets too few, and the norm
+cross-check below rejects its divisors, naming (e, f, g).  The infinite
+place runs through the same code in the u = 1/t model.  Every divisor
+computation is cross-checked against the valuation of the norm, place
+by place.
 """
 
 from __future__ import annotations
@@ -185,6 +192,7 @@ class LocalEngine:
             self._root_consts = [const for _, const in orbit]
             self._root = self.model_point.lift(base_root)
             self._root_precision = 1
+            self._root_inverse = None  # 1 / G'(R0), modulo pi^k for R0 modulo pi^(<= 2k)
             self.places = [PlaceAbove(base, "split", d.e, d.f, kappa.element_index(label), deg)
                            for label in self.labels]
 
@@ -212,56 +220,67 @@ class LocalEngine:
         return (self._root % modulus).scale(zeta_k) + Poly.constant(self.field, beta_k)
 
     def _lift_root(self, precision: int):
-        """Newton iteration for R0 modulo pi^N, reducing after every product."""
-        modulus = self.pi_power(precision)
-        d_hat = self.defining_mod(precision)
+        """Newton lifting of R0 with doubling precision (von zur Gathen and
+        Gerhard, Modern Computer Algebra, Alg. 9.22).
+
+        Each level takes R0 from pi^k to pi^min(2k, N) by one Newton step.
+        The inverse of G'(R0) that step needs modulo pi^k is the previous
+        level's, correct modulo pi^(k/2) at least, refined by one Newton
+        step of its own; the first is an extended Euclid modulo pi.
+        """
         field = self.field
         n = self.arith.curve.n
-        c = self.arith.curve.model.c
-        c_poly = Poly.constant(field, c)
+        c_poly = Poly.constant(field, self.arith.curve.model.c)
         n_c = field.from_int(n)
-        # G'(Y) = n Y^(n-1) - c is the constant -c when p | n: invert it once
-        inv_c = field.inv(c) if field.is_zero(n_c) else None
-        r = self._root
-        while True:
+        one = Poly.one(field)
+        r, k, inverse = self._root, self._root_precision, self._root_inverse
+        while k < precision:
+            top = min(2 * k, precision)
+            modulus, low = self.pi_power(top), self.pi_power(k)
             r_pow = r.powmod(n - 1, modulus)
-            g = (r * (r_pow - c_poly) - d_hat) % modulus
-            if g.is_zero():
-                break
-            if inv_c is not None:
-                r = (r + g.scale(inv_c)) % modulus
+            derivative = (r_pow.scale(n_c) - c_poly) % low
+            if inverse is None:
+                inverse = derivative.invmod(low)
             else:
-                r = (r - g * (r_pow.scale(n_c) - c_poly).invmod(modulus)) % modulus
-        self._root = r
-        self._root_precision = precision
+                inverse = (inverse + inverse * (one - derivative * inverse)) % low
+            d_hat = self.defining_mod(top)
+            r = (r - (r * (r_pow - c_poly) - d_hat) * inverse) % modulus
+            if not ((r.powmod(n, modulus) - r * c_poly - d_hat) % modulus).is_zero():
+                raise InconsistencyError(
+                    f"Hensel lift above {self.base.id} is not a root modulo pi^{top}")
+            k = top
+        self._root, self._root_precision, self._root_inverse = r, k, inverse
 
-    def model_coeffs(self, coeffs):
-        if not self.is_inf:
-            return coeffs
-        return [c if c.is_zero() else c.reciprocal_substitution() for c in coeffs]
+    def base_valuation(self, rat: RationalFunc) -> int:
+        """v_P of a nonzero function of F_q(t); deg den - deg num at infinity."""
+        return rat.valuation_at_infinity() if self.is_inf else rat.valuation_at(self.pi)
 
-    def _model_val(self, rat: RationalFunc) -> int:
-        return rat.valuation_at(self.pi)
+    def valuations(self, coeffs, norm_val: int) -> list[int]:
+        """v_w(z) for every place w above the base, z = sum coeffs[i] y^i.
 
-    def valuations(self, coeffs) -> list[int]:
-        """v_w(z) for every place w above the base, z = sum coeffs[i] y^i."""
-        mc = self.model_coeffs(coeffs)
-        if all(c.is_zero() for c in mc):
+        norm_val is v_P(N z) = sum f_w v_w; at a split base it names the
+        precision of the one pi-adic evaluation (module docstring).
+        """
+        terms = [(i, self.base_valuation(c)) for i, c in enumerate(coeffs) if not c.is_zero()]
+        if not terms:
             raise ValidationError("valuation of the zero function")
-        kind = self.data.kind
         n = self.arith.curve.n
-        if kind == "ramified":
-            return [min(n * self._model_val(c) + i * self.s_y
-                        for i, c in enumerate(mc) if not c.is_zero())]
-        if kind == "inert":
-            return [min(self._model_val(c) + i * self.sigma_shift
-                        for i, c in enumerate(mc) if not c.is_zero())]
-        # split: z = pi^w0 sum a_i Y^i with integral a_i, not all divisible by pi
+        if self.data.kind == "ramified":
+            return [min(n * v + i * self.s_y for i, v in terms)]
         shift = self.sigma_shift
+        w0 = min(v + i * shift for i, v in terms)
+        if self.data.kind == "inert":
+            return [w0]
+        # split: z = pi^w0 sum a_i Y^i with integral a_i, not all divisible by pi
         pi_rat = RationalFunc.of(self.pi)
-        w0 = min(self._model_val(c) + i * shift for i, c in enumerate(mc) if not c.is_zero())
-        integral = [c if c.is_zero() or i * shift == w0 else c * pi_rat**(i * shift - w0)
-                    for i, c in enumerate(mc)]
+        integral = []
+        for i, c in enumerate(coeffs):
+            if not c.is_zero():
+                if self.is_inf:
+                    c = c.reciprocal_substitution()
+                if i * shift != w0:
+                    c = c * pi_rat**(i * shift - w0)
+            integral.append(c)
         # residue first: a nonzero value of sum a_i label^i in kappa means v = w0
         kappa = self.model_point.kappa
         residues = [kappa.zero() if c.is_zero() else self.model_point.reduce_rational(c)
@@ -274,21 +293,19 @@ class LocalEngine:
                 acc = kappa.add(kappa.mul(acc, label), a)
             if kappa.is_zero(acc):
                 pending.append(j)
-        precision = 8
+        if not pending:
+            return out
+        # v_w - w0 is 0 off pending and at least 1 on it, and the n of them
+        # sum to norm_val - n w0, so each pending one is below this precision
+        precision = max(2, norm_val - n * w0 - len(pending) + 2)
         cap = self.arith.config.max_precision
-        while pending:
-            if precision > cap:
-                raise ResourceError("local expansion precision cap exceeded")
-            reduced = self._reduce_integral(integral, precision)
-            left = []
-            for j in pending:
-                val = self._split_val(reduced, j, precision)
-                if val is None:
-                    left.append(j)
-                else:
-                    out[j] = w0 + val
-            pending = left
-            precision *= 2
+        if precision > cap:
+            raise ResourceError(
+                f"local expansion precision {precision} above {self.base.id} "
+                f"exceeds the cap {cap}")
+        reduced = self._reduce_integral(integral, precision)
+        for j in pending:
+            out[j] = w0 + self._split_val(reduced, j, precision)
         return out
 
     def _reduce_integral(self, integral, precision) -> list[Poly]:
@@ -310,17 +327,22 @@ class LocalEngine:
                 for c in integral]
 
     def _split_val(self, reduced, index, precision):
-        """v_pi of sum reduced[i] r^i at the root above labels[index], or None
-        when pi^precision divides it."""
+        """v_pi of sum reduced[i] R^i at the root R above labels[index].
+
+        The norm bounds it below the precision, so a value that vanishes
+        modulo pi^N means the engine and the norm disagree.
+        """
         modulus = self.pi_power(precision)
         root = self.root_mod(index, precision)
         total = Poly.zero(self.field)
         for a in reversed(reduced):
             total = (total * root + a) % modulus
         if total.is_zero():
-            return None
-        v = total.valuation(self.pi)
-        return v if v < precision else None
+            d = self.data
+            raise InconsistencyError(
+                f"split value above {self.base.id} vanishes modulo pi^{precision}, "
+                f"past the bound of the norm; (e, f, g) = {(d.e, d.f, d.g)}")
+        return total.valuation(self.pi)
 
 
 class CurveArithmetic:
@@ -432,9 +454,8 @@ class CurveArithmetic:
         total_degree = 0
         for base in candidates:
             eng = self.engine(base)
-            vals = eng.valuations(coeffs)
-            norm_val = nrm.valuation_at_infinity() if base.is_infinite \
-                else nrm.valuation_at(base.pi)
+            norm_val = eng.base_valuation(nrm)
+            vals = eng.valuations(coeffs, norm_val)
             check = sum(f_w * v for f_w, v in zip((w.f for w in eng.places), vals))
             if check != norm_val:
                 d = eng.data

@@ -359,14 +359,24 @@ class RationalFunc:
         return self.den.degree - self.num.degree
 
     def reciprocal_substitution(self) -> "RationalFunc":
-        """The same function written in u = 1/t, i.e. f(1/u)."""
+        """The same function written in u = 1/t, i.e. f(1/u).
+
+        No gcd is taken: rev(num) and rev(den) are coprime because num and
+        den are, and u divides neither, so only the denominator is made monic.
+        """
+        if self.is_zero():
+            return self
+        field = self.field
         dn, dd = self.num.degree, self.den.degree
         num_u = self.num.reversed_coeffs()
         den_u = self.den.reversed_coeffs()
-        u = Poly.x(self.field)
+        u = Poly.x(field)
         if dd >= dn:
-            return RationalFunc(num_u * u**(dd - dn), den_u)
-        return RationalFunc(num_u, den_u * u**(dn - dd))
+            num_u = num_u * u**(dd - dn)
+        else:
+            den_u = den_u * u**(dn - dd)
+        inv = field.inv(den_u.leading())
+        return RationalFunc._reduced(num_u.scale(inv), den_u.scale(inv))
 
     def evaluate(self, point, target_field=None):
         tf = target_field or self.field

@@ -193,6 +193,44 @@ class TestPolyLayer:
         assert rat.reciprocal_substitution().valuation_at(Poly.x(F3)) \
             == rat.valuation_at_infinity()
 
+    @pytest.mark.parametrize("q", [2, 4, 5, 9])
+    def test_reciprocal_substitution_matches_gcd_construction(self, q):
+        import random
+
+        field = GF(q)
+        u = Poly.x(field)
+        rng = random.Random(q)
+        cases, seen = set(), 0
+        for _ in range(150):
+            coeffs = [[field.element_from_index(rng.randrange(q))
+                       for _ in range(rng.randrange(1, 7))] for _ in range(2)]
+            for cs in coeffs:
+                if rng.random() < 0.4:
+                    cs[0] = field.zero()  # t divides it
+            num, den = (Poly(field, cs) for cs in coeffs)
+            if den.is_zero():
+                continue
+            rat = RationalFunc(num, den)  # den need not be monic here
+            dn, dd = rat.num.degree, rat.den.degree
+            num_u, den_u = rat.num.reversed_coeffs(), rat.den.reversed_coeffs()
+            expected = (RationalFunc(num_u * u**(dd - dn), den_u) if dd >= dn
+                        else RationalFunc(num_u, den_u * u**(dn - dd)))
+            got = rat.reciprocal_substitution()
+            assert (got.num, got.den) == (expected.num, expected.den), rat
+            assert got.reciprocal_substitution() == rat
+            seen += 1
+            cases.add("deg num > deg den" if dn > dd
+                      else "deg num < deg den" if 0 <= dn < dd else "other")
+            if den.leading() != field.one():
+                cases.add("non-monic den")
+            if not rat.is_zero() and field.is_zero(rat.num.constant_term()):
+                cases.add("t | num")
+            if field.is_zero(rat.den.constant_term()):
+                cases.add("t | den")
+        # over F_2 every nonzero leading coefficient is 1
+        assert seen > 100 and cases >= {"deg num > deg den", "deg num < deg den", "t | num",
+                                        "t | den"} | ({"non-monic den"} if q > 2 else set())
+
 
 class TestReduction:
     def test_odd_pole_untouched(self):
@@ -755,6 +793,11 @@ def _vanishing_function(curve, base, shift, root, k):
     return [-to_model(approx), one] + [zero] * (curve.n - 2)
 
 
+def _norm_val(arith, eng, coeffs):
+    """v_P(N z) at the engine's base, as divisor_of passes it."""
+    return eng.base_valuation(arith.norm(coeffs))
+
+
 def _rr_functions(arith, genus):
     from capitula.fforacle.picard import riemann_roch_basis
 
@@ -786,15 +829,17 @@ class TestSplitValuations:
                     functions.append([RationalFunc.of(base.pi**2)] + [zero] * (curve.n - 1))
                 functions += rr
                 for root in roots:
-                    for k in (1, 10):  # 10 is past the starting precision 8
+                    for k in (1, 10):  # 10 needs a precision well past the least, 2
                         functions.append(_vanishing_function(curve, base, shift, root, k))
                 for coeffs in functions:
                     expected = [_oracle_valuation(curve, base, shift, r, coeffs)
                                 for r in roots]
-                    assert eng.valuations(coeffs) == expected, (name, base.id)
+                    assert eng.valuations(coeffs, _norm_val(arith, eng, coeffs)) == expected, \
+                        (name, base.id)
                     compared += 1
                 for j, root in enumerate(roots):
-                    vals = eng.valuations(_vanishing_function(curve, base, shift, root, 10))
+                    coeffs = _vanishing_function(curve, base, shift, root, 10)
+                    vals = eng.valuations(coeffs, _norm_val(arith, eng, coeffs))
                     assert vals[j] >= 10 + shift, (name, base.id)
                     assert all(v == shift for i, v in enumerate(vals) if i != j)
                     vanishing += 1
@@ -841,6 +886,86 @@ class TestSplitValuations:
         assert lifts, "no split place was lifted"
         assert all(eng.data.kind == "split" for eng, _ in lifts)
         assert set(lifts.values()) == {1}
+
+    def test_split_evaluations_run_at_the_precision_the_norm_names(self, monkeypatch):
+        from collections import Counter
+
+        from capitula.fforacle.picard import LocalEngine
+
+        real_valuations, real_reduce = LocalEngine.valuations, LocalEngine._reduce_integral
+        used, runs = [], Counter()
+
+        def reduce(self, integral, precision):
+            used.append(precision)
+            return real_reduce(self, integral, precision)
+
+        def valuations(self, coeffs, norm_val):
+            used.clear()
+            out = real_valuations(self, coeffs, norm_val)
+            if self.data.kind == "split":
+                w0 = min(self.base_valuation(c) + i * self.sigma_shift
+                         for i, c in enumerate(coeffs) if not c.is_zero())
+                pending = sum(v > w0 for v in out)
+                assert used == ([max(2, norm_val - len(out) * w0 - pending + 2)]
+                                if pending else [])
+                runs.update(used)
+            return out
+
+        monkeypatch.setattr(LocalEngine, "_reduce_integral", reduce)
+        monkeypatch.setattr(LocalEngine, "valuations", valuations)
+        for entry in corpus():
+            picard_group(entry.curve)
+        # most pending places have valuation w0 + 1, read at the least precision
+        assert runs[2] > sum(runs.values()) / 2, runs
+
+    def test_norm_valuation_too_small_is_an_inconsistency(self):
+        import re
+
+        from capitula.fforacle.picard import CurveArithmetic
+
+        checked = 0
+        for _, curve, _ in _valuation_curves():
+            arith = CurveArithmetic(curve)
+            for base in _split_bases(curve, 1):
+                eng = arith.engine(base)
+                shift, roots = _oracle_roots(curve, base, eng.labels)
+                # order >= 10 at the place of roots[0] and w0 at the others
+                coeffs = _vanishing_function(curve, base, shift, roots[0], 10)
+                norm_val = _norm_val(arith, eng, coeffs)
+                d = eng.data
+                with pytest.raises(InconsistencyError,
+                                   match=rf"above {re.escape(base.id)} vanishes modulo "
+                                         rf"pi\^\d+.*\(e, f, g\) = \(1, 1, {d.g}\)"):
+                    eng.valuations(coeffs, norm_val - 9)
+                checked += 1
+        assert checked >= 10
+
+    def test_precision_above_the_cap_is_a_resource_error(self):
+        from capitula.fforacle.picard import CurveArithmetic, OracleConfig
+
+        _, curve, _ = _valuation_curves()[0]
+        arith = CurveArithmetic(curve, OracleConfig(max_precision=4))
+        base = _split_bases(curve, 1)[0]
+        eng = arith.engine(base)
+        shift, roots = _oracle_roots(curve, base, eng.labels)
+        coeffs = _vanishing_function(curve, base, shift, roots[0], 10)
+        with pytest.raises(ResourceError, match="exceeds the cap 4"):
+            eng.valuations(coeffs, _norm_val(arith, eng, coeffs))
+
+    def test_lift_that_is_not_a_root_raises(self):
+        from capitula.fforacle.picard import CurveArithmetic
+
+        checked = 0
+        for _, curve, _ in _valuation_curves():
+            arith = CurveArithmetic(curve)
+            for base in _split_bases(curve, 1):
+                eng = arith.engine(base)
+                eng.root_mod(0, 4)
+                eng._root = eng._root + eng.pi  # still a root modulo pi, not modulo pi^2
+                with pytest.raises(InconsistencyError, match=r"not a root modulo pi\^8"):
+                    eng.root_mod(0, 8)
+                checked += 1
+        assert checked >= 10
 
     def test_norm_mismatch_names_the_decomposition_type(self):
         from capitula.errors import InconsistencyError
@@ -939,6 +1064,19 @@ class TestCurveJson:
         with pytest.raises(ValidationError, match="not an element index"):
             curve_from_json({"kind": "kummer", "q": q, "p_or_l": 2,
                              "Q_or_f": {"num": [0, 1], "den": coeffs}})
+
+    @pytest.mark.parametrize("q, p_or_l, fraction, key", [
+        (5, 2, {"num": [0.5, 1]}, "num coefficient"),  # was read as y^2 = t
+        (5, 2, {"num": ["a", 1]}, "num coefficient"),
+        (5, "x", {"num": [0, 1]}, "p_or_l"),
+        (5, 2, {"num": [0, 1], "den": [True]}, "den coefficient"),
+        (5.0, 2, {"num": [0, 1]}, "q"),
+        (True, 2, {"num": [0, 1]}, "q"),
+        (5, 2, {"num": "01"}, "Q_or_f num"),
+    ])
+    def test_non_integer_rejected(self, q, p_or_l, fraction, key):
+        with pytest.raises(ValidationError, match=f"^{key} must be"):
+            curve_from_json({"kind": "kummer", "q": q, "p_or_l": p_or_l, "Q_or_f": fraction})
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ValidationError):
