@@ -49,7 +49,11 @@ def load_config(directory: Path | None = None) -> OracleConfig:
     unknown = set(raw) - _CONFIG_KEYS
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    return OracleConfig(**{k: int(v) for k, v in raw.items()})
+    for key, value in raw.items():
+        # a JSON integer as it stands: bool, float and str are rejected, not converted
+        if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+            raise ValueError(f"config {key!r} must be an integer >= 0, got {value!r}")
+    return OracleConfig(**raw)
 
 
 def emit_json(payload) -> str:

@@ -15,8 +15,11 @@ order.  This module is the only one that tells the two families apart;
 the Picard engine reads the model alone.
 
 The infinite place is handled through the substitution t -> 1/u, which
-turns it into the finite place u = 0 of F_q(u); all local computations
-run on that uniform polynomial model.
+turns it into the finite place u = 0 of F_q(u) (`local_model`); all local
+computations run on that uniform polynomial model, from `ResiduePoint`
+and the Artin-Schreier reduction to `local_invariants`.  Each cover
+computes its per-place facts once: `divisor` (v_P(D)), a table of the
+decomposition types (e, f, g), and from those two `ramification_data`.
 """
 
 from __future__ import annotations
@@ -67,26 +70,32 @@ class BasePlace:
 INFINITE = BasePlace(None)
 
 
+def local_model(rat: RationalFunc, place: BasePlace) -> tuple[Poly, RationalFunc]:
+    """(pi, rat) in the model where the place is the finite place pi:
+    F_q(t) itself, or at infinity F_q(u) with u = 1/t and pi = u."""
+    if place.is_infinite:
+        return Poly.x(rat.field), rat.reciprocal_substitution()
+    return place.pi, rat
+
+
 class ResiduePoint:
-    """Reduction and lifting at one base place.
+    """Reduction and lifting at one finite base place.
 
     kappa is the residue field; rational functions regular at the place
     reduce into it, and residue elements lift back to polynomials of
-    degree < deg(pi) for Hensel seeds.  At infinity everything is read in
-    the u = 1/t model, where the place is u = 0.
+    degree < deg(pi) for Hensel seeds.  Infinity is read as the place
+    u = 0 of the u = 1/t model (`local_model`).
     """
 
     def __init__(self, field, place: BasePlace):
         self.field = field
         self.place = place
-        if place.is_infinite or place.pi.degree == 1:
+        if place.pi.degree == 1:
             self.kappa = field
         else:
             self.kappa = ExtField(field, place.pi.coeffs)
 
     def reduce_poly(self, poly: Poly):
-        if self.place.is_infinite:
-            raise ValidationError("reduce_poly is for finite places; use reduce_rational")
         pi = self.place.pi
         if pi.degree == 1:
             root = self.field.neg(pi.constant_term())
@@ -97,20 +106,12 @@ class ResiduePoint:
 
     def reduce_rational(self, rat: RationalFunc):
         """Value in kappa of a rational function regular at the place."""
-        if self.place.is_infinite:
-            rat_u = rat.reciprocal_substitution()
-            if rat_u.den.constant_term() == self.field.zero():
-                raise ValidationError("tried to evaluate a function with a pole at infinity")
-            return self.field.div(rat_u.num.evaluate(self.field.zero()),
-                                  rat_u.den.evaluate(self.field.zero()))
         den_red = self.reduce_poly(rat.den)
         if self.kappa.is_zero(den_red):
             raise ValidationError(f"tried to evaluate at a pole above {self.place.id}")
         return self.kappa.div(self.reduce_poly(rat.num), den_red)
 
     def lift(self, elem) -> Poly:
-        if self.place.is_infinite:
-            return Poly(self.field, [elem])
         if self.place.pi.degree == 1:
             return Poly(self.field, [elem])
         return Poly(self.field, list(elem))
@@ -130,8 +131,61 @@ class CoverModel(NamedTuple):
     beta: object
 
 
+class _CoverTables:
+    """The per-place facts of a cover, each computed once per cover."""
+
+    @cached_property
+    def divisor(self) -> dict[BasePlace, int]:
+        """v_P(D) at every pole of D and, when the model's c is 0, at every zero.
+
+        With c != 0 a zero of D is an unramified place of the integral
+        model, and its order is never read.  The finite places come in the
+        factorization order of D's denominator, then of its numerator.
+        """
+        rat = self.defining
+        with_zeros = self.field.is_zero(self.model.c)
+        out: dict[BasePlace, int] = {}
+        parts = [(rat.den, -1), (rat.num, 1)] if with_zeros else [(rat.den, -1)]
+        for poly, sign in parts:
+            if poly.degree < 1:
+                continue
+            _, factors, rest = factor_with_bounded_degree(poly, poly.degree)
+            if not rest.is_constant():
+                raise InconsistencyError("defining data factorization left a cofactor")
+            for pi, mult in factors.items():
+                out[BasePlace(pi)] = sign * mult
+        v_inf = rat.valuation_at_infinity()
+        if v_inf < 0 or (v_inf > 0 and with_zeros):
+            out[INFINITE] = v_inf
+        return out
+
+    @cached_property
+    def decompositions(self) -> dict[BasePlace, "LocalData"]:
+        """(e, f, g) of every base place decomposed so far (`local_invariants`)."""
+        return {}
+
+    @cached_property
+    def _ramification(self) -> tuple[tuple["RamifiedPlace", ...], int]:
+        """Ramified places and genus.  Every ramified place is in `divisor`;
+        the different exponent is e - 1 when p does not divide e, and
+        (e - 1)(1 - v_P(D)) at a wild pole (Stichtenoth, Prop. 3.7.8)."""
+        p, n = self.field.char, self.n
+        ram = []
+        two_g_minus_2 = -2 * n
+        for place in sorted(self.divisor, key=BasePlace.sort_key):
+            e = local_invariants(self, place).e
+            if e == 1:
+                continue
+            different = e - 1 if e % p else (e - 1) * (1 - self.divisor[place])
+            ram.append(RamifiedPlace(place, e, different))
+            two_g_minus_2 += (n // e) * different * place.degree
+        if two_g_minus_2 % 2 or two_g_minus_2 < -2:
+            raise InconsistencyError(f"Riemann-Hurwitz gave 2g-2 = {two_g_minus_2}")
+        return tuple(ram), (two_g_minus_2 + 2) // 2
+
+
 @dataclass(frozen=True)
-class ASCurve:
+class ASCurve(_CoverTables):
     """y^p - y = Q(t) with Q reduced (all pole orders prime to p)."""
 
     field: object
@@ -170,7 +224,7 @@ class ASCurve:
 
 
 @dataclass(frozen=True)
-class KummerCurve:
+class KummerCurve(_CoverTables):
     """y^ell = f(t) with ell | q - 1 and multiplicities reduced mod ell."""
 
     field: object
@@ -240,29 +294,21 @@ def as_reduce(Q: RationalFunc, field) -> RationalFunc:
 
 def _find_reducible_pole(Q: RationalFunc, p: int, field):
     """h^p - h for one pole of order divisible by p, or None."""
-    pi_rat = None
     _, den_factors, rest = factor_with_bounded_degree(Q.den, max(Q.den.degree, 1))
     if not rest.is_constant():
         raise InconsistencyError("denominator factorization left a cofactor")
-    for pi, mult in sorted(den_factors.items(), key=lambda kv: BasePlace(kv[0]).sort_key()):
-        if mult % p == 0:
+    poles = sorted(((BasePlace(pi), m) for pi, m in den_factors.items()),
+                   key=lambda pm: pm[0].sort_key())
+    poles.append((INFINITE, -Q.valuation_at_infinity()))
+    for place, mult in poles:
+        if mult > 0 and mult % p == 0:
+            pi, model = local_model(Q, place)
             point = ResiduePoint(field, BasePlace(pi))
-            unit = Q * RationalFunc.of(pi)**mult
-            a = point.reduce_rational(unit)
-            b = point.kappa if pi.degree > 1 else field
-            root = pth_root(b, a)
-            beta = point.lift(root)
-            h = RationalFunc(beta, pi**(mult // p))
+            root = pth_root(point.kappa, point.reduce_rational(model * RationalFunc.of(pi)**mult))
+            h = RationalFunc(point.lift(root), pi**(mult // p))
+            if place.is_infinite:
+                h = h.reciprocal_substitution()
             return h**p - h
-    v_inf = Q.valuation_at_infinity()
-    if v_inf < 0 and (-v_inf) % p == 0:
-        m = -v_inf
-        point = ResiduePoint(field, INFINITE)
-        t_rat = RationalFunc.of(Poly.x(field))
-        a = point.reduce_rational(Q * t_rat**(-m))
-        root = pth_root(field, a)
-        h = RationalFunc.of(Poly(field, [field.zero()] * (m // p) + [root]))
-        return h**p - h
     return None
 
 
@@ -321,38 +367,43 @@ class LocalData:
 
 
 def defining_valuation(curve: Curve, place: BasePlace) -> int:
-    """Order of the defining function D at the place."""
-    if place.is_infinite:
-        return curve.defining.valuation_at_infinity()
-    return curve.defining.valuation_at(place.pi)
+    """Order of the defining function D at the place, read off `divisor`;
+    min(v_P(D), 0) when the model's c is nonzero (zeros are never read)."""
+    return curve.divisor.get(place, 0)
 
 
 def local_invariants(curve: Curve, place: BasePlace) -> LocalData:
     """The (e, f, g) decomposition type of a base place in the cover."""
-    field = curve.field
+    if place not in curve.decompositions:
+        curve.decompositions[place] = _decompose(curve, place)
+    return curve.decompositions[place]
+
+
+def _decompose(curve: Curve, place: BasePlace) -> LocalData:
+    v = defining_valuation(curve, place)
     if curve.kind == "artin_schreier":
-        v = defining_valuation(curve, place)
         if v < 0:
             if (-v) % curve.p == 0:
                 raise InconsistencyError("unreduced Artin-Schreier data")
             return LocalData(place, curve.p, 1, 1)
-        point = ResiduePoint(field, place)
-        c = point.reduce_rational(curve.Q)
-        kappa = point.kappa
-        if absolute_trace(kappa, c) == 0:
+        pi, Q = local_model(curve.Q, place)
+        point = ResiduePoint(curve.field, BasePlace(pi))
+        if absolute_trace(point.kappa, point.reduce_rational(Q)) == 0:
             return LocalData(place, 1, 1, curve.p)
         return LocalData(place, 1, curve.p, 1)
 
     ell = curve.ell
-    a = defining_valuation(curve, place)
-    d = gcd(ell, a % ell)
+    d = gcd(ell, v % ell)
     e = ell // d
-    point = ResiduePoint(field, place)
+    if d == 1:
+        # f and g divide d
+        return LocalData(place, e, 1, 1)
+    pi, f = local_model(curve.f, place)
+    point = ResiduePoint(curve.field, BasePlace(pi))
     kappa = point.kappa
-    # f / pi^a for the uniformizer pi, which is 1/t at infinity
-    inv_pi = (RationalFunc.of(Poly.x(field)) if place.is_infinite
-              else RationalFunc(Poly.one(field), place.pi))
-    ubar = point.reduce_rational(curve.f * inv_pi**a)
+    # the unit f / pi^v, by an exact division of the numerator or the denominator
+    num, den = (f.num // pi**v, f.den) if v >= 0 else (f.num, f.den // pi**-v)
+    ubar = kappa.div(point.reduce_poly(num), point.reduce_poly(den))
     # h is a d-th root of unity; its order, a divisor of d, is the residue degree
     h = kappa.pow(ubar, (kappa.order - 1) // d)
     f_w = next(k for k in range(1, d + 1) if d % k == 0 and kappa.pow(h, k) == kappa.one())
@@ -376,44 +427,8 @@ def ramification_data(curve: Curve) -> tuple[list[RamifiedPlace], int]:
     """Ramified places with different exponents, plus the genus from the
     Riemann-Hurwitz formula over the rational base."""
     _reject_constant_ext(curve)
-    ram: list[RamifiedPlace] = []
-    if curve.kind == "artin_schreier":
-        p = curve.p
-        _, den_factors, _ = factor_with_bounded_degree(curve.Q.den, max(curve.Q.den.degree, 1))
-        places = [(BasePlace(pi), m) for pi, m in den_factors.items()]
-        v_inf = curve.Q.valuation_at_infinity()
-        if v_inf < 0:
-            places.append((INFINITE, -v_inf))
-        deg_sum = 0
-        for place, m in sorted(places, key=lambda pm: pm[0].sort_key()):
-            if m % p == 0:
-                raise InconsistencyError("unreduced Artin-Schreier data")
-            ram.append(RamifiedPlace(place, p, (p - 1) * (m + 1)))
-            deg_sum += (p - 1) * (m + 1) * place.degree
-        two_g_minus_2 = -2 * p + deg_sum
-    else:
-        ell = curve.ell
-        _, num_factors, _ = factor_with_bounded_degree(curve.f.num, max(curve.f.num.degree, 1))
-        _, den_factors, _ = factor_with_bounded_degree(curve.f.den, max(curve.f.den.degree, 1))
-        mults = {BasePlace(pi): m for pi, m in num_factors.items()}
-        for pi, m in den_factors.items():
-            mults[BasePlace(pi)] = mults.get(BasePlace(pi), 0) - m
-        v_inf = curve.f.valuation_at_infinity()
-        if v_inf % ell:
-            mults[INFINITE] = v_inf
-        contribution = 0
-        for place in sorted(mults, key=lambda pl: pl.sort_key()):
-            a = mults[place]
-            if a % ell == 0:
-                continue
-            e = ell // gcd(ell, a % ell)
-            ram.append(RamifiedPlace(place, e, e - 1))
-            contribution += (ell // e) * (e - 1) * place.degree
-        two_g_minus_2 = -2 * ell + contribution
-    if two_g_minus_2 % 2 or two_g_minus_2 < -2:
-        raise InconsistencyError(f"Riemann-Hurwitz gave 2g-2 = {two_g_minus_2}")
-    genus = (two_g_minus_2 + 2) // 2
-    return ram, genus
+    ram, genus = curve._ramification
+    return list(ram), genus
 
 
 def genus(curve: Curve) -> int:

@@ -87,6 +87,7 @@ from .curves import (
     _reject_constant_ext,
     defining_valuation,
     local_invariants,
+    local_model,
     ramification_data,
 )
 from .poly import Poly, RationalFunc, factor_with_bounded_degree, monic_irreducibles_up_to
@@ -149,11 +150,8 @@ class LocalEngine:
         field = curve.field
         self.field = field
         self.is_inf = base.is_infinite
-        self.pi = Poly.x(field) if self.is_inf else base.pi
-        self.model_point = ResiduePoint(
-            field, BasePlace(self.pi) if self.is_inf else base)
-        self.model_defining = (curve.defining.reciprocal_substitution() if self.is_inf
-                               else curve.defining)
+        self.pi, self.model_defining = local_model(curve.defining, base)
+        self.model_point = ResiduePoint(field, BasePlace(self.pi))
         self.data = local_invariants(curve, base)
         self.def_val = defining_valuation(curve, base)
         self._pi_powers: dict[int, Poly] = {}
@@ -276,8 +274,7 @@ class LocalEngine:
         integral = []
         for i, c in enumerate(coeffs):
             if not c.is_zero():
-                if self.is_inf:
-                    c = c.reciprocal_substitution()
+                _, c = local_model(c, self.base)
                 if i * shift != w0:
                     c = c * pi_rat**(i * shift - w0)
             integral.append(c)
@@ -474,14 +471,8 @@ class CurveArithmetic:
         """Base places where a monomial y^i t^j can have a pole: infinity
         plus the poles of the defining function D (at a zero of D, y has
         nonnegative valuation and never threatens)."""
-        data = self.curve.defining
-        bases = [INFINITE]
-        if data.den.degree >= 1:
-            _, factors, rest = factor_with_bounded_degree(data.den, data.den.degree)
-            if not rest.is_constant():
-                raise InconsistencyError("defining data factorization left a cofactor")
-            bases.extend(BasePlace(pi) for pi in factors)
-        return bases
+        return [INFINITE] + [base for base, v in self.curve.divisor.items()
+                             if v < 0 and not base.is_infinite]
 
 
 # ---------------------------------------------------------------------------
@@ -704,7 +695,6 @@ class PicardData:
     group: FinAbGroup
     generators: list[dict]
     sigma_action: AbHom
-    degree_map: dict
     h: int
     l_poly: list[int]
     factor_base: list[PlaceAbove] = dataclass_field(repr=False, default_factory=list)
@@ -748,10 +738,7 @@ def _candidate_functions(field, basis, cap):
         for slot in range(dim):
             if idx[slot] == 0:
                 continue
-            c = elements[idx[slot]]
-            term = [rat if field.is_zero(c) or c == one
-                    else rat * RationalFunc.of(Poly(field, [c]))
-                    for rat in basis[slot]]
+            term = [rat.scale(elements[idx[slot]]) for rat in basis[slot]]
             coeffs = term if coeffs is None else [a + b for a, b in zip(coeffs, term)]
         count += 1
         if count > cap:
@@ -885,7 +872,6 @@ def _try_presentation(arith, ram, genus, h, l_coeffs, b_bound, m_bound,
         group=group,
         generators=generators,
         sigma_action=sigma,
-        degree_map={w.id: w.deg for w in fb},
         h=h,
         l_poly=list(l_coeffs),
         factor_base=fb,
@@ -1067,19 +1053,13 @@ def realize_profile(curve, s_bases, degree_bound: int | None = None,
         raise ValidationError("S must be nonempty")
     if pd is None:
         pd = picard_group(curve, degree_bound, extra_base_places=s_bases, config=config)
-    ram, _ = ramification_data(curve)
-    ram_bases = {r.place for r in ram}
+    # the places of S, then the ramified places outside S in sort_key order
+    ram_outside = [r.place for r in ramification_data(curve)[0] if r.place not in s_bases]
     places = []
-    seen = set()
-    for base in s_bases:
+    for base in s_bases + ram_outside:
         data = local_invariants(curve, base)
         places.append(PlaceProfile(
-            id=base.id, in_S=True, e=data.e, f=data.f, deg=base.degree))
-        seen.add(base)
-    for r in sorted(ram_bases - seen, key=lambda b: b.sort_key()):
-        data = local_invariants(curve, r)
-        places.append(PlaceProfile(
-            id=r.id, in_S=False, e=data.e, f=data.f, deg=r.degree))
+            id=base.id, in_S=base in s_bases, e=data.e, f=data.f, deg=base.degree))
     s_k = []
     for base in s_bases:
         s_k.extend(pd.places_above(base))

@@ -177,5 +177,12 @@ class TestConfig:
         (tmp_path / "capitula.json").write_text(json.dumps({"bogus": 1}))
         assert main(["oracle", write(tmp_path, "c.json", AS_CURVE)]) == 1
 
+    @pytest.mark.parametrize("value", [2.7, True, "3", -1, None, [1]])
+    def test_config_value_not_a_nonnegative_int_exits_1(self, tmp_path, monkeypatch, capsys, value):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "capitula.json").write_text(json.dumps({"max_genus": value}))
+        assert main(["oracle", write(tmp_path, "c.json", AS_CURVE)]) == 1
+        assert "'max_genus'" in capsys.readouterr().err
+
     def test_no_command_exits_1(self):
         assert main([]) == 1

@@ -332,6 +332,200 @@ def _kummer(q, ell, num, den="1"):
                                                      parse_poly(field, den)))
 
 
+# ---------------------------------------------------------------------------
+# the per-cover table of base places against per-family reference formulas
+
+def _reference_ramification(curve):
+    """Ramified places and genus by each family's own formulas, from fresh
+    factorizations of the defining function: different exponent (p-1)(m+1)
+    at an Artin-Schreier pole of order m, e-1 at a Kummer place."""
+    from capitula.fforacle.poly import factor_with_bounded_degree
+
+    def factored(poly):
+        return factor_with_bounded_degree(poly, max(poly.degree, 1))[1]
+
+    if curve.kind == "artin_schreier":
+        p = curve.p
+        places = [(BasePlace(pi), m) for pi, m in factored(curve.Q.den).items()]
+        v_inf = curve.Q.valuation_at_infinity()
+        if v_inf < 0:
+            places.append((INFINITE, -v_inf))
+        ram, deg_sum = [], 0
+        for place, m in sorted(places, key=lambda pm: pm[0].sort_key()):
+            if m % p == 0:
+                raise InconsistencyError("unreduced Artin-Schreier data")
+            ram.append((place, p, (p - 1) * (m + 1)))
+            deg_sum += (p - 1) * (m + 1) * place.degree
+        two_g_minus_2 = -2 * p + deg_sum
+    else:
+        ell = curve.ell
+        mults = {BasePlace(pi): m for pi, m in factored(curve.f.num).items()}
+        for pi, m in factored(curve.f.den).items():
+            mults[BasePlace(pi)] = mults.get(BasePlace(pi), 0) - m
+        v_inf = curve.f.valuation_at_infinity()
+        if v_inf % ell:
+            mults[INFINITE] = v_inf
+        ram, two_g_minus_2 = [], -2 * ell
+        for place in sorted(mults, key=lambda pl: pl.sort_key()):
+            a = mults[place]
+            if a % ell:
+                e = ell // gcd(ell, a % ell)
+                ram.append((place, e, e - 1))
+                two_g_minus_2 += (ell // e) * (e - 1) * place.degree
+    if two_g_minus_2 % 2 or two_g_minus_2 < -2:
+        raise InconsistencyError(f"Riemann-Hurwitz gave 2g-2 = {two_g_minus_2}")
+    return ram, (two_g_minus_2 + 2) // 2
+
+
+def _infinity_in_t(curve):
+    """(e, f, g) at infinity read in t: the value there of a function regular
+    at infinity is the ratio of the leading coefficients, or 0."""
+    field = curve.field
+
+    def value_at_infinity(rat):
+        assert rat.num.degree <= rat.den.degree
+        if rat.num.degree < rat.den.degree:
+            return field.zero()
+        return field.div(rat.num.leading(), rat.den.leading())
+
+    if curve.kind == "artin_schreier":
+        v = curve.Q.valuation_at_infinity()
+        if v < 0:
+            return curve.p, 1, 1
+        if absolute_trace(field, value_at_infinity(curve.Q)) == 0:
+            return 1, 1, curve.p
+        return 1, curve.p, 1
+    ell = curve.ell
+    a = curve.f.valuation_at_infinity()
+    d = gcd(ell, a % ell)
+    e = ell // d
+    ubar = value_at_infinity(curve.f * RationalFunc.of(Poly.x(field))**a)  # f t^a
+    h = field.pow(ubar, (field.order - 1) // d)
+    f_w = next(k for k in range(1, d + 1) if d % k == 0 and field.pow(h, k) == field.one())
+    return e, f_w, ell // (e * f_w)
+
+
+def _seeded_covers():
+    """Artin-Schreier covers over F_2..F_9 and Kummer covers of every degree
+    ell | q - 1, from random fractions; degenerate and constant-field
+    covers are dropped."""
+    import random
+
+    rng = random.Random(7)
+    out = []
+    for q in (2, 3, 4, 5, 7, 8, 9):
+        field = GF(q)
+        ells = [ell for ell in range(2, q) if (q - 1) % ell == 0]
+
+        def random_poly(degree, monic):
+            coeffs = [field.element_from_index(rng.randrange(q)) for _ in range(degree)]
+            return Poly(field, coeffs + [field.one() if monic
+                                         else field.element_from_index(rng.randrange(1, q))])
+
+        for i in range(12):
+            rat = RationalFunc(random_poly(rng.randrange(0, 5), False),
+                               random_poly(rng.randrange(0, 4), True))
+            try:
+                if i % 2 == 0 or not ells:
+                    curve = ASCurve.make(field, rat)
+                else:
+                    curve = KummerCurve.make(field, ells[i // 2 % len(ells)], rat)
+            except DegenerateExtensionError:
+                continue
+            if not curve.constant_ext:
+                out.append((f"{curve.kind}_f{q}_{i}", curve))
+    # y^8 = (t+2)^2 = t^2+t+1 over F_9 is a degree-4 cover in disguise:
+    # Riemann-Hurwitz fails
+    out.append(("kummer8_f9_square", _kummer(9, 8, "t^2+t+1")))
+    return out
+
+
+TABLE_CURVES = [(e.name, e.curve) for e in corpus() if not e.curve.constant_ext]
+TABLE_CURVES += _seeded_covers()
+
+
+def _outcome(compute):
+    try:
+        return compute()
+    except InconsistencyError as exc:
+        return f"InconsistencyError: {exc}"
+
+
+class TestCoverTable:
+    @pytest.mark.parametrize("name, curve", TABLE_CURVES, ids=[n for n, _ in TABLE_CURVES])
+    def test_ramification_matches_the_family_formulas(self, name, curve):
+        def table():
+            ram, genus = ramification_data(curve)
+            return [(r.place, r.e, r.different_exponent) for r in ram], genus
+
+        assert _outcome(table) == _outcome(lambda: _reference_ramification(curve))
+
+    def test_seeded_covers_reach_every_field_and_both_outcomes(self):
+        kinds = {(c.kind, c.field.order) for _, c in TABLE_CURVES}
+        assert {q for _, q in kinds} == {2, 3, 4, 5, 7, 8, 9}
+        assert {("kummer", q) for q in (3, 4, 5, 7, 8, 9)} <= kinds
+        failing = dict(TABLE_CURVES)["kummer8_f9_square"]
+        with pytest.raises(InconsistencyError, match=r"^Riemann-Hurwitz gave 2g-2 = -4$"):
+            ramification_data(failing)
+
+    @pytest.mark.parametrize("name, curve", TABLE_CURVES, ids=[n for n, _ in TABLE_CURVES])
+    def test_defining_valuation_reads_the_divisor(self, name, curve):
+        from capitula.fforacle.curves import defining_valuation
+
+        rat = curve.defining
+
+        def exact(place):
+            return (rat.valuation_at_infinity() if place.is_infinite
+                    else rat.valuation_at(place.pi))
+
+        with_zeros = curve.field.is_zero(curve.model.c)
+        for place, v in curve.divisor.items():
+            assert v == exact(place) != 0
+            assert v < 0 or with_zeros
+        census = [INFINITE] + [BasePlace(pi) for d in (1, 2)
+                               for pi in monic_irreducibles(curve.field, d)]
+        for place in census:
+            expected = exact(place) if with_zeros else min(exact(place), 0)
+            assert defining_valuation(curve, place) == expected, place
+
+    @pytest.mark.parametrize("name, curve", TABLE_CURVES, ids=[n for n, _ in TABLE_CURVES])
+    def test_infinity_in_the_u_model_matches_the_t_model(self, name, curve):
+        data = local_invariants(curve, INFINITE)
+        assert (data.e, data.f, data.g) == _infinity_in_t(curve)
+
+    def test_oracle_report_decomposes_each_base_place_once(self, monkeypatch):
+        from capitula.fforacle import curves
+        from capitula.verify import oracle_report
+
+        decomposed = []
+        real = curves._decompose
+
+        def counting(curve, place):
+            decomposed.append((curve, place))
+            return real(curve, place)
+
+        monkeypatch.setattr(curves, "_decompose", counting)
+        for entry in corpus():
+            if entry.curve.constant_ext:
+                continue
+            decomposed.clear()
+            curve = curve_from_json(curve_to_json(entry.curve))
+            oracle_report(curve)
+            assert decomposed, entry.name
+            assert len(decomposed) == len(set(decomposed)), entry.name
+
+    def test_critical_bases_follow_the_denominator_factorization(self):
+        from capitula.fforacle.picard import CurveArithmetic
+        from capitula.fforacle.poly import factor_with_bounded_degree
+
+        for _, curve in TABLE_CURVES:
+            den = curve.defining.den
+            order = (list(factor_with_bounded_degree(den, den.degree)[1])
+                     if den.degree else [])
+            bases = CurveArithmetic(curve)._critical_bases()
+            assert bases == [INFINITE] + [BasePlace(pi) for pi in order]
+
+
 def _census_curves():
     """Positive-genus corpus curves plus composite-degree Kummer covers,
     each with q^(g+1) within the field-size cap."""
