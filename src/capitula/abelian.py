@@ -14,7 +14,7 @@ coefficients overflow fixed width quickly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import prod
+from math import gcd, lcm, prod
 
 from .arith import ext_gcd, is_prime, lcm_list
 from .errors import ValidationError
@@ -356,6 +356,11 @@ class HermiteModD:
     def index(self) -> int:
         return prod(row[i] for i, row in enumerate(self._rows))
 
+    @property
+    def rows(self) -> list[list[int]]:
+        """A triangular basis of R + D Z^m, one row per vector."""
+        return [list(row) for row in self._rows]
+
     def add(self, vec) -> None:
         d = self.modulus
         m = len(self._rows)
@@ -384,7 +389,11 @@ class QuotientPresentation:
 
     Carries enough of the SNF transforms to express any lattice element in
     quotient coordinates, which is what lets Galois actions and subgroup
-    inclusions descend to computed quotients.
+    inclusions descend to computed quotients.  One SNF U X V = S of the
+    relation matrix X gives both: U maps coordinates to the quotient, and
+    the generator lifts are the columns of U^-1, read off X V = U^-1 S
+    column by column (every s_i is nonzero on a finite quotient), so no
+    second SNF inverts U.
     """
 
     def __init__(self, num_cols, den_cols, ambient_dim):
@@ -398,7 +407,7 @@ class QuotientPresentation:
                 raise ValidationError("denominator lattice not contained in numerator lattice")
             x_cols.append(sol)
         x = from_columns(x_cols, rho)
-        u2, s2, _ = smith_normal_form(x)
+        u2, s2, v2 = smith_normal_form(x)
         factors = []
         for i in range(rho):
             si = s2[i][i] if i < min(rho, len(x_cols)) else 0
@@ -412,10 +421,11 @@ class QuotientPresentation:
         self._all_factors = factors
         self._kept = [i for i, f in enumerate(factors) if f != 1]
         self.group = FinAbGroup(tuple(factors[i] for i in self._kept))
-        u2inv = invert_unimodular(u2) if self._kept else []
-        self.lifts = [
-            mat_vec(bmat, [u2inv[r][i] for r in range(rho)]) for i in self._kept
-        ]
+        # X V = U^-1 S and no s_i is 0, so column i of U^-1 is (X V)[:, i] / s_i
+        self.lifts = []
+        for i in self._kept:
+            xv = mat_vec(x, [row[i] for row in v2])
+            self.lifts.append(mat_vec(bmat, [c // factors[i] for c in xv]))
 
     def coords(self, vec):
         """Quotient coordinates of a lattice vector, one per invariant factor."""
@@ -471,12 +481,13 @@ class FinAbGroup:
             if m < 1:
                 raise ValidationError("cyclic orders must be positive")
         orders = [m for m in orders if m > 1]
-        if not orders:
-            return cls()
-        diag = snf_diagonal(
-            [[orders[i] if i == j else 0 for j in range(len(orders))] for i in range(len(orders))]
-        )
-        return cls(tuple(d for d in diag if d > 1))
+        # Z/a + Z/b = Z/gcd(a, b) + Z/lcm(a, b); after the pass for position
+        # i, orders[i] divides every later entry
+        for i in range(len(orders)):
+            for j in range(i + 1, len(orders)):
+                a, b = orders[i], orders[j]
+                orders[i], orders[j] = gcd(a, b), lcm(a, b)
+        return cls(tuple(d for d in orders if d > 1))
 
     @classmethod
     def trivial(cls) -> "FinAbGroup":

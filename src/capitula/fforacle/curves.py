@@ -184,6 +184,12 @@ class _CoverTables:
         return tuple(ram), (two_g_minus_2 + 2) // 2
 
 
+def _map_into(big, rat: RationalFunc) -> RationalFunc:
+    """rat with its coefficients embedded into the extension field big."""
+    return RationalFunc(rat.num.map_coefficients(big.embed, big),
+                        rat.den.map_coefficients(big.embed, big))
+
+
 @dataclass(frozen=True)
 class ASCurve(_CoverTables):
     """y^p - y = Q(t) with Q reduced (all pole orders prime to p)."""
@@ -212,6 +218,10 @@ class ASCurve(_CoverTables):
     def model(self) -> CoverModel:
         one = self.field.one()
         return CoverModel(one, one, one)
+
+    def over(self, big) -> "ASCurve":
+        """The same cover over an extension of the constant field."""
+        return ASCurve(big, _map_into(big, self.Q))
 
     @classmethod
     def make(cls, field, Q: RationalFunc) -> "ASCurve":
@@ -248,6 +258,10 @@ class KummerCurve(_CoverTables):
     def model(self) -> CoverModel:
         zero = self.field.zero()
         return CoverModel(zero, primitive_root_of_unity(self.field, self.ell), zero)
+
+    def over(self, big) -> "KummerCurve":
+        """The same cover over an extension of the constant field."""
+        return KummerCurve(big, self.ell, _map_into(big, self.f))
 
     @classmethod
     def make(cls, field, ell: int, f: RationalFunc) -> "KummerCurve":

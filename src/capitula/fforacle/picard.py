@@ -5,16 +5,21 @@ low-degree places of K, modulo relations given by principal divisors.
 Relations are harvested from the base-field places themselves and from
 functions in Riemann-Roch spaces L(m P0) of a fixed rational place P0,
 computed by linear algebra over F_q in the monomial basis y^i t^j.  The
-degree-zero part L0 / R of the quotient must have order exactly h = L(1);
-when it does not, the degree bound and the function-degree bound escalate
-(+1 resp. x2) until the presentation is certified or a cap is hit.
+degree-zero part must have order exactly h = L(1); when it does not, the
+degree bound and the function-degree bound escalate (+1 resp. x2) until
+the presentation is certified or a cap is hit.
 
-Each new relation goes into a Hermite form of R + 2h L0 kept modulo 2h
-(abelian.HermiteModD), and the full presentation is built only when that
-index equals h.  The pre-check is necessary, not sufficient: [L0 : R] = h
-puts h L0 inside R, so the index is h, and a relation lattice of lower
-rank leaves it at least 2h; but a part of L0 / R of order prime to 2h is
-invisible modulo 2h, so only the full presentation's order decides.
+Each new relation goes into a Hermite form of R' = R + 2h L0 kept modulo
+2h (abelian.HermiteModD), in the coordinates Z^(k-1) that drop the
+rational place p0 (deg p0 = 1, so dropping it maps L0 onto Z^(k-1)).  Its
+index certifies the presentation by itself.  Let P be the principal
+divisors in L0, so R lies in P.  Pic^0 = L0 / P has order h, so h L0 lies
+in P, and so does R'.  Once [L0 : R'] = h, R' = P, and the triangular
+Hermite basis of R' presents Pic^0.  The one assumption is that the
+factor base generates Pic^0, the same one [L0 : R] = h needs; and
+wherever that test passes, h L0 lies in R, so R = R'.  A relation lattice
+of lower rank leaves the index at least 2h.  sigma acts on Z^(k-1) as
+drop o perm o lift, where lift restores the p0 coordinate of degree zero.
 
 Every other class group is read off that one presentation.  The rational
 place p0 of the Riemann-Roch spaces has degree one, so the factor-base
@@ -73,9 +78,9 @@ from ..abelian import (
     HermiteModD,
     QuotientPresentation,
     columns,
+    from_columns,
     identity_matrix,
     kernel,
-    kernel_basis,
 )
 from ..arith import gcd_list
 from ..errors import InconsistencyError, ResourceError, UnsupportedError, ValidationError
@@ -689,7 +694,9 @@ class PicardData:
     representatives on the factor base, sigma_action the induced matrix of
     the chosen Galois generator, and h = L(1) the certifying class number.
     The degree-one place _p0 splits Pic = Pic^0 + Z p0, and _sigma_p0 holds
-    the Pic^0 coordinates of sigma(p0) - p0 (module docstring).
+    the Pic^0 coordinates of sigma(p0) - p0 (module docstring).  _pres0
+    presents Pic^0 on the factor base without p0, and _relations are its
+    Hermite rows lifted into L0.
     """
 
     group: FinAbGroup
@@ -803,38 +810,24 @@ def _try_presentation(arith, ram, genus, h, l_coeffs, b_bound, m_bound,
         raise UnsupportedError("the cover has no rational place in the factor base")
 
     k = len(fb)
-    deg_row = [[w.deg for w in fb]]
-    l0_basis = kernel_basis(deg_row)
-
-    relations: list[list[int]] = []
-    seen: set[tuple] = set()
     # deg p0 = 1, so dropping the p0 coordinate maps L0 onto Z^(k-1)
     p0_at = index[p0]
-    index_mod_2h = HermiteModD(k - 1, 2 * h)
+    degrees = [w.deg for w in fb]
+    del degrees[p0_at]
+    form = HermiteModD(k - 1, 2 * h)
 
-    def add_relation(div: dict[PlaceAbove, int]) -> bool:
+    def add_relation(div: dict[PlaceAbove, int]) -> None:
         if any(w not in index for w in div):
-            return False
+            return
         vec = [0] * k
         for w, v in div.items():
             vec[index[w]] = v
-        key = tuple(vec)
-        if key in seen or not any(vec):
-            return False
-        seen.add(key)
-        relations.append(vec)
-        index_mod_2h.add(vec[:p0_at] + vec[p0_at + 1:])
-        return True
+        del vec[p0_at]
+        form.add(vec)
 
-    def certified():
-        # index h modulo 2h is necessary for [L0 : R] = h (module docstring)
-        if index_mod_2h.index != h:
-            return None
-        try:
-            pres = QuotientPresentation(l0_basis, [list(r) for r in relations], k)
-        except ValidationError:
-            return None
-        return pres if pres.group.order == h else None
+    def lift(vec: list[int]) -> list[int]:
+        """The divisor of degree zero that drops to vec."""
+        return vec[:p0_at] + [-sum(d * v for d, v in zip(degrees, vec))] + vec[p0_at:]
 
     for pi in monic_irreducibles_up_to(field, b_bound):
         coeffs = [RationalFunc.of(pi)] + [arith.zero_rat] * (curve.n - 1)
@@ -842,31 +835,43 @@ def _try_presentation(arith, ram, genus, h, l_coeffs, b_bound, m_bound,
         if div is not None:
             add_relation(div)
 
-    pres = certified()
-    if pres is None:
+    # index h modulo 2h certifies L0 / (R + 2h L0) as Pic^0 (module docstring)
+    if form.index != h:
         basis = riemann_roch_basis(arith, p0, m_bound, genus)
         for cand in _candidate_functions(field, basis, config.max_candidates):
             div = arith.divisor_of(cand, b_bound, extra_bases=critical)
-            if div is not None and add_relation(div):
-                pres = certified()
-                if pres is not None:
+            if div is not None:
+                add_relation(div)
+                if form.index == h:
                     break
-    if pres is None:
+    if form.index != h:
         return None
 
-    perm = _sigma_permutation(arith, fb)
-    perm_rows = [[0] * k for _ in range(k)]
-    for i, target in enumerate(perm):
-        perm_rows[target][i] = 1
-    sigma_matrix = pres.induced_matrix(perm_rows)
-    sigma_p0 = [0] * k
-    sigma_p0[perm[p0_at]] += 1
-    sigma_p0[p0_at] -= 1
+    rows = form.rows
+    pres = QuotientPresentation(identity_matrix(k - 1), rows, k - 1)
     group = pres.group
-    sigma = AbHom(group, group, sigma_matrix)
+    if group.order != h:
+        raise InconsistencyError(
+            f"Hermite index {h} but the presentation has order {group.order}")
+
+    perm = _sigma_permutation(arith, fb)
+
+    def apply_sigma(vec: list[int]) -> list[int]:
+        out = [0] * k
+        for i, v in enumerate(lift(vec)):
+            out[perm[i]] += v
+        del out[p0_at]
+        return out
+
+    sigma = AbHom(group, group, pres.induced_matrix(
+        from_columns([apply_sigma(e) for e in identity_matrix(k - 1)], k - 1)))
+    # sigma(p0) - p0 with its p0 coordinate dropped
+    sigma_p0 = [0] * k
+    sigma_p0[perm[p0_at]] = 1
+    del sigma_p0[p0_at]
     generators = [
-        {fb[i].id: int(v) for i, v in enumerate(lift) if v}
-        for lift in pres.lifts
+        {fb[i].id: int(v) for i, v in enumerate(lift(vec)) if v}
+        for vec in pres.lifts
     ]
     return PicardData(
         group=group,
@@ -875,7 +880,7 @@ def _try_presentation(arith, ram, genus, h, l_coeffs, b_bound, m_bound,
         h=h,
         l_poly=list(l_coeffs),
         factor_base=fb,
-        _relations=[list(r) for r in relations],
+        _relations=[lift(row) for row in rows],
         _perm=perm,
         _pres0=pres,
         _p0=p0,
@@ -933,7 +938,8 @@ def _pic_class(pd: PicardData, divisor: dict) -> list[int]:
     for w, mult in divisor.items():
         vec[pd.place_index(w)] += mult
         deg += mult * w.deg
-    vec[pd.place_index(pd._p0)] -= deg
+    # D and D - deg D p0 have the same image once the p0 coordinate is dropped
+    del vec[pd.place_index(pd._p0)]
     return list(pd._pres0.coords(vec)) + [deg]
 
 

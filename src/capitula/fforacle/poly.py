@@ -189,6 +189,12 @@ class Poly:
         """Multiplicity of the irreducible pi in self (self nonzero)."""
         if self.is_zero():
             raise ValidationError("valuation of the zero polynomial")
+        if pi.degree == 1:
+            # pi divides self exactly when self vanishes at the root of pi
+            f = self.field
+            root = f.neg(f.div(pi.coeffs[0], pi.coeffs[1]))
+            if not f.is_zero(self.evaluate(root)):
+                return 0
         v = 0
         cur = self
         while True:

@@ -26,16 +26,14 @@ from __future__ import annotations
 
 from ..errors import InconsistencyError, ResourceError
 from .curves import (
-    ASCurve,
     BasePlace,
     INFINITE,
-    KummerCurve,
     _reject_constant_ext,
     local_invariants,
     ramification_data,
 )
 from .gf import MAX_FIELD_SIZE, extension
-from .poly import RationalFunc, monic_irreducibles_up_to
+from .poly import monic_irreducibles_up_to
 
 DEFAULT_MAX_POINT_DEGREE = 12
 
@@ -45,15 +43,7 @@ def base_change(curve, m: int, max_field_size: int = MAX_FIELD_SIZE):
     _reject_constant_ext(curve)
     if m == 1:
         return curve
-    big = extension(curve.field, m, max_field_size)
-
-    def map_rat(r: RationalFunc) -> RationalFunc:
-        return RationalFunc(r.num.map_coefficients(big.embed, big),
-                            r.den.map_coefficients(big.embed, big))
-
-    if curve.kind == "artin_schreier":
-        return ASCurve(big, map_rat(curve.Q), False)
-    return KummerCurve(big, curve.ell, map_rat(curve.f), False)
+    return curve.over(extension(curve.field, m, max_field_size))
 
 
 def _check_field_size(q: int, m: int, max_field_size: int):

@@ -9,7 +9,8 @@ pass/fail.  The three suites back the `capitula verify` command:
   abelian     exhaustive order/structure law for the local sum-map kernel
   cohomology  Herbrand quotients, H^1 and H^0-hat structures counted
               over the module, Hilbert 90
-  corpus      the full oracle pipeline on every shipped curve
+  corpus      the full oracle pipeline on every shipped curve, for three
+              S sets each
 """
 
 from __future__ import annotations
@@ -41,14 +42,17 @@ from .formulas import (
 )
 from .profile import compute_D_n0
 from .fforacle import (
+    BasePlace,
     INFINITE,
     OracleConfig,
+    Poly,
     base_class_number,
     capitulation_kernel_order,
     corpus,
     delta_prime,
     galois_invariants,
     invariants_of,
+    monic_irreducibles,
     picard_group,
     ramification_data,
     realize_profile,
@@ -437,13 +441,23 @@ def _random_cyclic_module(rng) -> GModule:
 
 
 def verify_corpus(config: OracleConfig = OracleConfig()) -> list[Verdict]:
-    """The full oracle pipeline with every cross-check on each shipped curve."""
+    """The full oracle pipeline with every cross-check on each shipped curve.
+
+    Each curve runs with S = {inf}, S = {inf, t} and S = {the first
+    quadratic place}; the last has h_FS = 2, so the S-class quantities
+    leave the case of a trivial base class group.
+    """
     verdicts = []
     for entry in corpus():
-        report = oracle_report(entry.curve, config=config)
-        for v in report.verdicts:
-            verdicts.append(Verdict(
-                f"{entry.name}:{v.check}", v.anchor, v.expected, v.actual, v.passed))
+        field = entry.curve.field
+        s_sets = ([INFINITE], [INFINITE, BasePlace(Poly.x(field))],
+                  [BasePlace(monic_irreducibles(field, 2)[0])])
+        for s_bases in s_sets:
+            report = oracle_report(entry.curve, s_bases, config=config)
+            s_ids = ",".join(report.s_ids)
+            for v in report.verdicts:
+                verdicts.append(Verdict(f"{entry.name}[S={s_ids}]:{v.check}",
+                                        v.anchor, v.expected, v.actual, v.passed))
     return verdicts
 
 

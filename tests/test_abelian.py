@@ -11,7 +11,9 @@ from capitula.abelian import (
     HermiteModD,
     cokernel,
     ell_rank,
+    QuotientPresentation,
     finite_quotient,
+    from_columns,
     identity_matrix,
     image_order,
     invert_unimodular,
@@ -20,6 +22,7 @@ from capitula.abelian import (
     mat_mul,
     mat_vec,
     smith_normal_form,
+    snf_diagonal,
     solve_integer,
     sum_map_kernel,
 )
@@ -135,22 +138,28 @@ class TestHermiteModD:
     @settings(max_examples=200, deadline=None)
     @given(small_vector_lists, st.integers(min_value=1, max_value=40))
     def test_index_is_order_of_quotient_by_r_plus_d_zm(self, shape, modulus):
+        # the rows are a basis of R + D Z^m: same quotient, not only same order
         m, vecs = shape
         scaled = [[modulus if i == j else 0 for i in range(m)] for j in range(m)]
         quotient = finite_quotient(identity_matrix(m), vecs + scaled, m)
-        assert hermite_of(m, modulus, vecs).index == quotient.order
+        form = hermite_of(m, modulus, vecs)
+        assert form.index == quotient.order
+        assert finite_quotient(identity_matrix(m), form.rows, m) == quotient
 
     @settings(max_examples=200, deadline=None)
     @given(small_vector_lists, st.integers(min_value=1, max_value=40))
     def test_index_modulo_2h_is_necessary_for_index_h(self, shape, h):
-        # [Z^m : R] = h gives index h modulo 2h; lower rank gives index >= 2h
+        # [Z^m : R] = h gives index h modulo 2h, and then the rows present
+        # Z^m / R itself; lower rank gives index >= 2h
         m, vecs = shape
         try:
-            h = finite_quotient(identity_matrix(m), vecs, m).order
+            quotient = finite_quotient(identity_matrix(m), vecs, m)
         except ValidationError:
             assert hermite_of(m, 2 * h, vecs).index >= 2 * h
             return
-        assert hermite_of(m, 2 * h, vecs).index == h
+        form = hermite_of(m, 2 * quotient.order, vecs)
+        assert form.index == quotient.order
+        assert finite_quotient(identity_matrix(m), form.rows, m) == quotient
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValidationError):
@@ -159,12 +168,43 @@ class TestHermiteModD:
             HermiteModD(2, 4).add([1, 2, 3])
 
 
+class TestQuotientPresentation:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_lifts_are_the_columns_of_u_inverse(self, data):
+        # numerator columns, their multiples and random combinations of them
+        m = data.draw(st.integers(min_value=1, max_value=4))
+        vectors = st.lists(st.integers(min_value=-6, max_value=6), min_size=m, max_size=m)
+        num = data.draw(st.lists(vectors, min_size=1, max_size=4))
+        coefficients = st.lists(st.integers(min_value=-3, max_value=3),
+                                min_size=len(num), max_size=len(num))
+        multiples = data.draw(st.lists(st.integers(min_value=1, max_value=6),
+                                       min_size=len(num), max_size=len(num)))
+        den = [[c * x for x in v] for c, v in zip(multiples, num)]
+        for cs in data.draw(st.lists(coefficients, max_size=3)):
+            den.append([sum(c * v[r] for c, v in zip(cs, num)) for r in range(m)])
+        pres = QuotientPresentation(num, den, m)
+        rank = pres.group.rank
+        for i, lift in enumerate(pres.lifts):
+            assert pres.coords(lift) == tuple(int(i == j) for j in range(rank))
+        u2inv = invert_unimodular(pres._u2) if pres._kept else []
+        bmat = from_columns(pres._basis, m)
+        assert pres.lifts == [mat_vec(bmat, [row[i] for row in u2inv]) for i in pres._kept]
+
+
 class TestFinAbGroup:
     def test_normalization(self):
         assert FinAbGroup.of(2, 3).invariant_factors == (6,)
         assert FinAbGroup.of(4, 6).invariant_factors == (2, 12)
         assert FinAbGroup.of(1, 1).is_trivial()
         assert FinAbGroup.trivial().order == 1
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(min_value=1, max_value=60), max_size=6))
+    def test_of_matches_the_smith_form_of_the_diagonal(self, orders):
+        k = len(orders)
+        diag = snf_diagonal([[orders[i] if i == j else 0 for j in range(k)] for i in range(k)])
+        assert FinAbGroup.of(*orders).invariant_factors == tuple(d for d in diag if d > 1)
 
     def test_invariants_enforced(self):
         with pytest.raises(ValidationError):

@@ -2,8 +2,11 @@ import pytest
 
 from math import gcd
 
-from capitula.abelian import AbHom, FinAbGroup, QuotientPresentation, finite_quotient, \
-    preimage_generators
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from capitula.abelian import AbHom, FinAbGroup, HermiteModD, QuotientPresentation, \
+    finite_quotient, preimage_generators
 from capitula.cohomology import Cyclic, GModule, h1_cyclic
 from capitula.errors import (
     DegenerateExtensionError,
@@ -187,6 +190,27 @@ class TestPolyLayer:
         for text in ("t", "t+1", "t^2+t+1", "t^3+2*t+1"):
             poly = parse_poly(F3, text)
             assert render_poly(poly) == text
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from([2, 3, 4, 5, 9, "tower9"]), st.data())
+    def test_valuation_at_a_linear_place_matches_division(self, q, data):
+        field = _tower(GF(9)) if q == "tower9" else GF(q)
+        element = st.integers(min_value=0, max_value=field.order - 1).map(
+            field.element_from_index)
+        root = data.draw(element)
+        lead = data.draw(element.filter(lambda c: not field.is_zero(c)))
+        pi = Poly(field, [field.neg(field.mul(lead, root)), lead])  # lead * (t - root)
+        cofactor = Poly(field, data.draw(st.lists(element, min_size=1, max_size=6)))
+        if cofactor.is_zero():
+            cofactor = Poly.one(field)
+        poly = cofactor * pi**data.draw(st.integers(min_value=0, max_value=3))
+        by_division, rest = 0, poly
+        while True:
+            quotient, remainder = rest.divmod(pi)
+            if not remainder.is_zero():
+                break
+            by_division, rest = by_division + 1, quotient
+        assert poly.valuation(pi) == by_division
 
     def test_rational_reciprocal_matches_infinity(self):
         rat = RationalFunc(T3**3 + ONE3, T3**2 + T3)
@@ -655,8 +679,8 @@ class TestPicard:
         assert pd.group.order == pd.h
 
     def test_one_presentation_per_certified_group(self, monkeypatch):
-        # the mod-2h index check lets only the accepted relation set reach
-        # a full QuotientPresentation build
+        # the Hermite index modulo 2h certifies the group, and only its rows
+        # reach a QuotientPresentation, once per certified group
         from capitula.fforacle import picard
 
         builds = []
@@ -679,6 +703,17 @@ class TestPicard:
             assert len(builds) == 1, entry.name
             assert pd.group.invariant_factors == pic0[entry.name]
             assert pd.group.order == pd.h
+
+    def test_relations_are_hermite_rows_of_index_h(self):
+        for entry in corpus():
+            pd = picard_group(entry.curve)
+            fb = pd.factor_base
+            p0_at = fb.index(pd._p0)
+            form = HermiteModD(len(fb) - 1, 2 * pd.h)
+            for row in pd._relations:
+                assert sum(v * w.deg for v, w in zip(row, fb)) == 0, entry.name
+                form.add(row[:p0_at] + row[p0_at + 1:])
+            assert form.index == pd.h, entry.name
 
     def test_genus_zero_trivial(self):
         pd = picard_group(corpus_entry("kummer_f3_g0").curve)
