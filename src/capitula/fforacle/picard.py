@@ -4,10 +4,16 @@ The presentation is concrete: the free abelian group on a factor base of
 low-degree places of K, modulo relations given by principal divisors.
 Relations are harvested from the base-field places themselves and from
 functions in Riemann-Roch spaces L(m P0) of a fixed rational place P0,
-computed by linear algebra over F_q in the monomial basis y^i t^j.  The
-degree-zero part must have order exactly h = L(1); when it does not, the
-degree bound and the function-degree bound escalate (+1 resp. x2) until
-the presentation is certified or a cap is hit.
+computed by linear algebra over F_q in the monomial basis y^i t^j.  A base
+polynomial pi needs no divisor computation: div(pi) is the conorm of its
+place minus deg pi times the conorm of infinity, sum_{w|P} e_w w -
+deg pi sum_{w|inf} e_w w (Stichtenoth, Algebraic Function Fields and
+Codes, 3.1).  The degree-zero part must have order exactly h = L(1); when
+it does not, the degree bound b and the function-degree bound m escalate
+(+1 resp. x2) until the presentation is certified or a cap is hit.  Every
+try takes m >= b + g: a place w of degree b is a zero of a function in
+L(m P0) only when l(m P0 - w) > 0, which Riemann's inequality guarantees
+from m = b + g on (ibid., ch. 1).
 
 Each new relation goes into a Hermite form of R' = R + 2h L0 kept modulo
 2h (abelian.HermiteModD), in the coordinates Z^(k-1) that drop the
@@ -60,12 +66,14 @@ others are sigma^j(R0) = zeta_j R0 + beta_j (beta is nonzero only when
 s = 0, so sigma acts on Y as on y).  The lift doubles the precision at
 every Newton step, carries the inverse of G'(R0) from step to step, and
 checks G(R0) = 0 after each.  Only a totally split base place gets n
-places; any other gets one, so a base place with 1 < g < n (possible
-only for composite Kummer degrees) gets too few, and the norm
-cross-check below rejects its divisors, naming (e, f, g).  The infinite
-place runs through the same code in the u = 1/t model.  Every divisor
-computation is cross-checked against the valuation of the norm, place
-by place.
+places; any other gets one.  So the places, their valuations and the
+conorm are exact only where n is one of e, f and g: totally ramified,
+inert or totally split.  Any other type (possible only for composite
+Kummer degrees) is rejected before a presentation is built: a guard on
+every base place the presentation uses, the ramified ones included,
+names (e, f, g).  The infinite place runs through the same code in the
+u = 1/t model.  Every divisor_of computation is cross-checked against the
+valuation of the norm, place by place.
 """
 
 from __future__ import annotations
@@ -381,6 +389,19 @@ class CurveArithmetic:
 
     def places_above(self, base: BasePlace) -> list[PlaceAbove]:
         return list(self.engine(base).places)
+
+    def conorm(self, base: BasePlace) -> dict[PlaceAbove, int]:
+        """The divisor sum_{w|P} e_w w of K that the base place P extends to."""
+        return {w: w.e for w in self.engine(base).places}
+
+    def base_divisor(self, pi: Poly) -> dict[PlaceAbove, int]:
+        """div(pi) for a monic irreducible pi: the conorm of its place minus
+        deg pi times the conorm of infinity.  Exact only where the engine
+        builds the true places (module docstring); no norm is checked."""
+        div = self.conorm(BasePlace(pi))
+        for w, e in self.conorm(INFINITE).items():
+            div[w] = -pi.degree * e
+        return div
 
     def norm(self, coeffs) -> RationalFunc:
         """Norm to F_q(t): determinant of multiplication by z."""
@@ -768,7 +789,7 @@ def picard_group(curve, degree_bound: int | None = None, extra_base_places=(),
     while True:
         built = _try_presentation(arith, ram, genus, h, l_coeffs, b_bound, m_bound,
                                   tuple(extra_base_places), config)
-        if built is not None:
+        if isinstance(built, PicardData):
             return built
         # widen the factor base and the function space together: the former
         # fixes generation failures cheaply, the latter adds relations
@@ -781,20 +802,35 @@ def picard_group(curve, degree_bound: int | None = None, extra_base_places=(),
             grew = True
         if not grew:
             raise ResourceError(
-                "presentation never certified within the configured bounds")
+                f"presentation never certified within the configured bounds: {built}")
 
 
 def _try_presentation(arith, ram, genus, h, l_coeffs, b_bound, m_bound,
                       extra_bases, config):
+    """The certified PicardData at these bounds, or a sentence saying how
+    far this try got."""
     curve = arith.curve
     field = curve.field
+    # L(m P0) reaches every place of degree b once m >= b + g (module docstring)
+    m_bound = max(m_bound, b_bound + genus)
     bases: dict[BasePlace, None] = {}
     for base in arith._critical_bases():
         bases[base] = None
     for base in extra_bases:
         bases[base] = None
-    for pi in monic_irreducibles_up_to(field, b_bound):
+    pis = monic_irreducibles_up_to(field, b_bound)
+    for pi in pis:
         bases[BasePlace(pi)] = None
+
+    # the conorm and the valuations are exact only where the engine builds
+    # the true places (module docstring)
+    for base in list(bases) + [r.place for r in ram]:
+        eng = arith.engine(base)
+        d = eng.data
+        if curve.n not in (d.e, d.f, d.g):
+            raise InconsistencyError(
+                f"the engine cannot build the places above {base.id}: (e, f, g) = "
+                f"{(d.e, d.f, d.g)}, {len(eng.places)} place(s) built")
 
     critical = set(arith._critical_bases()) | set(extra_bases)
     fb: list[PlaceAbove] = []
@@ -829,11 +865,8 @@ def _try_presentation(arith, ram, genus, h, l_coeffs, b_bound, m_bound,
         """The divisor of degree zero that drops to vec."""
         return vec[:p0_at] + [-sum(d * v for d, v in zip(degrees, vec))] + vec[p0_at:]
 
-    for pi in monic_irreducibles_up_to(field, b_bound):
-        coeffs = [RationalFunc.of(pi)] + [arith.zero_rat] * (curve.n - 1)
-        div = arith.divisor_of(coeffs, b_bound)
-        if div is not None:
-            add_relation(div)
+    for pi in pis:
+        add_relation(arith.base_divisor(pi))
 
     # index h modulo 2h certifies L0 / (R + 2h L0) as Pic^0 (module docstring)
     if form.index != h:
@@ -845,7 +878,8 @@ def _try_presentation(arith, ram, genus, h, l_coeffs, b_bound, m_bound,
                 if form.index == h:
                     break
     if form.index != h:
-        return None
+        return (f"the last try, at (b, m) = ({b_bound}, {m_bound}) with k = {k} "
+                f"factor-base places, reached Hermite index {form.index} against h = {h}")
 
     rows = form.rows
     pres = QuotientPresentation(identity_matrix(k - 1), rows, k - 1)
@@ -1040,8 +1074,7 @@ def capitulation_kernel_order(pd: PicardData, s_bases, s_places) -> int:
     h_fs = base_class_number(s_bases)
     if h_fs == 1:
         return 1
-    con_inf = {w: w.e for w in pd.places_above(INFINITE)}
-    return h_fs // _class_subgroup_order(pd, s_places, [con_inf])
+    return h_fs // _class_subgroup_order(pd, s_places, [pd._arith.conorm(INFINITE)])
 
 
 def realize_profile(curve, s_bases, degree_bound: int | None = None,

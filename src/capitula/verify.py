@@ -235,7 +235,7 @@ def oracle_report(curve, s_bases=(INFINITE,), degree_bound=None,
     _, n0 = compute_D_n0(profile)
     verdicts.append(_verdict(
         "hilbert94_consistency",
-        "Hilbert 94 bound collapses to 1 over a base with trivial S-classes",
+        "the Hilbert 94 lower bound n0/gcd(n0, prod d_v/D) is 1",
         1, hilbert94_lower_bound(profile)))
     if gcd(n, profile.h_KS) == 1:
         semi = semisimple_report(profile, profile.h_KS)

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -186,3 +190,13 @@ class TestConfig:
 
     def test_no_command_exits_1(self):
         assert main([]) == 1
+
+
+def test_python_m_capitula_runs_the_cli():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    done = subprocess.run([sys.executable, "-m", "capitula", "verify", "nosuch"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 1
+    assert "unknown suite 'nosuch'" in done.stderr

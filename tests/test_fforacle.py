@@ -1210,6 +1210,81 @@ class TestSplitValuations:
             arith.divisor_of(coeffs, None)
 
 
+class TestRelationSearch:
+    def test_base_relation_is_the_norm_checked_divisor(self):
+        # div(pi) read off the conorms, e-weights and the infinite term
+        # included, against the divisor computed and checked through the norm
+        from capitula.fforacle.picard import CurveArithmetic
+
+        checked = 0
+        for entry in corpus():
+            arith = CurveArithmetic(entry.curve)
+            field = entry.curve.field
+            for d in range(1, 4):
+                for pi in monic_irreducibles(field, d):
+                    coeffs = [RationalFunc.of(pi)] + [arith.zero_rat] * (entry.curve.n - 1)
+                    expected = arith.divisor_of(coeffs, None)
+                    assert arith.base_divisor(pi) == expected, (entry.name, render_poly(pi))
+                    checked += 1
+        assert checked > 100
+
+    def test_genus_zero_certifies_in_one_try(self, monkeypatch):
+        # y^2 = t over F_3, S = {inf, t}, b = 2: L(m P0) reaches the places
+        # of degree 2 from m = 2 on, so the first try certifies Pic^0 = 0
+        from capitula.fforacle import picard
+
+        tries, divisors = [], []
+        real_try = picard._try_presentation
+        real_divisor_of = picard.CurveArithmetic.divisor_of
+
+        def counting_try(*args):
+            tries.append(args[5:7])
+            return real_try(*args)
+
+        def counting_divisor_of(self, *args, **kwargs):
+            divisors.append(1)
+            return real_divisor_of(self, *args, **kwargs)
+
+        monkeypatch.setattr(picard, "_try_presentation", counting_try)
+        monkeypatch.setattr(picard.CurveArithmetic, "divisor_of", counting_divisor_of)
+        curve = corpus_entry("kummer_f3_g0").curve
+        pd = picard_group(curve, 2, extra_base_places=[INFINITE, parse_base_place(curve.field, "t")])
+        assert pd.group.is_trivial()
+        assert len(tries) == 1
+        assert len(divisors) <= 9
+
+    def test_picard_group_names_a_type_the_engine_cannot_build(self):
+        # the known failing cover: (e, f, g) = (1, 2, 2) at t+1 and t^2+4t+2
+        curve = curve_from_json({"kind": "kummer", "q": 5, "p_or_l": 4,
+                                 "Q_or_f": {"num": [2, 2, 4], "den": [2, 1]}})
+        with pytest.raises(InconsistencyError,
+                           match=r"cannot build the places above t\+1: "
+                                 r"\(e, f, g\) = \(1, 2, 2\), 1 place"):
+            picard_group(curve)
+
+    def test_the_type_guard_covers_ramified_places_above_the_bound(self):
+        # y^4 = t (t^2+4t+1)^2 over F_5: every place of degree 1 and
+        # infinity have types the engine builds, but the ramified quadratic
+        # place has (2, 1, 2), which the Riemann-Roch constraints would read
+        # as one place
+        curve = curve_from_json({"kind": "kummer", "q": 5, "p_or_l": 4,
+                                 "Q_or_f": {"num": [0, 1, 3, 3, 3, 1], "den": [1]}})
+        with pytest.raises(InconsistencyError,
+                           match=r"above t\^2\+4\*t\+1: \(e, f, g\) = \(2, 1, 2\)"):
+            picard_group(curve)
+
+    def test_exhausted_escalation_names_its_last_try(self):
+        from capitula.fforacle.picard import OracleConfig
+
+        # one try at b = 1, m = 2g + 1 = 3 and one candidate function: no
+        # bound may grow, and the index stays at 2h
+        config = OracleConfig(max_degree_bound=1, max_rr_degree=2, max_candidates=1)
+        with pytest.raises(ResourceError, match=r"\(b, m\) = \(1, 3\) with k = 3 "
+                                                r"factor-base places, reached Hermite "
+                                                r"index 6 against h = 3"):
+            picard_group(corpus_entry("as_f2_r0").curve, config=config)
+
+
 class TestRiemannRoch:
     @staticmethod
     def _rational_places(arith):
