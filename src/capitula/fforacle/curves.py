@@ -20,6 +20,15 @@ computations run on that uniform polynomial model, from `ResiduePoint`
 and the Artin-Schreier reduction to `local_invariants`.  Each cover
 computes its per-place facts once: `divisor` (v_P(D)), a table of the
 decomposition types (e, f, g), and from those two `ramification_data`.
+
+A decomposition type is read down to F_q, with no residue field built.
+At an unramified Artin-Schreier place, w = Q mod pi splits the place when
+Tr_{kappa/F_p}(w) = 0, and Tr_{kappa/F_q}(w) = sum w_j s_j, s_j the power
+sums of the roots of pi (Newton's identities).  At a Kummer place with d
+= gcd(ell, v_P(f)) > 1, the residue degree is the order of the d-th root
+of unity ubar^((|kappa|-1)/d) for the residue ubar of the unit f /
+pi^v_P(f); since d | q - 1, that is N_{kappa/F_q}(ubar)^((q-1)/d), and the
+norm is the resultant Res(pi, ubar) over F_q.
 """
 
 from __future__ import annotations
@@ -36,7 +45,14 @@ from ..errors import (
     ValidationError,
 )
 from .gf import ExtField, absolute_trace, is_power_residue, primitive_root_of_unity, pth_root
-from .poly import Poly, RationalFunc, factor_with_bounded_degree, render_poly
+from .poly import (
+    Poly,
+    RationalFunc,
+    factor_with_bounded_degree,
+    norm_mod,
+    render_poly,
+    trace_mod,
+)
 
 
 @dataclass(frozen=True)
@@ -394,15 +410,21 @@ def local_invariants(curve: Curve, place: BasePlace) -> LocalData:
 
 
 def _decompose(curve: Curve, place: BasePlace) -> LocalData:
+    """(e, f, g) from the unit of D at the place, read down to F_q: the
+    Artin-Schreier trace and the Kummer power-residue symbol of the residue
+    ubar in kappa_P are a trace and a norm from kappa_P to F_q (module
+    docstring), so no residue field is built."""
+    field = curve.field
     v = defining_valuation(curve, place)
+    pi, rat = local_model(curve.defining, place)
     if curve.kind == "artin_schreier":
         if v < 0:
             if (-v) % curve.p == 0:
                 raise InconsistencyError("unreduced Artin-Schreier data")
             return LocalData(place, curve.p, 1, 1)
-        pi, Q = local_model(curve.Q, place)
-        point = ResiduePoint(curve.field, BasePlace(pi))
-        if absolute_trace(point.kappa, point.reduce_rational(Q)) == 0:
+        # Q mod pi: Q is regular at the place
+        residue = (rat.num * rat.den.invmod(pi)) % pi
+        if absolute_trace(field, trace_mod(pi, residue)) == 0:
             return LocalData(place, 1, 1, curve.p)
         return LocalData(place, 1, curve.p, 1)
 
@@ -412,15 +434,12 @@ def _decompose(curve: Curve, place: BasePlace) -> LocalData:
     if d == 1:
         # f and g divide d
         return LocalData(place, e, 1, 1)
-    pi, f = local_model(curve.f, place)
-    point = ResiduePoint(curve.field, BasePlace(pi))
-    kappa = point.kappa
     # the unit f / pi^v, by an exact division of the numerator or the denominator
-    num, den = (f.num // pi**v, f.den) if v >= 0 else (f.num, f.den // pi**-v)
-    ubar = kappa.div(point.reduce_poly(num), point.reduce_poly(den))
-    # h is a d-th root of unity; its order, a divisor of d, is the residue degree
-    h = kappa.pow(ubar, (kappa.order - 1) // d)
-    f_w = next(k for k in range(1, d + 1) if d % k == 0 and kappa.pow(h, k) == kappa.one())
+    num, den = (rat.num // pi**v, rat.den) if v >= 0 else (rat.num, rat.den // pi**-v)
+    # ubar^((|kappa|-1)/d) = N(ubar)^((q-1)/d), a d-th root of unity of F_q
+    # whose order, a divisor of d, is the residue degree
+    h = field.pow(field.div(norm_mod(pi, num), norm_mod(pi, den)), (field.order - 1) // d)
+    f_w = next(k for k in range(1, d + 1) if d % k == 0 and field.pow(h, k) == field.one())
     return LocalData(place, e, f_w, ell // (e * f_w))
 
 

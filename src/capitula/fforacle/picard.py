@@ -13,7 +13,10 @@ it does not, the degree bound b and the function-degree bound m escalate
 (+1 resp. x2) until the presentation is certified or a cap is hit.  Every
 try takes m >= b + g: a place w of degree b is a zero of a function in
 L(m P0) only when l(m P0 - w) > 0, which Riemann's inequality guarantees
-from m = b + g on (ibid., ch. 1).
+from m = b + g on (ibid., ch. 1).  A try that needs a space with m above
+the cap max_rr_degree is refused before the space is built, and a failed
+try names how many candidate functions it tried and whether the cap
+max_candidates stopped it.
 
 Each new relation goes into a Hermite form of R' = R + 2h L0 kept modulo
 2h (abelian.HermiteModD), in the coordinates Z^(k-1) that drop the
@@ -42,38 +45,58 @@ D(t) with Galois generator sigma: y -> zeta y + beta, where Artin-Schreier
 covers are (c, zeta, beta) = (1, 1, 1) and Kummer covers (0, zeta_l, 0).
 This module never asks which family it holds.
 
-Valuations are exact.  At totally ramified places the n residues
-i*v_w(y) mod n are distinct, so v_w(sum a_i y^i) = min_i (n v(a_i) +
-i v_w(y)) with no cancellation; at inert places the basis y^i stays a
-unit basis and the minimum of the coefficient valuations wins.  Both read
-the coefficient valuations off F_q(t) directly (deg den - deg num at
-infinity).  At an unramified place y = pi^s Y, with s = v(D)/n when c = 0
-and s = 0 otherwise (a pole of D is then ramified), so Y is integral and
-solves G(Y) = Y^n - c Y - D pi^(-ns) = 0.  At a totally split place w,
-labelled by a residue r of Y, the combination is first scaled to
-integral coefficients a_i, not all divisible by pi, with scaling exponent
-w0, and sum a_i r^i is evaluated in the residue field: a nonzero value
-means v_w = w0, which settles most evaluations.  The m places where it
-vanishes are then settled by one evaluation of sum a_i R^i in
-F_q[t]/pi^N, R the root of G above r, at the precision the norm names:
-the n numbers v_w - w0 sum to T = v_P(N z) - n w0 and each pending one
-is at least 1, so each is at most T - (m - 1), and N = max(2, T - m + 2)
-decides them all.  A value that vanishes modulo pi^N means the engine and
-the norm disagree and raises InconsistencyError.  The n places above the
-base are one Galois orbit (Stichtenoth, Algebraic Function Fields and
-Codes, Thm. 3.7.1), so one root R0 is Hensel-lifted per base, and the
-others are sigma^j(R0) = zeta_j R0 + beta_j (beta is nonzero only when
-s = 0, so sigma acts on Y as on y).  The lift doubles the precision at
-every Newton step, carries the inverse of G'(R0) from step to step, and
-checks G(R0) = 0 after each.  Only a totally split base place gets n
-places; any other gets one.  So the places, their valuations and the
-conorm are exact only where n is one of e, f and g: totally ramified,
-inert or totally split.  Any other type (possible only for composite
-Kummer degrees) is rejected before a presentation is built: a guard on
-every base place the presentation uses, the ramified ones included,
-names (e, f, g).  The infinite place runs through the same code in the
-u = 1/t model.  Every divisor_of computation is cross-checked against the
-valuation of the norm, place by place.
+Functions stay in F_q[t] (Hess, J. Symbolic Comput. 33, 2002): a function
+is z = sum A_i y^i / H with polynomial numerators A_i and one denominator
+H, a product of known places.  The Riemann-Roch basis comes in that form,
+and candidates are sums of numerator vectors over the same H, so no gcd
+is ever taken.  With D = Dn / Dd in lowest terms, Dd times the
+multiplication matrix of sum A_i y^i has polynomial entries (the entries
+are constants times Dd or Dn), so N(sum A_i y^i) = P / Dd^k with P =
+Dd a (a + c b) - Dn b^2 and k = 1 for n = 2, and P the determinant of
+that matrix and k = n otherwise, by a Laplace expansion that computes
+each minor once and skips zero entries.  P is factored once, and v_P(N z)
+= v_P(P) - k v_P(Dd) - n v_P(H) at every base place, -deg P + k deg Dd +
+n deg H at infinity.  z has poles only at the critical places (infinity
+and the poles of D) and the places of H, and zeros only there and at the
+factors of P.  A candidate is smooth when N z has nonzero valuation only
+at base places of degree <= b or in the factor base's fixed part (the
+critical places and the extra places): every such place is in the factor
+base.
+
+Valuations are exact, and read off the numerators: v_w(z) = v_w(sum A_i
+y^i) - e_w v_P(H), with v_P(A_i) the multiplicity of pi in A_i (-deg A_i
+at infinity).  At totally ramified places the n residues i*v_w(y) mod n
+are distinct, so v_w(sum A_i y^i) = min_i (n v(A_i) + i v_w(y)) with no
+cancellation; at inert places the basis y^i stays a unit basis and the
+minimum of the coefficient valuations wins.  At an unramified place y =
+pi^s Y, with s = v(D)/n when c = 0 and s = 0 otherwise (a pole of D is
+then ramified), so Y is integral and solves G(Y) = Y^n - c Y - D pi^(-ns)
+= 0.  At a totally split place w, labelled by a residue r of Y, sum A_i
+y^i = pi^w0 sum a_i Y^i with polynomials a_i, not all divisible by pi:
+each a_i is A_i multiplied or exactly divided by a power of pi, and at
+infinity rev(A_i) u^(i s - w0 - deg A_i) in u = 1/t.  sum a_i r^i is
+evaluated in the residue field first: a nonzero value means v_w = w0,
+which settles most evaluations.  The m places where it vanishes are then
+settled by one evaluation of sum a_i R^i in F_q[t]/pi^N, R the root of G
+above r, at the precision the norm names: the n numbers v_w - w0 sum to T
+= v_P(N (H z)) - n w0 and each pending one is at least 1, so each is at
+most T - (m - 1), and N = max(2, T - m + 2) decides them all.  A value
+that vanishes modulo pi^N means the engine and the norm disagree and
+raises InconsistencyError.  The n places above the base are one Galois
+orbit (Stichtenoth, Algebraic Function Fields and Codes, Thm. 3.7.1), so
+one root R0 is Hensel-lifted per base, and the others are sigma^j(R0) =
+zeta_j R0 + beta_j (beta is nonzero only when s = 0, so sigma acts on Y
+as on y).  The lift doubles the precision at every Newton step, carries
+the inverse of G'(R0) from step to step, and checks G(R0) = 0 after each.
+Only a totally split base place gets n places; any other gets one.  So
+the places, their valuations and the conorm are exact only where n is one
+of e, f and g: totally ramified, inert or totally split.  Any other type
+(possible only for composite Kummer degrees) is rejected before a
+presentation is built: a guard on every base place the presentation uses,
+the ramified ones included, names (e, f, g).  The infinite place runs
+through the same code in the u = 1/t model.  Every divisor_of computation
+is cross-checked against the valuation of the norm, place by place, and
+its degree against zero.
 """
 
 from __future__ import annotations
@@ -103,7 +126,13 @@ from .curves import (
     local_model,
     ramification_data,
 )
-from .poly import Poly, RationalFunc, factor_with_bounded_degree, monic_irreducibles_up_to
+from .poly import (
+    Poly,
+    RationalFunc,
+    factor_with_bounded_degree,
+    monic_irreducibles_up_to,
+    split_off,
+)
 from .zeta import l_polynomial
 
 
@@ -262,40 +291,34 @@ class LocalEngine:
             k = top
         self._root, self._root_precision, self._root_inverse = r, k, inverse
 
-    def base_valuation(self, rat: RationalFunc) -> int:
-        """v_P of a nonzero function of F_q(t); deg den - deg num at infinity."""
-        return rat.valuation_at_infinity() if self.is_inf else rat.valuation_at(self.pi)
+    def base_valuation(self, poly: Poly) -> int:
+        """v_P of a nonzero polynomial of F_q[t]; -deg at infinity."""
+        return -poly.degree if self.is_inf else poly.valuation(self.pi)
 
-    def valuations(self, coeffs, norm_val: int) -> list[int]:
-        """v_w(z) for every place w above the base, z = sum coeffs[i] y^i.
+    def valuations(self, coeffs, norm_val: int, den_val: int) -> list[int]:
+        """v_w(z) for every place w above the base, z = sum coeffs[i] y^i / H.
 
-        norm_val is v_P(N z) = sum f_w v_w; at a split base it names the
-        precision of the one pi-adic evaluation (module docstring).
+        coeffs are polynomials of F_q[t] and den_val is v_P(H), so v_w(z) =
+        v_w(sum coeffs[i] y^i) - e_w den_val.  norm_val is v_P(N z) = sum
+        f_w v_w(z); at a split base it names the precision of the one
+        pi-adic evaluation (module docstring).
         """
         terms = [(i, self.base_valuation(c)) for i, c in enumerate(coeffs) if not c.is_zero()]
         if not terms:
             raise ValidationError("valuation of the zero function")
         n = self.arith.curve.n
         if self.data.kind == "ramified":
-            return [min(n * v + i * self.s_y for i, v in terms)]
+            return [min(n * v + i * self.s_y for i, v in terms) - n * den_val]
         shift = self.sigma_shift
         w0 = min(v + i * shift for i, v in terms)
         if self.data.kind == "inert":
-            return [w0]
-        # split: z = pi^w0 sum a_i Y^i with integral a_i, not all divisible by pi
-        pi_rat = RationalFunc.of(self.pi)
-        integral = []
-        for i, c in enumerate(coeffs):
-            if not c.is_zero():
-                _, c = local_model(c, self.base)
-                if i * shift != w0:
-                    c = c * pi_rat**(i * shift - w0)
-            integral.append(c)
+            return [w0 - den_val]
+        # split: sum coeffs[i] y^i = pi^w0 sum a_i Y^i, a_i in F_q[x] not all divisible by pi
+        integral = [self._integral(c, i * shift - w0) for i, c in enumerate(coeffs)]
         # residue first: a nonzero value of sum a_i label^i in kappa means v = w0
         kappa = self.model_point.kappa
-        residues = [kappa.zero() if c.is_zero() else self.model_point.reduce_rational(c)
-                    for c in integral]
-        out = [w0] * len(self.labels)
+        residues = [self.model_point.reduce_poly(a) for a in integral]
+        out = [w0 - den_val] * len(self.labels)
         pending = []
         for j, label in enumerate(self.labels):
             acc = kappa.zero()
@@ -306,35 +329,28 @@ class LocalEngine:
         if not pending:
             return out
         # v_w - w0 is 0 off pending and at least 1 on it, and the n of them
-        # sum to norm_val - n w0, so each pending one is below this precision
-        precision = max(2, norm_val - n * w0 - len(pending) + 2)
+        # sum to v_P(N (H z)) - n w0, so each pending one is below this precision
+        precision = max(2, norm_val + n * (den_val - w0) - len(pending) + 2)
         cap = self.arith.config.max_precision
         if precision > cap:
             raise ResourceError(
                 f"local expansion precision {precision} above {self.base.id} "
                 f"exceeds the cap {cap}")
-        reduced = self._reduce_integral(integral, precision)
+        modulus = self.pi_power(precision)
+        reduced = [a % modulus for a in integral]
         for j in pending:
-            out[j] = w0 + self._split_val(reduced, j, precision)
+            out[j] += self._split_val(reduced, j, precision)
         return out
 
-    def _reduce_integral(self, integral, precision) -> list[Poly]:
-        """D a_i mod pi^N, for D the product of the distinct denominators.
-
-        The a_i are integral, so D is a unit at every place above the base
-        and multiplying by it, instead of dividing by each denominator,
-        leaves every valuation unchanged.
-        """
-        modulus = self.pi_power(precision)
-        dens = []
-        for c in integral:
-            if not c.is_zero() and c.den not in dens:
-                dens.append(c.den)
-        common = Poly.one(self.field)
-        for den in dens:
-            common = common * den
-        return [c.num if c.is_zero() else (c.num * (common // c.den)) % modulus
-                for c in integral]
+    def _integral(self, coeff: Poly, k: int) -> Poly:
+        """coeff pi^k in the model variable, for k >= -v_P(coeff): a product or
+        an exact quotient at a finite base, rev(coeff) u^(k - deg coeff) at
+        infinity."""
+        if coeff.is_zero():
+            return coeff
+        if self.is_inf:
+            return self.pi_power(k - coeff.degree) * coeff.reversed_coeffs()
+        return self.pi_power(k) * coeff if k >= 0 else coeff // self.pi_power(-k)
 
     def _split_val(self, reduced, index, precision):
         """v_pi of sum reduced[i] R^i at the root R above labels[index].
@@ -364,20 +380,22 @@ class CurveArithmetic:
         self.config = config
         field = curve.field
         n = curve.n
-        self.zero_rat = RationalFunc.of(Poly.zero(field))
-        one = RationalFunc.of(Poly.one(field))
+        self.d_num, self.d_den = curve.defining.num, curve.defining.den
+        zero = Poly.zero(field)
         c = curve.model.c
-        # y^k in the basis 1, y, ..., y^(n-1) for k up to 2n-2, by y^n = c y + D
-        reps = [[self.zero_rat] * n for _ in range(2 * n - 1)]
+        # Dd y^k in the basis 1, y, ..., y^(n-1) for k up to 2n-2, by y^n = c y + D;
+        # the top coefficient of y^(k-1) is then a constant, so every entry
+        # is a constant times Dd or Dn
+        reps = [[zero] * n for _ in range(2 * n - 1)]
         for k in range(n):
-            reps[k][k] = one
+            reps[k][k] = self.d_den
         for k in range(n, 2 * n - 1):
             prev = reps[k - 1]
-            vec = [self.zero_rat] + prev[: n - 1]
+            vec = [zero] + prev[: n - 1]
             top = prev[n - 1]
             if not top.is_zero():
                 vec[1] = vec[1] + top.scale(c)
-                vec[0] = vec[0] + top * curve.defining
+                vec[0] = vec[0] + (top // self.d_den) * self.d_num
             reps[k] = vec
         self.y_reps = reps
         self._engines: dict[BasePlace, LocalEngine] = {}
@@ -403,82 +421,80 @@ class CurveArithmetic:
             div[w] = -pi.degree * e
         return div
 
-    def norm(self, coeffs) -> RationalFunc:
-        """Norm to F_q(t): determinant of multiplication by z."""
+    def norm(self, coeffs) -> tuple[Poly, int]:
+        """(P, k) with N(sum coeffs[i] y^i) = P / Dd^k for polynomial coeffs,
+        Dd the denominator of D: P = Dd a (a + c b) - Dn b^2 with k = 1 for
+        n = 2, else the determinant of Dd times the multiplication matrix
+        with k = n."""
         n = self.curve.n
         if n == 2:
             a, b = coeffs
-            return a * (a + b.scale(self.curve.model.c)) - b * b * self.curve.defining
-        cols = []
+            return (self.d_den * a * (a + b.scale(self.curve.model.c))
+                    - self.d_num * b * b), 1
+        zero = Poly.zero(self.curve.field)
+        mat = [[zero] * n for _ in range(n)]
         for j in range(n):
-            col = [self.zero_rat] * n
             for i, c in enumerate(coeffs):
                 if c.is_zero():
                     continue
                 rep = self.y_reps[i + j]
                 for r in range(n):
                     if not rep[r].is_zero():
-                        col[r] = col[r] + c * rep[r]
-            cols.append(col)
-        mat = [[cols[j][i] for j in range(n)] for i in range(n)]
-        return self._det(mat)
+                        mat[r][j] = mat[r][j] + c * rep[r]
+        return _det(mat), n
 
-    def _det(self, mat):
-        n = len(mat)
-        if n == 1:
-            return mat[0][0]
-        total = self.zero_rat
-        sign = 1
-        for j in range(n):
-            if not mat[0][j].is_zero():
-                minor = [[mat[i][jj] for jj in range(n) if jj != j] for i in range(1, n)]
-                term = mat[0][j] * self._det(minor)
-                total = total + term if sign > 0 else total - term
-            sign = -sign
-        return total
+    def divisor_of(self, coeffs, smooth_bound: int | None, extra_bases=(), den=None):
+        """The principal divisor of z = sum coeffs[i] y^i / H as {place: order}.
 
-    def divisor_of(self, coeffs, smooth_bound: int | None, extra_bases=()):
-        """The principal divisor of z as {place: order}.
-
-        When smooth_bound is given, None is returned as soon as the
-        support needs a base place of degree above the bound.  The sum
-        of f_w v_w over each base place is checked against the valuation
-        of the norm, and the total degree against zero.
+        coeffs are polynomials, and den maps the places of H to their
+        multiplicities (H = 1 when den is omitted).  z has poles only at
+        the critical places and the places of H, and zeros only there and
+        at the factors of its norm.  When smooth_bound is given, None is
+        returned as soon as N z has nonzero valuation at a base place of
+        degree above the bound that is neither critical nor in
+        extra_bases.  The sum of f_w v_w over each base place is checked
+        against the valuation of the norm, and the total degree against
+        zero.
         """
-        nrm = self.norm(coeffs)
+        den = den or {}
+        nrm, k = self.norm(coeffs)
         if nrm.is_zero():
             raise ValidationError("norm of a zero function")
-        candidates: dict[BasePlace, None] = {}
-        bound = smooth_bound if smooth_bound is not None else max(
-            nrm.num.degree, nrm.den.degree, 1)
-        for polynomial in (nrm.num, nrm.den):
-            if polynomial.degree < 1:
-                continue
-            _, factors, rest = factor_with_bounded_degree(polynomial, bound)
-            if not rest.is_constant():
-                return None
-            for pi in factors:
-                candidates[BasePlace(pi)] = None
-        candidates[INFINITE] = None
-        for base in self._critical_bases():
-            candidates[base] = None
-        for base in extra_bases:
-            candidates[base] = None
-        # coefficient denominators can hide poles that cancel in the norm
-        for c in coeffs:
-            if not c.is_zero() and c.den.degree >= 1:
-                _, factors, rest = factor_with_bounded_degree(c.den, c.den.degree)
-                if not rest.is_constant():
-                    raise InconsistencyError("coefficient denominator did not factor")
-                for pi in factors:
-                    candidates[BasePlace(pi)] = None
+        n = self.curve.n
+        named: dict[BasePlace, None] = dict.fromkeys(self._critical_bases())
+        named.update(dict.fromkeys(extra_bases))
+        allowed = set(named)
+        named.update(dict.fromkeys(den))
+        bound = smooth_bound if smooth_bound is not None else max(nrm.degree, 1)
+        factors, rest = {}, nrm
+        if nrm.degree >= 1:
+            _, factors, rest = factor_with_bounded_degree(nrm, bound)
+        for base in named:
+            if base.degree > bound:
+                mult, rest = split_off(rest, base.pi)
+                if mult:
+                    factors[base.pi] = mult
+        if not rest.is_constant():
+            return None
+        # v_P(N z) = v_P(P) - k v_P(Dd) - n v_P(H); v_inf(H) = -deg H
+        den_degree = sum(mult * base.degree for base, mult in den.items())
+        norm_vals = {INFINITE: -nrm.degree + k * self.d_den.degree + n * den_degree}
+        for base in list(named) + [BasePlace(pi) for pi in factors]:
+            if not base.is_infinite:
+                norm_vals[base] = (factors.get(base.pi, 0)
+                                   + k * min(self.curve.divisor.get(base, 0), 0)
+                                   - n * den.get(base, 0))
+        if smooth_bound is not None and any(
+                v and base.degree > bound and base not in allowed
+                for base, v in norm_vals.items()):
+            return None
 
         out: dict[PlaceAbove, int] = {}
         total_degree = 0
-        for base in candidates:
+        for base, norm_val in norm_vals.items():
             eng = self.engine(base)
-            norm_val = eng.base_valuation(nrm)
-            vals = eng.valuations(coeffs, norm_val)
+            den_val = -den_degree if base.is_infinite else den.get(base, 0)
+            vals = eng.valuations(coeffs, norm_val, den_val)
             check = sum(f_w * v for f_w, v in zip((w.f for w in eng.places), vals))
             if check != norm_val:
                 d = eng.data
@@ -501,11 +517,45 @@ class CurveArithmetic:
                              if v < 0 and not base.is_infinite]
 
 
+def _det(mat) -> Poly:
+    """Determinant over F_q[t] by Laplace expansion along the rows, each
+    minor (a set of columns) computed once and zero entries skipped: the
+    multiplication matrices are sparse."""
+    n = len(mat)
+    zero = Poly.zero(mat[0][0].field)
+    minors: dict[int, Poly] = {}
+
+    def minor(row: int, cols: int) -> Poly:
+        """The determinant of the rows from row on, on the column set cols."""
+        if row == n - 1:
+            return mat[row][cols.bit_length() - 1]
+        if cols in minors:
+            return minors[cols]
+        total, position = zero, 0
+        for j in range(n):
+            if not cols >> j & 1:
+                continue
+            if not mat[row][j].is_zero():
+                sub = minor(row + 1, cols & ~(1 << j))
+                if not sub.is_zero():
+                    term = mat[row][j] * sub
+                    total = total - term if position % 2 else total + term
+            position += 1
+        minors[cols] = total
+        return total
+
+    return minor(0, (1 << n) - 1)
+
+
 # ---------------------------------------------------------------------------
 # Riemann-Roch spaces
 
 def riemann_roch_basis(arith: CurveArithmetic, p0: PlaceAbove, m: int, genus: int):
-    """Basis of L(m P0) for a degree-one place P0, as lists of y^i coefficients.
+    """Basis of L(m P0) for a degree-one place P0 over one denominator H.
+
+    Returns (numerators, den): each basis element is sum A_i y^i / H with
+    numerators (A_0, ..., A_(n-1)) in F_q[t]^n, and den maps the places of
+    H to their multiplicities.
 
     Candidate functions are spanned by t^j E_i(t) y^i / H(t), where the
     denominator H collects the pole place (pi0^s) together with the poles
@@ -585,16 +635,9 @@ def riemann_roch_basis(arith: CurveArithmetic, p0: PlaceAbove, m: int, genus: in
         if j_max > 4 * (m + 2 * genus + 2) + 64:
             raise ResourceError("could not reach the Riemann-Roch dimension")
 
-    den_rat = RationalFunc.of(den_poly)
-    out = []
-    for vec in basis:
-        coeffs = []
-        for i in range(n):
-            poly = Poly(field, vec[i * (j_max + 1): (i + 1) * (j_max + 1)])
-            rat = RationalFunc.of(poly * multipliers[i]) / den_rat
-            coeffs.append(rat)
-        out.append(coeffs)
-    return out
+    numerators = [[Poly(field, vec[i * (j_max + 1): (i + 1) * (j_max + 1)]) * multipliers[i]
+                   for i in range(n)] for vec in basis]
+    return numerators, den_mults
 
 
 def _constraint_rows(eng: LocalEngine, root_idx: int, lreq: int, j_max: int,
@@ -747,7 +790,8 @@ class PicardData:
 
 
 def _candidate_functions(field, basis, cap):
-    """Projective points of the span of the basis, deterministically."""
+    """Projective points of the span of the basis, deterministically, as
+    numerator vectors over the basis's one denominator."""
     elements = field.elements()
     one = field.one()
     dim = len(basis)
@@ -766,7 +810,7 @@ def _candidate_functions(field, basis, cap):
         for slot in range(dim):
             if idx[slot] == 0:
                 continue
-            term = [rat.scale(elements[idx[slot]]) for rat in basis[slot]]
+            term = [a.scale(elements[idx[slot]]) for a in basis[slot]]
             coeffs = term if coeffs is None else [a + b for a, b in zip(coeffs, term)]
         count += 1
         if count > cap:
@@ -870,16 +914,28 @@ def _try_presentation(arith, ram, genus, h, l_coeffs, b_bound, m_bound,
 
     # index h modulo 2h certifies L0 / (R + 2h L0) as Pic^0 (module docstring)
     if form.index != h:
-        basis = riemann_roch_basis(arith, p0, m_bound, genus)
+        if m_bound > config.max_rr_degree:
+            raise ResourceError(
+                f"the try at (b, m) = ({b_bound}, {m_bound}) needs L(m P0) above the "
+                f"cap max_rr_degree = {config.max_rr_degree}")
+        basis, den = riemann_roch_basis(arith, p0, m_bound, genus)
+        tried = 0
         for cand in _candidate_functions(field, basis, config.max_candidates):
-            div = arith.divisor_of(cand, b_bound, extra_bases=critical)
+            tried += 1
+            div = arith.divisor_of(cand, b_bound, extra_bases=critical, den=den)
             if div is not None:
                 add_relation(div)
                 if form.index == h:
                     break
     if form.index != h:
+        # the projective points of L(m P0), which holds q^dim - 1 nonzero functions
+        points = (field.order**len(basis) - 1) // (field.order - 1)
+        stop = (f"{tried} of {points} candidate functions, stopped by max_candidates = "
+                f"{config.max_candidates}" if tried < points else
+                f"all {points} candidate functions")
         return (f"the last try, at (b, m) = ({b_bound}, {m_bound}) with k = {k} "
-                f"factor-base places, reached Hermite index {form.index} against h = {h}")
+                f"factor-base places, reached Hermite index {form.index} against h = {h} "
+                f"after {stop}")
 
     rows = form.rows
     pres = QuotientPresentation(identity_matrix(k - 1), rows, k - 1)

@@ -195,14 +195,7 @@ class Poly:
             root = f.neg(f.div(pi.coeffs[0], pi.coeffs[1]))
             if not f.is_zero(self.evaluate(root)):
                 return 0
-        v = 0
-        cur = self
-        while True:
-            q, r = cur.divmod(pi)
-            if not r.is_zero():
-                return v
-            v += 1
-            cur = q
+        return split_off(self, pi)[0]
 
     def reversed_coeffs(self):
         """x^deg * self(1/x); nonzero constant term when self is nonzero."""
@@ -515,13 +508,59 @@ def factor_with_bounded_degree(poly: Poly, max_degree: int):
         for pi in monic_irreducibles(field, d):
             if rest.degree < d:
                 break
-            mult = 0
-            while True:
-                q, r = rest.divmod(pi)
-                if not r.is_zero():
-                    break
-                rest = q
-                mult += 1
+            mult, rest = split_off(rest, pi)
             if mult:
                 factors[pi] = mult
     return unit, factors, rest
+
+
+def split_off(poly: Poly, pi: Poly) -> tuple[int, Poly]:
+    """(v_pi(poly), poly / pi^v) for a nonzero poly and an irreducible pi."""
+    mult = 0
+    while poly.degree >= pi.degree:
+        q, r = poly.divmod(pi)
+        if not r.is_zero():
+            break
+        poly = q
+        mult += 1
+    return mult, poly
+
+
+# ---------------------------------------------------------------------------
+# norms and traces from kappa = F_q[x]/pi down to F_q
+
+def norm_mod(pi: Poly, a: Poly):
+    """N_{kappa/F_q}(a mod pi) for a monic irreducible pi: the resultant
+    Res(pi, a), the product of a over the roots of pi.  Euclid's algorithm
+    on Res(f, g) = (-1)^(deg f deg g) lc(g)^(deg f - deg r) Res(g, r) with
+    r = f mod g, down to Res(f, g0) = g0^(deg f) for a constant g0."""
+    field = pi.field
+    acc = field.one()
+    f, g = pi, a % pi
+    while not g.is_zero():
+        m, k = f.degree, g.degree
+        if k == 0:
+            return field.mul(acc, field.pow(g.coeffs[0], m))
+        r = f % g
+        lead = field.pow(g.leading(), m - max(r.degree, 0))
+        acc = field.mul(acc, field.neg(lead) if m * k % 2 else lead)
+        f, g = g, r
+    return field.zero()
+
+
+def trace_mod(pi: Poly, a: Poly):
+    """Tr_{kappa/F_q}(a mod pi) for a monic irreducible pi: sum a_j s_j, with
+    s_j the power sums of the roots of pi, from Newton's identities
+    s_k = -(k c_(d-k) + sum_(i<k) c_(d-i) s_(k-i)), pi = sum c_i x^i."""
+    field = pi.field
+    d, c = pi.degree, pi.coeffs
+    sums = [field.from_int(d)]
+    for k in range(1, d):
+        acc = field.mul(field.from_int(k), c[d - k])
+        for i in range(1, k):
+            acc = field.add(acc, field.mul(c[d - i], sums[k - i]))
+        sums.append(field.neg(acc))
+    total = field.zero()
+    for aj, sj in zip((a % pi).coeffs, sums):
+        total = field.add(total, field.mul(aj, sj))
+    return total

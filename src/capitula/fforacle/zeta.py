@@ -10,7 +10,9 @@ otherwise (Rosen, Number Theory in Function Fields, ch. 5).  So
     N_m = sum of g_P f_P deg P over the places P with f_P deg P | m,
 
 and one census of infinity and the monic irreducibles of degree <= top
-gives N_1..N_top with one `local_invariants` call per base place.  The
+gives N_1..N_top with one `local_invariants` call per base place.  Each
+type comes from a norm or a trace from the residue field down to F_q
+(curves module docstring), computed on F_q's own elements.  The
 numerator L(T) of the zeta function is then recovered from N_1..N_g by
 Newton's identities plus the functional equation, and the divisor class
 number is h = L(1).

@@ -996,10 +996,12 @@ def _oracle_roots(curve, base, labels, precision=ORACLE_PRECISION):
     return shift, roots
 
 
-def _oracle_valuation(curve, base, shift, root, coeffs, precision=ORACLE_PRECISION):
-    """v_pi of sum c_i (pi^s root)^i, read modulo pi^precision."""
+def _oracle_valuation(curve, base, shift, root, function, precision=ORACLE_PRECISION):
+    """v_pi of sum c_i (pi^s root)^i, c_i = A_i / H for function = (A, H),
+    read modulo pi^precision."""
     pi, _, to_model = _model(curve, base)
     pi_rat = RationalFunc.of(pi)
+    coeffs = [RationalFunc(a, function[1]) for a in function[0]]
     terms = [(i, to_model(c) * pi_rat**(i * shift))
              for i, c in enumerate(coeffs) if not c.is_zero()]
     low = min(term.valuation_at(pi) for _, term in terms)
@@ -1014,17 +1016,34 @@ def _oracle_valuation(curve, base, shift, root, coeffs, precision=ORACLE_PRECISI
 
 
 def _vanishing_function(curve, base, shift, root, k):
-    """y - pi^s (root mod pi^k) in the t coordinate: order >= k at one place."""
+    """y - pi^s (root mod pi^k) in the t coordinate: order >= k at one place.
+    Returned as (A, H), the function sum A_i y^i / H."""
     pi, _, to_model = _model(curve, base)
-    approx = RationalFunc.of(pi)**shift * RationalFunc.of(root % pi**k)
-    zero = RationalFunc.of(Poly.zero(curve.field))
-    one = RationalFunc.of(Poly.one(curve.field))
-    return [-to_model(approx), one] + [zero] * (curve.n - 2)
+    approx = -to_model(RationalFunc.of(pi)**shift * RationalFunc.of(root % pi**k))
+    zero = Poly.zero(curve.field)
+    return [approx.num, approx.den] + [zero] * (curve.n - 2), approx.den
 
 
-def _norm_val(arith, eng, coeffs):
-    """v_P(N z) at the engine's base, as divisor_of passes it."""
-    return eng.base_valuation(arith.norm(coeffs))
+def _polynomial(curve, a):
+    """The function a in F_q[t] as (A, H)."""
+    zero, one = Poly.zero(curve.field), Poly.one(curve.field)
+    return [a] + [zero] * (curve.n - 1), one
+
+
+def _norm_val(arith, eng, coeffs, den_val):
+    """v_P(N z) at the engine's base for z = sum coeffs[i] y^i / H with
+    v_P(H) = den_val: N z = P / (Dd^k H^n), as divisor_of reads it."""
+    nrm, k = arith.norm(coeffs)
+    return (eng.base_valuation(nrm) - k * eng.base_valuation(arith.d_den)
+            - arith.curve.n * den_val)
+
+
+def _engine_valuations(arith, eng, function, norm_offset=0):
+    """eng.valuations of function = (A, H), with v_P(N z) shifted by norm_offset."""
+    coeffs, den = function
+    den_val = eng.base_valuation(den)
+    return eng.valuations(coeffs, _norm_val(arith, eng, coeffs, den_val) + norm_offset,
+                          den_val)
 
 
 def _rr_functions(arith, genus):
@@ -1033,9 +1052,12 @@ def _rr_functions(arith, genus):
     p0 = next(w for base in [INFINITE] + [BasePlace(pi) for pi in
                                           monic_irreducibles(arith.curve.field, 1)]
               for w in arith.places_above(base) if w.deg == 1)
-    basis = riemann_roch_basis(arith, p0, 2 * genus + 2, genus)
+    basis, den = riemann_roch_basis(arith, p0, 2 * genus + 2, genus)
+    h = Poly.one(arith.curve.field)
+    for base, mult in den.items():
+        h = h * base.pi**mult
     sums = [[a + b for a, b in zip(u, v)] for u, v in zip(basis, basis[1:])]
-    return basis + [z for z in sums if not all(c.is_zero() for c in z)]
+    return [(z, h) for z in basis + [z for z in sums if not all(c.is_zero() for c in z)]]
 
 
 class TestSplitValuations:
@@ -1047,28 +1069,26 @@ class TestSplitValuations:
             field = curve.field
             arith = CurveArithmetic(curve)
             _, genus = ramification_data(curve)
-            zero = RationalFunc.of(Poly.zero(field))
-            base_polys = [RationalFunc.of(pi) for pi in monic_irreducibles(field, 1)]
             rr = _rr_functions(arith, genus)
             for base in _split_bases(curve, max_degree):
                 eng = arith.engine(base)
                 shift, roots = _oracle_roots(curve, base, eng.labels)
-                functions = [[c] + [zero] * (curve.n - 1) for c in base_polys]
+                functions = [_polynomial(curve, pi) for pi in monic_irreducibles(field, 1)]
                 if not base.is_infinite:
-                    functions.append([RationalFunc.of(base.pi**2)] + [zero] * (curve.n - 1))
+                    functions.append(_polynomial(curve, base.pi**2))
                 functions += rr
                 for root in roots:
                     for k in (1, 10):  # 10 needs a precision well past the least, 2
                         functions.append(_vanishing_function(curve, base, shift, root, k))
-                for coeffs in functions:
-                    expected = [_oracle_valuation(curve, base, shift, r, coeffs)
+                for function in functions:
+                    expected = [_oracle_valuation(curve, base, shift, r, function)
                                 for r in roots]
-                    assert eng.valuations(coeffs, _norm_val(arith, eng, coeffs)) == expected, \
+                    assert _engine_valuations(arith, eng, function) == expected, \
                         (name, base.id)
                     compared += 1
                 for j, root in enumerate(roots):
-                    coeffs = _vanishing_function(curve, base, shift, root, 10)
-                    vals = eng.valuations(coeffs, _norm_val(arith, eng, coeffs))
+                    function = _vanishing_function(curve, base, shift, root, 10)
+                    vals = _engine_valuations(arith, eng, function)
                     assert vals[j] >= 10 + shift, (name, base.id)
                     assert all(v == shift for i, v in enumerate(vals) if i != j)
                     vanishing += 1
@@ -1121,26 +1141,26 @@ class TestSplitValuations:
 
         from capitula.fforacle.picard import LocalEngine
 
-        real_valuations, real_reduce = LocalEngine.valuations, LocalEngine._reduce_integral
+        real_valuations, real_split = LocalEngine.valuations, LocalEngine._split_val
         used, runs = [], Counter()
 
-        def reduce(self, integral, precision):
+        def split_val(self, reduced, index, precision):
             used.append(precision)
-            return real_reduce(self, integral, precision)
+            return real_split(self, reduced, index, precision)
 
-        def valuations(self, coeffs, norm_val):
+        def valuations(self, coeffs, norm_val, den_val):
             used.clear()
-            out = real_valuations(self, coeffs, norm_val)
+            out = real_valuations(self, coeffs, norm_val, den_val)
             if self.data.kind == "split":
                 w0 = min(self.base_valuation(c) + i * self.sigma_shift
-                         for i, c in enumerate(coeffs) if not c.is_zero())
+                         for i, c in enumerate(coeffs) if not c.is_zero()) - den_val
                 pending = sum(v > w0 for v in out)
-                assert used == ([max(2, norm_val - len(out) * w0 - pending + 2)]
-                                if pending else [])
-                runs.update(used)
+                # one evaluation per pending place, all at the one precision
+                assert used == [max(2, norm_val - len(out) * w0 - pending + 2)] * pending
+                runs.update(used[:1])
             return out
 
-        monkeypatch.setattr(LocalEngine, "_reduce_integral", reduce)
+        monkeypatch.setattr(LocalEngine, "_split_val", split_val)
         monkeypatch.setattr(LocalEngine, "valuations", valuations)
         for entry in corpus():
             picard_group(entry.curve)
@@ -1159,13 +1179,12 @@ class TestSplitValuations:
                 eng = arith.engine(base)
                 shift, roots = _oracle_roots(curve, base, eng.labels)
                 # order >= 10 at the place of roots[0] and w0 at the others
-                coeffs = _vanishing_function(curve, base, shift, roots[0], 10)
-                norm_val = _norm_val(arith, eng, coeffs)
+                function = _vanishing_function(curve, base, shift, roots[0], 10)
                 d = eng.data
                 with pytest.raises(InconsistencyError,
                                    match=rf"above {re.escape(base.id)} vanishes modulo "
                                          rf"pi\^\d+.*\(e, f, g\) = \(1, 1, {d.g}\)"):
-                    eng.valuations(coeffs, norm_val - 9)
+                    _engine_valuations(arith, eng, function, norm_offset=-9)
                 checked += 1
         assert checked >= 10
 
@@ -1177,9 +1196,9 @@ class TestSplitValuations:
         base = _split_bases(curve, 1)[0]
         eng = arith.engine(base)
         shift, roots = _oracle_roots(curve, base, eng.labels)
-        coeffs = _vanishing_function(curve, base, shift, roots[0], 10)
+        function = _vanishing_function(curve, base, shift, roots[0], 10)
         with pytest.raises(ResourceError, match="exceeds the cap 4"):
-            eng.valuations(coeffs, _norm_val(arith, eng, coeffs))
+            _engine_valuations(arith, eng, function)
 
     def test_lift_that_is_not_a_root_raises(self):
         from capitula.fforacle.picard import CurveArithmetic
@@ -1205,7 +1224,7 @@ class TestSplitValuations:
                                  "Q_or_f": {"num": [2, 2, 4], "den": [2, 1]}})
         arith = CurveArithmetic(curve)
         pi = parse_poly(curve.field, "t^2+4*t+2")
-        coeffs = [RationalFunc.of(pi)] + [arith.zero_rat] * (curve.n - 1)
+        coeffs, _ = _polynomial(curve, pi)
         with pytest.raises(InconsistencyError, match=r"\(1, 2, 2\), 1 place"):
             arith.divisor_of(coeffs, None)
 
@@ -1222,7 +1241,7 @@ class TestRelationSearch:
             field = entry.curve.field
             for d in range(1, 4):
                 for pi in monic_irreducibles(field, d):
-                    coeffs = [RationalFunc.of(pi)] + [arith.zero_rat] * (entry.curve.n - 1)
+                    coeffs, _ = _polynomial(entry.curve, pi)
                     expected = arith.divisor_of(coeffs, None)
                     assert arith.base_divisor(pi) == expected, (entry.name, render_poly(pi))
                     checked += 1
@@ -1277,12 +1296,41 @@ class TestRelationSearch:
         from capitula.fforacle.picard import OracleConfig
 
         # one try at b = 1, m = 2g + 1 = 3 and one candidate function: no
-        # bound may grow, and the index stays at 2h
-        config = OracleConfig(max_degree_bound=1, max_rr_degree=2, max_candidates=1)
+        # bound may grow, and the index stays at 2h; L(3 P0) has dimension 3
+        # over F_2, so 7 candidates
+        config = OracleConfig(max_degree_bound=1, max_rr_degree=3, max_candidates=1)
         with pytest.raises(ResourceError, match=r"\(b, m\) = \(1, 3\) with k = 3 "
                                                 r"factor-base places, reached Hermite "
-                                                r"index 6 against h = 3"):
+                                                r"index 6 against h = 3 after 1 of 7 "
+                                                r"candidate functions, stopped by "
+                                                r"max_candidates = 1$"):
             picard_group(corpus_entry("as_f2_r0").curve, config=config)
+
+    def test_a_try_that_runs_out_of_candidates_says_so(self, monkeypatch):
+        from capitula.fforacle import picard
+
+        # every candidate is tried and none is smooth: the space ran out
+        monkeypatch.setattr(picard.CurveArithmetic, "divisor_of", lambda *args, **kw: None)
+        config = picard.OracleConfig(max_degree_bound=1, max_rr_degree=3)
+        with pytest.raises(ResourceError, match=r"index 6 against h = 3 after all 7 "
+                                                r"candidate functions$"):
+            picard_group(corpus_entry("as_f2_r0").curve, config=config)
+
+    def test_no_riemann_roch_space_above_the_cap(self, monkeypatch):
+        from capitula.fforacle import picard
+
+        # as_f2_r0 has g = 1, so the first try needs m = 2g + 1 = 3 > 2: it is
+        # refused before L(3 P0) is built
+        built = []
+        real = picard.riemann_roch_basis
+        monkeypatch.setattr(picard, "riemann_roch_basis",
+                            lambda *args: built.append(args[2]) or real(*args))
+        config = picard.OracleConfig(max_degree_bound=1, max_rr_degree=2)
+        with pytest.raises(ResourceError, match=r"the try at \(b, m\) = \(1, 3\) needs "
+                                                r"L\(m P0\) above the cap "
+                                                r"max_rr_degree = 2"):
+            picard_group(corpus_entry("as_f2_r0").curve, config=config)
+        assert built == []
 
 
 class TestRiemannRoch:
@@ -1308,12 +1356,139 @@ class TestRiemannRoch:
         p0s = self._rational_places(arith)
         assert p0s
         for p0 in p0s:
-            basis = riemann_roch_basis(arith, p0, m, genus)
+            basis, den = riemann_roch_basis(arith, p0, m, genus)
             assert len(basis) == m + 1 - genus
             for coeffs in basis:
-                div = arith.divisor_of(coeffs, None, extra_bases=[p0.base])
+                div = arith.divisor_of(coeffs, None, extra_bases=[p0.base], den=den)
                 assert div.get(p0, 0) >= -m, (name, p0.id)
                 assert all(v >= 0 for w, v in div.items() if w != p0), (name, p0.id, div)
+
+
+def _rational_det(mat):
+    """Determinant over F_q(t) by Gaussian elimination."""
+    mat = [list(row) for row in mat]
+    n = len(mat)
+    det = RationalFunc.of(Poly.one(mat[0][0].field))
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if not mat[r][col].is_zero()), None)
+        if pivot is None:
+            return RationalFunc.of(Poly.zero(mat[0][0].field))
+        if pivot != col:
+            mat[col], mat[pivot] = mat[pivot], mat[col]
+            det = -det
+        det = det * mat[col][col]
+        for r in range(col + 1, n):
+            if not mat[r][col].is_zero():
+                factor = mat[r][col] / mat[col][col]
+                mat[r] = [a - factor * b for a, b in zip(mat[r], mat[col])]
+    return det
+
+
+def _multiplication_matrix(curve, coeffs):
+    """Columns z y^j in the basis 1, y, ..., y^(n-1) of F_q(t)(y), reduced by
+    y^n = c y + D over F_q(t)."""
+    n, c = curve.n, curve.model.c
+    column = [RationalFunc.of(a) for a in coeffs]
+    columns = []
+    for _ in range(n):
+        columns.append(column)
+        top = column[-1]
+        column = [RationalFunc.of(Poly.zero(curve.field))] + column[:-1]
+        column[1] = column[1] + top.scale(c)
+        column[0] = column[0] + top * curve.defining
+    return [[columns[j][i] for j in range(n)] for i in range(n)]
+
+
+def _add_divisors(*divisors):
+    out = {}
+    for div in divisors:
+        for w, v in div.items():
+            out[w] = out.get(w, 0) + v
+    return {w: v for w, v in out.items() if v}
+
+
+class TestPolynomialArithmetic:
+    @pytest.mark.parametrize("q", [3, 4, 5, 9])
+    def test_norm_and_trace_to_the_constants_match_the_residue_field(self, q):
+        import random
+
+        from capitula.fforacle.poly import norm_mod, trace_mod
+
+        field = GF(q)
+        rng = random.Random(q)
+        checked = 0
+        for d in (2, 3):
+            for pi in monic_irreducibles(field, d):
+                kappa = ExtField(field, pi.coeffs)
+                for _ in range(4):
+                    a = Poly(field, [rng.randrange(q) for _ in range(rng.randrange(1, 2 * d + 1))])
+                    u = kappa.element_from_index(sum(
+                        field.element_index(c) * q**i for i, c in enumerate((a % pi).coeffs)))
+                    norm = (kappa.pow(u, (kappa.order - 1) // (q - 1)) if not kappa.is_zero(u)
+                            else kappa.zero())
+                    assert kappa.embed(norm_mod(pi, a)) == norm, (q, render_poly(pi), a)
+                    assert absolute_trace(field, trace_mod(pi, a)) == absolute_trace(kappa, u)
+                    checked += 1
+        assert checked >= 4 * 8
+
+    @pytest.mark.parametrize("raw", [
+        {"kind": "artin_schreier", "q": 2, "p_or_l": 2, "Q_or_f": {"num": [1, 1, 0, 1], "den": [1, 1]}},
+        {"kind": "kummer", "q": 5, "p_or_l": 2, "Q_or_f": {"num": [2, 0, 1, 1], "den": [3, 1]}},
+        {"kind": "artin_schreier", "q": 3, "p_or_l": 3, "Q_or_f": {"num": [1, 0, 0, 1], "den": [0, 1]}},
+        {"kind": "kummer", "q": 7, "p_or_l": 3, "Q_or_f": {"num": [1, 2, 1], "den": [0, 0, 1]}},
+        {"kind": "kummer", "q": 5, "p_or_l": 4, "Q_or_f": {"num": [2, 2, 4], "den": [2, 1]}},
+        {"kind": "artin_schreier", "q": 7, "p_or_l": 7, "Q_or_f": {"num": [1, 0, 1, 1], "den": [0, 1]}},
+        {"kind": "kummer", "q": 8, "p_or_l": 7, "Q_or_f": {"num": [3, 1, 1], "den": [1, 1]}},
+    ])
+    def test_polynomial_norm_is_the_determinant_over_the_rational_functions(self, raw):
+        import random
+
+        from capitula.fforacle.picard import CurveArithmetic
+
+        # Kummer data is normalized to a polynomial; the Artin-Schreier covers
+        # keep a pole, so Dd != 1 there
+        curve = curve_from_json(raw)
+        arith = CurveArithmetic(curve)
+        field = curve.field
+        assert (arith.d_den.degree >= 1) == (curve.kind == "artin_schreier")
+        rng = random.Random(curve.n)
+        for trial in range(6):
+            coeffs = [Poly(field, [rng.randrange(field.order) for _ in range(rng.randrange(4))])
+                      for _ in range(curve.n)]
+            if trial == 0:
+                coeffs[1:] = [Poly.zero(field)] * (curve.n - 1)
+            if all(a.is_zero() for a in coeffs):
+                coeffs[0] = Poly.one(field)
+            nrm, k = arith.norm(coeffs)
+            assert k == (1 if curve.n == 2 else curve.n)
+            expected = _rational_det(_multiplication_matrix(curve, coeffs))
+            assert RationalFunc(nrm, arith.d_den**k) == expected, (raw, trial)
+
+    def test_divisor_of_a_base_multiple_adds_the_base_divisor(self):
+        from capitula.fforacle.picard import CurveArithmetic, riemann_roch_basis
+
+        checked = 0
+        for entry in corpus():
+            curve = entry.curve
+            arith = CurveArithmetic(curve)
+            _, genus = ramification_data(curve)
+            p0 = next(w for w in arith.places_above(INFINITE) + [
+                w for pi in monic_irreducibles(curve.field, 1)
+                for w in arith.places_above(BasePlace(pi))] if w.deg == 1)
+            basis, den = riemann_roch_basis(arith, p0, 2 * genus + 1, genus)
+            sums = [[a + b for a, b in zip(u, v)] for u, v in zip(basis, basis[1:])]
+            for coeffs in basis + sums:
+                if all(a.is_zero() for a in coeffs):
+                    continue
+                div = arith.divisor_of(coeffs, None, extra_bases=[p0.base], den=den)
+                for pi in monic_irreducibles(curve.field, 1)[:2] + monic_irreducibles(curve.field, 2)[:1]:
+                    for k in (1, 2):
+                        multiple = [a * pi**k for a in coeffs]
+                        base_div = {w: k * v for w, v in arith.base_divisor(pi).items()}
+                        assert arith.divisor_of(multiple, None, extra_bases=[p0.base], den=den) \
+                            == _add_divisors(div, base_div), (entry.name, render_poly(pi), k)
+                        checked += 1
+        assert checked > 200
 
 
 class TestCurveJson:
