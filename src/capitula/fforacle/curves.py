@@ -97,10 +97,11 @@ def local_model(rat: RationalFunc, place: BasePlace) -> tuple[Poly, RationalFunc
 class ResiduePoint:
     """Reduction and lifting at one finite base place.
 
-    kappa is the residue field; rational functions regular at the place
-    reduce into it, and residue elements lift back to polynomials of
-    degree < deg(pi) for Hensel seeds.  Infinity is read as the place
-    u = 0 of the u = 1/t model (`local_model`).
+    kappa is the residue field; polynomials reduce into it, and residue
+    elements lift back to polynomials of degree < deg(pi) for Hensel
+    seeds.  Callers reduce a numerator and a denominator with the power
+    of pi already divided out, never a rational function.  Infinity is
+    read as the place u = 0 of the u = 1/t model (`local_model`).
     """
 
     def __init__(self, field, place: BasePlace):
@@ -119,13 +120,6 @@ class ResiduePoint:
         rem = poly % pi
         coeffs = list(rem.coeffs) + [self.field.zero()] * (pi.degree - len(rem.coeffs))
         return tuple(coeffs)
-
-    def reduce_rational(self, rat: RationalFunc):
-        """Value in kappa of a rational function regular at the place."""
-        den_red = self.reduce_poly(rat.den)
-        if self.kappa.is_zero(den_red):
-            raise ValidationError(f"tried to evaluate at a pole above {self.place.id}")
-        return self.kappa.div(self.reduce_poly(rat.num), den_red)
 
     def lift(self, elem) -> Poly:
         if self.place.pi.degree == 1:
@@ -334,7 +328,10 @@ def _find_reducible_pole(Q: RationalFunc, p: int, field):
         if mult > 0 and mult % p == 0:
             pi, model = local_model(Q, place)
             point = ResiduePoint(field, BasePlace(pi))
-            root = pth_root(point.kappa, point.reduce_rational(model * RationalFunc.of(pi)**mult))
+            # the residue of Q pi^mult: pi^mult divides the denominator exactly
+            residue = point.kappa.div(point.reduce_poly(model.num),
+                                      point.reduce_poly(model.den // pi**mult))
+            root = pth_root(point.kappa, residue)
             h = RationalFunc(point.lift(root), pi**(mult // p))
             if place.is_infinite:
                 h = h.reciprocal_substitution()

@@ -12,7 +12,10 @@ An extension field holds a monic irreducible modulus over its base field
 and represents elements as coefficient tuples over the base.  Residue
 fields of places and the cached extensions of `extension` are such
 towers over the constant field, so evaluation "mod pi" needs no change of
-basis and no table is built per place.
+basis and no table is built per place.  Multiplication and powers, the
+residual-root scan's hot loop, are written out on the tuples; an inverse
+is poly.py's extended Euclid (`Poly.invmod`) modulo the modulus, and the
+elements run in index order straight from `element_from_index`.
 
 Moduli for the standard extensions GF(p^k) are shipped as a fixed table
 (the lexicographically smallest monic irreducible, coefficient vector read
@@ -28,7 +31,7 @@ from operator import pos, xor
 
 from ..arith import is_prime
 from ..errors import ResourceError, UnsupportedError, ValidationError
-from .poly import first_monic_irreducible
+from .poly import Poly, first_monic_irreducible
 
 MAX_FIELD_SIZE = 4096
 
@@ -147,6 +150,7 @@ class ExtField:
         if len(mod) < 3 or mod[-1] != base.one():
             raise ValidationError("modulus must be monic of degree >= 2")
         self.modulus = mod
+        self._modulus_poly = Poly(base, mod)
         self.degree = len(mod) - 1
         self.char = base.char
         self.order = base.order**self.degree
@@ -202,44 +206,8 @@ class ExtField:
     def inv(self, a):
         if self.is_zero(a):
             raise ZeroDivisionError("inverse of zero")
-        # extended euclid on coefficient lists over the base field
-        base = self.base
-
-        def deg(v):
-            for i in range(len(v) - 1, -1, -1):
-                if not base.is_zero(v[i]):
-                    return i
-            return -1
-
-        def scale(v, c):
-            return [base.mul(x, c) for x in v]
-
-        def addmul(u, v, c, shift):
-            out = list(u)
-            while len(out) < len(v) + shift:
-                out.append(base.zero())
-            for i, x in enumerate(v):
-                out[i + shift] = base.add(out[i + shift], base.mul(c, x))
-            return out
-
-        r0, r1 = list(self.modulus), list(a)
-        s0, s1 = [base.zero()], [base.one()]
-        while deg(r1) > 0:
-            d0, d1 = deg(r0), deg(r1)
-            if d0 < d1:
-                r0, r1, s0, s1 = r1, r0, s1, s0
-                continue
-            c = base.neg(base.div(r0[d0], r1[d1]))
-            r0 = addmul(r0, r1, c, d0 - d1)
-            s0 = addmul(s0, s1, c, d0 - d1)
-            if deg(r0) < deg(r1):
-                r0, r1, s0, s1 = r1, r0, s1, s0
-        if deg(r1) != 0:
-            raise ValidationError("modulus is not irreducible")
-        c = base.inv(r1[0])
-        out = scale(s1, c)
-        out = out[: self.degree] + [base.zero()] * max(0, self.degree - len(out))
-        return tuple(out[: self.degree])
+        coeffs = Poly(self.base, a).invmod(self._modulus_poly).coeffs
+        return coeffs + (self.base.zero(),) * (self.degree - len(coeffs))
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))
@@ -257,14 +225,7 @@ class ExtField:
         return result
 
     def elements(self):
-        out = [()]
-        for _ in range(self.degree):
-            out = [e + (c,) for e in out for c in self.base.elements()]
-        # ascending index order: least-significant coordinate first
-        return [tuple(e) for e in sorted(out, key=self._index_key)]
-
-    def _index_key(self, a):
-        return tuple(self.base.element_index(c) for c in reversed(a))
+        return [self.element_from_index(i) for i in range(self.order)]
 
     def element_index(self, a):
         idx = 0

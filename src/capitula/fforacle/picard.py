@@ -70,33 +70,41 @@ are distinct, so v_w(sum A_i y^i) = min_i (n v(A_i) + i v_w(y)) with no
 cancellation; at inert places the basis y^i stays a unit basis and the
 minimum of the coefficient valuations wins.  At an unramified place y =
 pi^s Y, with s = v(D)/n when c = 0 and s = 0 otherwise (a pole of D is
-then ramified), so Y is integral and solves G(Y) = Y^n - c Y - D pi^(-ns)
-= 0.  At a totally split place w, labelled by a residue r of Y, sum A_i
-y^i = pi^w0 sum a_i Y^i with polynomials a_i, not all divisible by pi:
-each a_i is A_i multiplied or exactly divided by a power of pi, and at
-infinity rev(A_i) u^(i s - w0 - deg A_i) in u = 1/t.  sum a_i r^i is
-evaluated in the residue field first: a nonzero value means v_w = w0,
-which settles most evaluations.  The m places where it vanishes are then
-settled by one evaluation of sum a_i R^i in F_q[t]/pi^N, R the root of G
-above r, at the precision the norm names: the n numbers v_w - w0 sum to T
-= v_P(N (H z)) - n w0 and each pending one is at least 1, so each is at
-most T - (m - 1), and N = max(2, T - m + 2) decides them all.  A value
-that vanishes modulo pi^N means the engine and the norm disagree and
+then ramified), so Y is integral.  The local equation stays in F_q[x]: D
+pi^(-ns) = Dn' / Dd' with polynomials in the model variable, the power of
+pi divided exactly out of the numerator or the denominator of D, and Dd'
+is prime to pi, since a split place is no pole of D pi^(-ns).  Y solves
+G(Y) = Dd' (Y^n - c Y) - Dn' = 0.  At a totally split place w, labelled by
+a residue r of Y, sum A_i y^i = pi^w0 sum a_i Y^i with polynomials a_i,
+not all divisible by pi: each a_i is A_i multiplied or exactly divided by
+a power of pi, and at infinity rev(A_i) u^(i s - w0 - deg A_i) in u = 1/t.
+sum a_i r^i is evaluated in the residue field first: a nonzero value means
+v_w = w0, which settles most evaluations.  The m places where it vanishes
+are then settled by one evaluation of sum a_i R^i in F_q[t]/pi^N, R the
+root of G above r, at the precision the norm names: the n numbers v_w - w0
+sum to T = v_P(N (H z)) - n w0 and each pending one is at least 1, so each
+is at most T - (m - 1), and N = max(2, T - m + 2) decides them all.  A
+value that vanishes modulo pi^N means the engine and the norm disagree and
 raises InconsistencyError.  The n places above the base are one Galois
-orbit (Stichtenoth, Algebraic Function Fields and Codes, Thm. 3.7.1), so
-one root R0 is Hensel-lifted per base, and the others are sigma^j(R0) =
-zeta_j R0 + beta_j (beta is nonzero only when s = 0, so sigma acts on Y
-as on y).  The lift doubles the precision at every Newton step, carries
-the inverse of G'(R0) from step to step, and checks G(R0) = 0 after each.
-Only a totally split base place gets n places; any other gets one.  So
-the places, their valuations and the conorm are exact only where n is one
-of e, f and g: totally ramified, inert or totally split.  Any other type
-(possible only for composite Kummer degrees) is rejected before a
-presentation is built: a guard on every base place the presentation uses,
-the ramified ones included, names (e, f, g).  The infinite place runs
-through the same code in the u = 1/t model.  Every divisor_of computation
-is cross-checked against the valuation of the norm, place by place, and
-its degree against zero.
+orbit (Stichtenoth, Algebraic Function Fields and Codes, Thm. 3.7.1): r0,
+the first r in element-index order with Dd' (r^n - c r) = Dn' in kappa_P,
+and its images r_k = zeta_k r0 + beta_k under sigma^k (beta is nonzero
+only when s = 0, so sigma acts on Y as on y).  One root R0 above r0 is
+Hensel-lifted per base, and the others are zeta_k R0 + beta_k.  The lift
+doubles the precision at every Newton step, carries the inverse of G'(R0)
+= Dd' (n R0^(n-1) - c) from step to step, and checks G(R0) = 0 after each.
+sigma moves the place labelled r to the one labelled (r - beta) / zeta,
+and (r_k - beta) / zeta = r_(k-1), so on the places above a split base it
+is the shift k -> k - 1 (mod n) of orbit positions, with no residue-field
+arithmetic.  Only a totally split base place gets n places; any other gets
+one.  So the places, their valuations and the conorm are exact only where
+n is one of e, f and g: totally ramified, inert or totally split.  Any
+other type (possible only for composite Kummer degrees) is rejected before
+a presentation is built: a guard on every base place the presentation
+uses, the ramified ones included, names (e, f, g).  The infinite place
+runs through the same code in the u = 1/t model.  Every divisor_of
+computation is cross-checked against the valuation of the norm, place by
+place, and its degree against zero.
 """
 
 from __future__ import annotations
@@ -128,7 +136,6 @@ from .curves import (
 )
 from .poly import (
     Poly,
-    RationalFunc,
     factor_with_bounded_degree,
     monic_irreducibles_up_to,
     split_off,
@@ -178,11 +185,14 @@ class LocalEngine:
     """All places of K above one base place, with exact valuations.
 
     y = pi^sigma_shift Y at an unramified base (module docstring), and
-    s_y is v_w(y) at a ramified one.  At a totally split base, labels[j]
-    is the residue of Y at place j: sigma^k of one residual root r0 of
-    Y^n - c Y - D, i.e. zeta_k r0 + beta_k.  root_mod(j, N) is the root
-    of the local equation above it, zeta_k R0 + beta_k for the one
-    Hensel-lifted root R0.
+    s_y is v_w(y) at a ramified one.  At a totally split base, unit_num /
+    unit_den = D pi^(-n s) (Dn' / Dd' in the module docstring), and Y
+    solves G(Y) = unit_den (Y^n - c Y) - unit_num.  orbit[k] is the element
+    index of sigma^k(r0) = zeta_k r0 + beta_k, r0 the first residual root
+    in index order, and sigma maps the place labelled orbit[k] to the one
+    labelled orbit[k - 1].  labels[j] is the residue of Y at place j, in
+    index order, and root_mod(j, N) the root of G above it, zeta_k R0 +
+    beta_k for the one Hensel-lifted root R0.
     """
 
     def __init__(self, arith: "CurveArithmetic", base: BasePlace):
@@ -192,7 +202,7 @@ class LocalEngine:
         field = curve.field
         self.field = field
         self.is_inf = base.is_infinite
-        self.pi, self.model_defining = local_model(curve.defining, base)
+        self.pi, model_defining = local_model(curve.defining, base)
         self.model_point = ResiduePoint(field, BasePlace(self.pi))
         self.data = local_invariants(curve, base)
         self.def_val = defining_valuation(curve, base)
@@ -209,15 +219,20 @@ class LocalEngine:
         self.labels = []
         self.places = [PlaceAbove(base, d.kind, d.e, d.f, -1, deg)]
         if d.kind == "split":
-            kappa = self.model_point.kappa
-            embed = self.model_point.embed
-            c_k = embed(c)
-            # D / pi^(n s), the constant term of G, in the model variable
-            self.unit = self.model_defining * RationalFunc.of(self.pi)**(-n * self.sigma_shift)
-            ubar = self.model_point.reduce_rational(self.unit)
-            base_root = next((cand for cand in kappa.elements()
-                              if kappa.sub(kappa.pow(cand, n), kappa.mul(c_k, cand)) == ubar),
-                             None)
+            point = self.model_point
+            kappa = point.kappa
+            # D pi^(-n s) by an exact division of the numerator or the
+            # denominator: n s = v_P(D) when c = 0, and s = 0 otherwise
+            num, den = model_defining.num, model_defining.den
+            ns = n * self.sigma_shift
+            self.unit_num, self.unit_den = ((num // self.pi_power(ns), den) if ns >= 0
+                                            else (num, den // self.pi_power(-ns)))
+            c_k = point.embed(c)
+            num_bar, den_bar = point.reduce_poly(self.unit_num), point.reduce_poly(self.unit_den)
+            # the scan stops at the first root in index order
+            base_root = next((r for r in map(kappa.element_from_index, range(kappa.order))
+                              if kappa.mul(den_bar, kappa.sub(kappa.pow(r, n), kappa.mul(c_k, r)))
+                              == num_bar), None)
             if base_root is None:
                 raise InconsistencyError("split place has no residual root")
             # sigma^k(Y) = zeta_k Y + beta_k
@@ -225,16 +240,17 @@ class LocalEngine:
             for _ in range(n - 1):
                 zeta_k, beta_k = consts[-1]
                 consts.append((field.mul(zeta, zeta_k), field.add(field.mul(zeta, beta_k), beta)))
-            orbit = sorted(((kappa.add(kappa.mul(embed(zeta_k), base_root), embed(beta_k)),
-                             (zeta_k, beta_k)) for zeta_k, beta_k in consts),
-                           key=lambda pair: kappa.element_index(pair[0]))
-            self.labels = [label for label, _ in orbit]
-            self._root_consts = [const for _, const in orbit]
-            self._root = self.model_point.lift(base_root)
+            orbit = [kappa.add(kappa.mul(point.embed(zeta_k), base_root), point.embed(beta_k))
+                     for zeta_k, beta_k in consts]
+            self.orbit = [kappa.element_index(label) for label in orbit]
+            by_label = sorted(range(n), key=self.orbit.__getitem__)
+            self.labels = [orbit[k] for k in by_label]
+            self._root_consts = [consts[k] for k in by_label]
+            self._root = point.lift(base_root)
             self._root_precision = 1
             self._root_inverse = None  # 1 / G'(R0), modulo pi^k for R0 modulo pi^(<= 2k)
-            self.places = [PlaceAbove(base, "split", d.e, d.f, kappa.element_index(label), deg)
-                           for label in self.labels]
+            self.places = [PlaceAbove(base, "split", d.e, d.f, self.orbit[k], deg)
+                           for k in by_label]
 
     # -- model-side helpers ------------------------------------------------
 
@@ -244,12 +260,6 @@ class LocalEngine:
         if power is None:
             power = self._pi_powers[precision] = self.pi**precision
         return power
-
-    def defining_mod(self, precision: int) -> Poly:
-        """D / pi^(n s) as an element of F_q[x]/pi^N."""
-        modulus = self.pi_power(precision)
-        rat = self.unit
-        return (rat.num * rat.den.invmod(modulus)) % modulus
 
     def root_mod(self, index: int, precision: int) -> Poly:
         """The root of the local equation above labels[index], mod pi^N."""
@@ -263,10 +273,11 @@ class LocalEngine:
         """Newton lifting of R0 with doubling precision (von zur Gathen and
         Gerhard, Modern Computer Algebra, Alg. 9.22).
 
-        Each level takes R0 from pi^k to pi^min(2k, N) by one Newton step.
-        The inverse of G'(R0) that step needs modulo pi^k is the previous
-        level's, correct modulo pi^(k/2) at least, refined by one Newton
-        step of its own; the first is an extended Euclid modulo pi.
+        Each level takes R0 from pi^k to pi^min(2k, N) by one Newton step on
+        G(Y) = unit_den (Y^n - c Y) - unit_num, G' = unit_den (n Y^(n-1) -
+        c).  The inverse of G'(R0) that step needs modulo pi^k is the
+        previous level's, correct modulo pi^(k/2) at least, refined by one
+        Newton step of its own; the first is an extended Euclid modulo pi.
         """
         field = self.field
         n = self.arith.curve.n
@@ -277,15 +288,15 @@ class LocalEngine:
         while k < precision:
             top = min(2 * k, precision)
             modulus, low = self.pi_power(top), self.pi_power(k)
+            num, den = self.unit_num % modulus, self.unit_den % modulus
             r_pow = r.powmod(n - 1, modulus)
-            derivative = (r_pow.scale(n_c) - c_poly) % low
+            derivative = (den * (r_pow.scale(n_c) - c_poly)) % low
             if inverse is None:
                 inverse = derivative.invmod(low)
             else:
                 inverse = (inverse + inverse * (one - derivative * inverse)) % low
-            d_hat = self.defining_mod(top)
-            r = (r - (r * (r_pow - c_poly) - d_hat) * inverse) % modulus
-            if not ((r.powmod(n, modulus) - r * c_poly - d_hat) % modulus).is_zero():
+            r = (r - (den * (r * (r_pow - c_poly) % modulus) - num) * inverse) % modulus
+            if not ((den * (r.powmod(n, modulus) - r * c_poly) - num) % modulus).is_zero():
                 raise InconsistencyError(
                     f"Hensel lift above {self.base.id} is not a root modulo pi^{top}")
             k = top
@@ -985,20 +996,17 @@ def _sigma_permutation(arith, fb):
 
     The generator acts by y -> zeta y + beta; on a split place labelled by
     the residue r of Y this moves the label to (r - beta) / zeta, and it
-    fixes every non-split place.
+    fixes every non-split place.  Label k of a base's orbit is zeta_k r0 +
+    beta_k = zeta (label k-1) + beta, so sigma moves it to label k - 1
+    (mod n): an index shift along LocalEngine.orbit.
     """
-    _, zeta, beta = arith.curve.model
     index = {(w.base, w.label_index): i for i, w in enumerate(fb)}
-    perm = [0] * len(fb)
+    perm = list(range(len(fb)))
     for i, w in enumerate(fb):
         if w.kind != "split":
-            perm[i] = i
             continue
-        point = arith.engine(w.base).model_point
-        kappa = point.kappa
-        label = kappa.element_from_index(w.label_index)
-        new_label = kappa.div(kappa.sub(label, point.embed(beta)), point.embed(zeta))
-        j = index.get((w.base, kappa.element_index(new_label)))
+        orbit = arith.engine(w.base).orbit
+        j = index.get((w.base, orbit[orbit.index(w.label_index) - 1]))
         if j is None:
             raise InconsistencyError("factor base is not Galois stable")
         perm[i] = j

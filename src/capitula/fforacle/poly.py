@@ -172,14 +172,12 @@ class Poly:
             raise ValidationError("element is not invertible modulo the modulus")
         return (s0.scale(f.inv(r0.constant_term()))) % mod
 
-    def evaluate(self, point, target_field=None):
-        """Horner evaluation; coefficients are embedded into target_field
-        when one is supplied (it must extend the coefficient field)."""
-        tf = target_field or self.field
-        acc = tf.zero()
+    def evaluate(self, point):
+        """Horner evaluation at a point of the coefficient field."""
+        f = self.field
+        acc = f.zero()
         for c in reversed(self.coeffs):
-            cc = tf.embed(c) if (target_field is not None and tf != self.field) else c
-            acc = tf.add(tf.mul(acc, point), cc)
+            acc = f.add(f.mul(acc, point), c)
         return acc
 
     def map_coefficients(self, fn, new_field):
@@ -224,11 +222,15 @@ def render_poly(p: Poly, var: str = "t") -> str:
 
 
 def parse_poly(field, text: str, var: str = "t") -> Poly:
-    """Inverse of render_poly: integer coefficients index field elements."""
+    """Inverse of render_poly: integer coefficients index field elements.
+
+    A coefficient must be an index below q; a negative one, such as the 1
+    of t-1, is the negative of that element.  Terms of the same degree add
+    as field elements."""
     text = text.replace(" ", "").replace("-", "+-")
     if not text:
         raise ValidationError("empty polynomial")
-    coeffs: dict[int, int] = {}
+    coeffs: dict[int, object] = {}
     for part in text.split("+"):
         if not part:
             continue
@@ -244,16 +246,15 @@ def parse_poly(field, text: str, var: str = "t") -> Poly:
         else:
             coef = int(part)
             power = 0
-        if neg:
-            coef = -coef
-        coeffs[power] = coeffs.get(power, 0) + coef
-    size = max(coeffs) + 1 if coeffs else 0
-    out = [field.zero()] * size
+        if coef >= field.order:
+            raise ValidationError(
+                f"coefficient {coef} in term {part!r} is not an element index "
+                f"0..{field.order - 1} of GF({field.order})")
+        elem = field.element_from_index(coef)
+        coeffs[power] = (field.sub if neg else field.add)(coeffs.get(power, field.zero()), elem)
+    out = [field.zero()] * (max(coeffs) + 1 if coeffs else 0)
     for power, c in coeffs.items():
-        if c < 0:
-            out[power] = field.neg(field.element_from_index((-c) % field.order))
-        else:
-            out[power] = field.element_from_index(c % field.order)
+        out[power] = c
     return Poly(field, out)
 
 
@@ -321,12 +322,6 @@ class RationalFunc:
     def __neg__(self):
         return RationalFunc._reduced(-self.num, self.den)
 
-    def scale(self, c) -> "RationalFunc":
-        """c * self for a constant c of the field."""
-        if self.field.is_zero(c):
-            return RationalFunc.of(Poly.zero(self.field))
-        return RationalFunc._reduced(self.num.scale(c), self.den)
-
     def __sub__(self, other):
         return self + (-other)
 
@@ -376,13 +371,6 @@ class RationalFunc:
             den_u = den_u * u**(dn - dd)
         inv = field.inv(den_u.leading())
         return RationalFunc._reduced(num_u.scale(inv), den_u.scale(inv))
-
-    def evaluate(self, point, target_field=None):
-        tf = target_field or self.field
-        den_val = self.den.evaluate(point, target_field)
-        if tf.is_zero(den_val):
-            raise ZeroDivisionError("evaluation at a pole")
-        return tf.div(self.num.evaluate(point, target_field), den_val)
 
     def __repr__(self):
         if self.den.degree == 0:

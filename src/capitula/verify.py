@@ -31,10 +31,10 @@ from .cohomology import (
 )
 from .errors import CapitulaError
 from .formulas import (
-    b_group,
     chevalley_ff,
     delta_index,
     hilbert94_lower_bound,
+    imaginary_report,
     m_invariant,
     order_relation_check,
     prop86_check,
@@ -195,21 +195,23 @@ def oracle_report(curve, s_bases=(INFINITE,), degree_bound=None,
     one_place_above_s = profile.s_k_count() == 1
     ram_outside = [p for p in profile.places if p.ramified and not p.in_S]
     if one_place_above_s and gcd(n, q - 1) == 1:
+        # the calculator's side; a Kummer cover never gets here (n | q - 1),
+        # so an elementary abelian structure is the Artin-Schreier one
+        imaginary = imaginary_report(profile, h_fs)
         verdicts.append(_verdict(
             "ambiguous_class_order",
             "imaginary case: ambiguous classes count h_FS * prod e_v",
-            h_fs * prod(p.e for p in ram_outside), cks_invariants.order))
+            imaginary.ckg_order, cks_invariants.order))
         class_module = GModule.cyclic(n, cks, cks_action.matrix)
         verdicts.append(_verdict(
             "class_h1_is_sum_map_kernel",
             "imaginary case: H^1 of S-classes vs the local sum-map kernel",
-            _factors(b_group(profile)), _factors(h1_cyclic(class_module))))
-        if curve.kind == "artin_schreier" and h_fs == 1:
-            expected = FinAbGroup.of(*([n] * len(ram_outside)))
+            _factors(imaginary.h1_class), _factors(h1_cyclic(class_module))))
+        if imaginary.cor62_structure is not None:
             verdicts.append(_verdict(
                 "artin_schreier_ambiguous_structure",
                 "imaginary Artin-Schreier: ambiguous classes are elementary abelian",
-                _factors(expected), _factors(cks_invariants)))
+                _factors(imaginary.cor62_structure), _factors(cks_invariants)))
 
     if one_place_above_s:
         # with one place above S the S-units are the constants, so the
@@ -220,8 +222,8 @@ def oracle_report(curve, s_bases=(INFINITE,), degree_bound=None,
         image_j = h_fs // ker_j
         coker_jprime = trans // image_j
         first, second = order_relation_check(
-            ker_j, h1_cyclic(unit_module).order, coker_jprime,
-            [p.e for p in ram_outside], tate_h0(unit_module).order,
+            ker_j, h1_const, coker_jprime,
+            [p.e for p in ram_outside], h2_const,
             [p.local_degree for p in profile.places if p.in_S], n)
         verdicts.append(_verdict(
             "capitulation_order_relation",

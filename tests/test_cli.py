@@ -147,6 +147,12 @@ class TestOracle:
                       "Q_or_f": {"num": [0, 1, 1], "den": [1]}}
         assert main(["oracle", write(tmp_path, "c.json", degenerate)]) == 2
 
+    def test_place_index_outside_the_field_exits_2(self, tmp_path, capsys):
+        curve = {"kind": "kummer", "q": 5, "p_or_l": 2, "Q_or_f": {"num": [0, 1]}}
+        assert main(["oracle", write(tmp_path, "c.json", curve), "--s", "t+5"]) == 2
+        assert "coefficient 5 in term '5' is not an element index 0..4 of GF(5)" \
+            in capsys.readouterr().err
+
 
 class TestVerify:
     def test_unknown_suite_exits_1(self, capsys):

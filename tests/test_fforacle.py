@@ -152,6 +152,24 @@ class TestFiniteFields:
                 assert [table_op(a, b) for b in flat.elements()] \
                     == [index(tower_op(x, y)) for y in elems], (op, a)
 
+    @pytest.mark.parametrize("field", [extension(F3, 3), extension(F4, 2), extension(GF(9), 2)],
+                             ids=["F3^3", "F4^2", "F9^2"])
+    def test_extension_elements_and_inverses(self, field):
+        from itertools import product
+
+        # elements(): the product of the base's elements, sorted by index
+        # (the most significant coordinate is the last)
+        base_index = field.base.element_index
+        tuples = [tuple(reversed(e)) for e in product(field.base.elements(), repeat=field.degree)]
+        assert field.elements() == sorted(
+            tuples, key=lambda a: tuple(base_index(c) for c in reversed(a)))
+        # inv: the one b with a b = 1, found by brute force
+        one = field.one()
+        for a in field.elements()[1:]:
+            assert field.inv(a) == next(b for b in field.elements() if field.mul(a, b) == one)
+        with pytest.raises(ZeroDivisionError):
+            field.inv(field.zero())
+
     def test_exp_table_hits_every_nonzero_index_once(self):
         for p, k in IRREDUCIBLE_TABLE:
             q = p**k
@@ -190,6 +208,28 @@ class TestPolyLayer:
         for text in ("t", "t+1", "t^2+t+1", "t^3+2*t+1"):
             poly = parse_poly(F3, text)
             assert render_poly(poly) == text
+
+    @pytest.mark.parametrize("q, text, term", [(9, "t+12", "'12'"), (9, "t^2+10*t", "'10*t'"),
+                                               (5, "t+5", "'5'")])
+    def test_parse_rejects_indices_outside_the_field(self, q, text, term):
+        import re
+
+        with pytest.raises(ValidationError, match=re.escape(term)):
+            parse_poly(GF(q), text)
+        with pytest.raises(ValidationError, match=re.escape(term)):
+            parse_base_place(GF(q), text)
+
+    def test_parse_reads_negative_indices_below_q(self):
+        field = GF(9)
+        assert parse_poly(field, "t-1") == Poly(field, [field.neg(1), 1])
+        assert parse_poly(F3, "t^2-2*t-1") == parse_poly(F3, "t^2+t+2")
+
+    def test_parse_adds_terms_of_one_degree_in_the_field(self):
+        # over GF(9) the indices 1 and 2 are the prime-field 1 and 2, and 1 + 2 = 0
+        field = GF(9)
+        assert parse_poly(field, "t+1+2") == Poly.x(field)
+        assert parse_poly(field, "t+8+8") == Poly(field, [field.add(8, 8), 1])
+        assert parse_poly(field, "t+3-3") == Poly.x(field)
 
     @settings(max_examples=200, deadline=None)
     @given(st.sampled_from([2, 3, 4, 5, 9, "tower9"]), st.data())
@@ -830,9 +870,12 @@ S_SETS = (("inf",), ("inf", "t"), ("inf", "t", "t+2"), ("quadratic",))
 
 
 def _s_bases(field, s_ids):
+    """The base places of an S set.  The index 2 of "t+2" is read modulo q,
+    so over F_2 that set is {inf, t}."""
     return list(dict.fromkeys(
         BasePlace(monic_irreducibles(field, 2)[0]) if x == "quadratic"
-        else parse_base_place(field, x) for x in s_ids))
+        else parse_base_place(field, f"t+{2 % field.order}" if x == "t+2" else x)
+        for x in s_ids))
 
 
 def _reference_s_quantities(pd, s_bases, s_k):
@@ -923,6 +966,28 @@ class TestSClassQuantities:
         s_bases, s_k = self._outside(pd, 4, 6)
         with pytest.raises(UnsupportedError, match="outside the presentation"):
             capitulation_kernel_order(pd, s_bases, s_k)
+
+    def test_imaginary_verdicts_compare_the_calculator(self, monkeypatch):
+        # y^2+y = t^3 over F_2, S = {inf}: one place above S and gcd(2, q-1) = 1,
+        # so the imaginary-case verdicts read formulas.imaginary_report
+        from dataclasses import replace
+
+        from capitula import verify
+
+        curve = corpus_entry("as_f2_r0").curve
+        verdicts = {v.check: v for v in verify.oracle_report(curve).verdicts}
+        assert verdicts["ambiguous_class_order"].passed
+        assert verdicts["artin_schreier_ambiguous_structure"].passed
+        real = verify.imaginary_report
+
+        def off_by_one(profile, h_fs):
+            report = real(profile, h_fs)
+            return replace(report, ckg_order=report.ckg_order + 1)
+
+        monkeypatch.setattr(verify, "imaginary_report", off_by_one)
+        failed = [v for v in verify.oracle_report(curve).verdicts if not v.passed]
+        assert [v.check for v in failed] == ["ambiguous_class_order"]
+        assert failed[0].expected == verdicts["ambiguous_class_order"].expected + 1
 
 
 # ---------------------------------------------------------------------------
@@ -1098,12 +1163,16 @@ class TestSplitValuations:
         from capitula.fforacle.picard import CurveArithmetic
 
         checked = 0
-        for _, curve, max_degree in _valuation_curves():
+        for name, curve, max_degree in _valuation_curves():
             arith = CurveArithmetic(curve)
+            n, c = curve.n, Poly.constant(curve.field, curve.model.c)
             for base in _split_bases(curve, max_degree):
                 eng = arith.engine(base)
-                pi, point, _ = _model(curve, base)
-                _, equation = _local_equation(curve, base)
+                pi, point, to_model = _model(curve, base)
+                shift, equation = _local_equation(curve, base)
+                # the engine's polynomial data is D pi^(-ns) as a RationalFunc
+                unit = to_model(curve.defining) * RationalFunc.of(pi)**(-n * shift)
+                assert (eng.unit_num, eng.unit_den) == (unit.num, unit.den), (name, base.id)
                 _, roots = _oracle_roots(curve, base, eng.labels)
                 assert [w.label_index for w in eng.places] == sorted(
                     point.kappa.element_index(lab) for lab in eng.labels)
@@ -1112,10 +1181,39 @@ class TestSplitValuations:
                     for j, label in enumerate(eng.labels):
                         r = eng.root_mod(j, precision)
                         assert equation(r, modulus).is_zero()
+                        assert ((eng.unit_den * (r**n - r * c) - eng.unit_num) % modulus).is_zero()
                         assert point.reduce_poly(r) == label
                         assert r == roots[j] % modulus
                         checked += 1
         assert checked > 100
+
+    def test_sigma_is_the_orbit_shift(self):
+        from capitula.fforacle.picard import CurveArithmetic, _sigma_permutation
+
+        moved = shuffled = 0
+        for name, curve, max_degree in _valuation_curves():
+            arith = CurveArithmetic(curve)
+            _, zeta, beta = curve.model
+            fb = [w for base in [INFINITE] + [BasePlace(pi) for d in range(1, max_degree + 1)
+                                              for pi in monic_irreducibles(curve.field, d)]
+                  for w in arith.places_above(base)]
+            at = {(w.base, w.label_index): i for i, w in enumerate(fb)}
+            expected = []
+            for i, w in enumerate(fb):
+                if w.kind != "split":
+                    expected.append(i)
+                    continue
+                # the label r moves to (r - beta) / zeta in the residue field
+                _, point, _ = _model(curve, w.base)
+                kappa = point.kappa
+                r = kappa.element_from_index(w.label_index)
+                image = kappa.div(kappa.sub(r, point.embed(beta)), point.embed(zeta))
+                expected.append(at[(w.base, kappa.element_index(image))])
+                moved += expected[i] != i
+                shuffled += arith.engine(w.base).orbit != sorted(arith.engine(w.base).orbit)
+            assert _sigma_permutation(arith, fb) == expected, name
+        # the cubic cover's orbits are not in label order
+        assert moved > 50 and shuffled
 
     def test_one_hensel_lift_per_split_base_and_precision(self, monkeypatch):
         from collections import Counter
@@ -1123,13 +1221,24 @@ class TestSplitValuations:
         from capitula.fforacle.picard import LocalEngine
 
         lifts = Counter()
-        real = LocalEngine.defining_mod
 
-        def counting(self, precision):
-            lifts[(self, precision)] += 1
-            return real(self, precision)
+        class Counted(Poly):
+            # every Newton level reduces unit_num modulo pi^level once
+            __slots__ = ("engine",)
 
-        monkeypatch.setattr(LocalEngine, "defining_mod", counting)
+            def __mod__(self, modulus):
+                lifts[(self.engine, modulus.degree // self.engine.pi.degree)] += 1
+                return Poly(self.field, self.coeffs) % modulus
+
+        real = LocalEngine.__init__
+
+        def counting(self, arith, base):
+            real(self, arith, base)
+            if self.data.kind == "split":
+                self.unit_num = Counted(self.field, self.unit_num.coeffs)
+                self.unit_num.engine = self
+
+        monkeypatch.setattr(LocalEngine, "__init__", counting)
         for entry in corpus():
             picard_group(entry.curve)
         assert lifts, "no split place was lifted"
@@ -1394,7 +1503,7 @@ def _multiplication_matrix(curve, coeffs):
         columns.append(column)
         top = column[-1]
         column = [RationalFunc.of(Poly.zero(curve.field))] + column[:-1]
-        column[1] = column[1] + top.scale(c)
+        column[1] = column[1] + top * RationalFunc.of(Poly.constant(curve.field, c))
         column[0] = column[0] + top * curve.defining
     return [[columns[j][i] for j in range(n)] for i in range(n)]
 
