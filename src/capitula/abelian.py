@@ -103,12 +103,13 @@ def _negate_row(a, u, i):
     u[i] = [-x for x in u[i]]
 
 
-def smith_normal_form(matrix):
+def smith_normal_form(matrix, transforms=True):
     """Smith normal form with transforms: returns (U, S, V) with U*M*V = S.
 
     U and V are unimodular; S is diagonal with non-negative entries forming
     a divisibility chain s1 | s2 | ...  Total on integer matrices, including
-    empty and rectangular ones.
+    empty and rectangular ones.  With transforms false, U and V are not
+    formed and come back as None.
     """
     rows = len(matrix)
     cols = len(matrix[0]) if rows else 0
@@ -116,8 +117,10 @@ def smith_normal_form(matrix):
         if len(r) != cols:
             raise ValidationError("ragged matrix")
     a = [[int(x) for x in r] for r in matrix]
-    u = identity_matrix(rows)
-    v = identity_matrix(cols)
+    # untracked, U has empty rows and V no rows, so mirroring a row or
+    # column operation on them costs nothing
+    u = identity_matrix(rows) if transforms else [[] for _ in range(rows)]
+    v = identity_matrix(cols) if transforms else []
 
     t = 0
     while t < min(rows, cols):
@@ -172,12 +175,14 @@ def smith_normal_form(matrix):
         if a[t][t] < 0:
             _negate_row(a, u, t)
         t += 1
+    if not transforms:
+        return None, a, None
     return u, a, v
 
 
 def snf_diagonal(matrix):
     """Just the diagonal of the Smith form, as a list of length min(m, n)."""
-    _, s, _ = smith_normal_form(matrix)
+    _, s, _ = smith_normal_form(matrix, transforms=False)
     return [s[i][i] for i in range(min(len(s), len(s[0]) if s else 0))]
 
 
@@ -384,6 +389,23 @@ def diagonal_columns(diag):
     return [[diag[i] if r == i else 0 for r in range(len(diag))] for i in range(len(diag))]
 
 
+def _lattice_coordinates(num_cols, den_cols, ambient_dim):
+    """(basis, pivots, X) for the quotient of lattices L1/L2.
+
+    basis and pivots are the staircase basis of L1 (column_lattice_basis),
+    and column j of X holds the coordinates of the j-th generator of L2 in
+    that basis, so L1/L2 = Z^rank / X Z^n.
+    """
+    basis, pivots = column_lattice_basis(num_cols, ambient_dim)
+    x_cols = []
+    for d in den_cols:
+        sol = solve_staircase(basis, pivots, d)
+        if sol is None:
+            raise ValidationError("denominator lattice not contained in numerator lattice")
+        x_cols.append(sol)
+    return basis, pivots, from_columns(x_cols, len(basis))
+
+
 class QuotientPresentation:
     """A finite quotient L1/L2 of integer lattices, with generator lifts.
 
@@ -397,20 +419,12 @@ class QuotientPresentation:
     """
 
     def __init__(self, num_cols, den_cols, ambient_dim):
-        basis, pivots = column_lattice_basis(num_cols, ambient_dim)
+        basis, pivots, x = _lattice_coordinates(num_cols, den_cols, ambient_dim)
         rho = len(basis)
-        bmat = from_columns(basis, ambient_dim)
-        x_cols = []
-        for d in den_cols:
-            sol = solve_staircase(basis, pivots, d)
-            if sol is None:
-                raise ValidationError("denominator lattice not contained in numerator lattice")
-            x_cols.append(sol)
-        x = from_columns(x_cols, rho)
         u2, s2, v2 = smith_normal_form(x)
         factors = []
         for i in range(rho):
-            si = s2[i][i] if i < min(rho, len(x_cols)) else 0
+            si = s2[i][i] if i < len(s2[i]) else 0
             if si == 0:
                 raise ValidationError("quotient is infinite")
             factors.append(si)
@@ -422,6 +436,7 @@ class QuotientPresentation:
         self._kept = [i for i, f in enumerate(factors) if f != 1]
         self.group = FinAbGroup(tuple(factors[i] for i in self._kept))
         # X V = U^-1 S and no s_i is 0, so column i of U^-1 is (X V)[:, i] / s_i
+        bmat = from_columns(basis, ambient_dim)
         self.lifts = []
         for i in self._kept:
             xv = mat_vec(x, [row[i] for row in v2])
@@ -446,7 +461,12 @@ class QuotientPresentation:
 
 
 def finite_quotient(num_cols, den_cols, ambient_dim) -> FinAbGroup:
-    return QuotientPresentation(num_cols, den_cols, ambient_dim).group
+    """The finite group L1/L2, read off the Smith diagonal alone."""
+    basis, _, x = _lattice_coordinates(num_cols, den_cols, ambient_dim)
+    diag = snf_diagonal(x)
+    if len(diag) < len(basis) or 0 in diag:
+        raise ValidationError("quotient is infinite")
+    return FinAbGroup(tuple(d for d in diag if d != 1))
 
 
 # ---------------------------------------------------------------------------

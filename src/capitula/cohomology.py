@@ -22,14 +22,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
+from operator import mul
 
 from .abelian import (
     FinAbGroup,
     columns,
     diagonal_columns,
     finite_quotient,
-    identity_matrix,
-    mat_mul,
     preimage_generators,
 )
 from .errors import ResourceError, UnsupportedError, ValidationError
@@ -73,31 +72,27 @@ class AbelianGroup:
         return self.orders
 
 
-def _reduce_rows(mat, factors):
-    return tuple(
-        tuple(mat[i][j] % factors[i] for j in range(len(factors)))
-        for i in range(len(factors))
-    )
+def _identity(k):
+    return tuple(tuple(int(i == j) for j in range(k)) for i in range(k))
 
 
-def _mat_eq_mod(a, b, factors):
-    return all(
-        (a[i][j] - b[i][j]) % factors[i] == 0
-        for i in range(len(factors))
-        for j in range(len(factors))
-    )
+def _mul_mod(a, b, factors):
+    """The product a*b with row i reduced modulo factors[i], as a tuple of rows."""
+    cols = list(zip(*b))
+    return tuple([tuple([sum(map(mul, row, col)) % f for col in cols])
+                  for row, f in zip(a, factors)])
 
 
 def _mat_pow_mod(a, e, factors):
-    k = len(factors)
-    result = identity_matrix(k)
-    base = [list(r) for r in a]
-    while e:
+    """a^e for e >= 1, reduced like _mul_mod."""
+    result = None
+    while True:
         if e & 1:
-            result = [list(r) for r in _reduce_rows(mat_mul(result, base), factors)]
-        base = [list(r) for r in _reduce_rows(mat_mul(base, base), factors)]
+            result = a if result is None else _mul_mod(result, a, factors)
         e >>= 1
-    return result
+        if not e:
+            return result
+        a = _mul_mod(a, a, factors)
 
 
 @dataclass(frozen=True)
@@ -131,24 +126,23 @@ class GModule:
                 for j in range(k):
                     if (fs[j] * m[i][j]) % fs[i]:
                         raise ValidationError("action matrix is not well-defined on the module")
-            reduced.append(_reduce_rows(m, fs))
-        ident = identity_matrix(k)
+            reduced.append(tuple(tuple(x % f for x in row) for row, f in zip(m, fs)))
+        ident = _identity(k)
         for m, order in zip(reduced, gens):
             # satisfying the generator order forces invertibility: the
             # inverse automorphism is the (order-1)-th power
-            if not _mat_eq_mod(_mat_pow_mod(m, order, fs), ident, fs):
+            if _mat_pow_mod(m, order, fs) != ident:
                 raise ValidationError("action matrix does not satisfy its generator order")
-        for a in reduced:
-            for b in reduced:
-                if not _mat_eq_mod(_reduce_rows(mat_mul(a, b), fs),
-                                   _reduce_rows(mat_mul(b, a), fs), fs):
+        # [a, b] = 1 exactly when [b, a] = 1, and a commutes with itself
+        for i, a in enumerate(reduced):
+            for b in reduced[i + 1:]:
+                if _mul_mod(a, b, fs) != _mul_mod(b, a, fs):
                     raise ValidationError("generator actions do not commute")
         object.__setattr__(self, "action", tuple(reduced))
 
     @classmethod
     def trivial_action(cls, group, module: FinAbGroup) -> "GModule":
-        k = module.rank
-        ident = tuple(tuple(1 if i == j else 0 for j in range(k)) for i in range(k))
+        ident = _identity(module.rank)
         return cls(group, module, tuple(ident for _ in group.generator_orders))
 
     @classmethod
@@ -179,11 +173,12 @@ def _action_blocks(m: GModule):
     fs = m.module.invariant_factors
     k = m.module.rank
     blocks = []
+    ident = _identity(k)
     for sigma, n in zip(m.action, m.group.generator_orders):
-        norm = identity_matrix(k)
-        for _ in range(n - 1):  # Horner: N <- 1 + s N
-            norm = [[(sum(sigma[i][t] * norm[t][j] for t in range(k)) + (i == j)) % fs[i]
-                     for j in range(k)] for i in range(k)]
+        step = tuple(row + irow for row, irow in zip(sigma, ident))
+        norm = ident
+        for _ in range(n - 1):  # Horner: N <- 1 + s N = [s | 1] [N; 1]
+            norm = _mul_mod(step, norm + ident, fs)
         smo = [[sigma[i][j] - (i == j) for j in range(k)] for i in range(k)]
         blocks.append((smo, norm))
     return blocks
@@ -196,11 +191,11 @@ def _indices(r, d):
     return [(a,) + rest for a in range(d + 1) for rest in _indices(r - 1, d - a)]
 
 
-def _coboundary(blocks, d, k):
-    """Integer matrix of delta_d: C^d -> C^(d+1), k coordinates per index."""
-    r = len(blocks)
-    src = {alpha: t for t, alpha in enumerate(_indices(r, d))}
-    tgt = _indices(r, d + 1)
+def _coboundary(blocks, src, tgt, k):
+    """Integer matrix of delta: C^d -> C^(d+1), k coordinates per index.
+
+    src and tgt are the multi-indices of degrees d and d + 1."""
+    pos = {alpha: t for t, alpha in enumerate(src)}
     rows = [[0] * (len(src) * k) for _ in range(len(tgt) * k)]
     for b, beta in enumerate(tgt):
         sign = 1
@@ -208,7 +203,7 @@ def _coboundary(blocks, d, k):
             if a:
                 # tau_i(a) = s_i - 1 for odd a, N_i for even a
                 block = blocks[i][a % 2 == 0]
-                base = src[beta[:i] + (a - 1,) + beta[i + 1:]] * k
+                base = pos[beta[:i] + (a - 1,) + beta[i + 1:]] * k
                 for x in range(k):
                     for y in range(k):
                         rows[b * k + x][base + y] += sign * block[x][y]
@@ -224,12 +219,12 @@ def _cohomology(m: GModule, degree: int) -> FinAbGroup:
     fs = list(m.module.invariant_factors)
     k = len(fs)
     blocks = _action_blocks(m)
-    cochains = len(_indices(len(blocks), degree))
-    targets = len(_indices(len(blocks), degree + 1))
-    nvars = cochains * k
+    below, cochains, above = (_indices(len(blocks), d) for d in (degree - 1, degree, degree + 1))
+    nvars = len(cochains) * k
     cocycles = preimage_generators(
-        _coboundary(blocks, degree, k), diagonal_columns(fs * targets), nvars)
-    den = columns(_coboundary(blocks, degree - 1, k)) + diagonal_columns(fs * cochains)
+        _coboundary(blocks, cochains, above, k), diagonal_columns(fs * len(above)), nvars)
+    den = (columns(_coboundary(blocks, below, cochains, k))
+           + diagonal_columns(fs * len(cochains)))
     return finite_quotient(cocycles + den, den, nvars)
 
 

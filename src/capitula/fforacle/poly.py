@@ -221,6 +221,13 @@ def render_poly(p: Poly, var: str = "t") -> str:
     return "+".join(parts)
 
 
+def _term_number(digits: str, term: str) -> int:
+    """A coefficient or exponent of a term of parse_poly: decimal digits only."""
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValidationError(f"cannot parse term {term!r}")
+    return int(digits)
+
+
 def parse_poly(field, text: str, var: str = "t") -> Poly:
     """Inverse of render_poly: integer coefficients index field elements.
 
@@ -239,12 +246,13 @@ def parse_poly(field, text: str, var: str = "t") -> Poly:
             part = part[1:]
         if var in part:
             coef_s, _, pow_s = part.partition(var)
-            coef = int(coef_s.rstrip("*")) if coef_s else 1
-            power = int(pow_s[1:]) if pow_s.startswith("^") else (1 if not pow_s else None)
+            coef = _term_number(coef_s.rstrip("*"), part) if coef_s else 1
+            power = (_term_number(pow_s[1:], part) if pow_s.startswith("^")
+                     else (1 if not pow_s else None))
             if power is None:
                 raise ValidationError(f"cannot parse term {part!r}")
         else:
-            coef = int(part)
+            coef = _term_number(part, part)
             power = 0
         if coef >= field.order:
             raise ValidationError(

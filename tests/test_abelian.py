@@ -102,6 +102,7 @@ class TestSmithNormalForm:
         from sympy.matrices.normalforms import smith_normal_form as sympy_snf
         _, s, _ = smith_normal_form(rows)
         ours = [abs(s[i][i]) for i in range(min(len(s), len(s[0])))]
+        assert snf_diagonal(rows) == [s[i][i] for i in range(min(len(s), len(s[0])))]
         theirs_m = sympy_snf(sympy.Matrix(rows))
         theirs = [abs(int(theirs_m[i, i])) for i in range(min(theirs_m.rows, theirs_m.cols))]
         assert sorted(d for d in ours if d) == sorted(d for d in theirs if d)
@@ -190,6 +191,36 @@ class TestQuotientPresentation:
         u2inv = invert_unimodular(pres._u2) if pres._kept else []
         bmat = from_columns(pres._basis, m)
         assert pres.lifts == [mat_vec(bmat, [row[i] for row in u2inv]) for i in pres._kept]
+
+    def test_finite_quotient_reads_the_presented_group(self):
+        # an empty numerator, rank zero, an infinite quotient, a denominator
+        # outside the numerator, then seeded lattices with all four outcomes
+        cases = [([], [], 3), ([[0, 0]], [[0, 0]], 2), ([], [], 0), ([[1, 0]], [], 2),
+                 ([[2, 0]], [[1, 0]], 2)]
+        rng = random.Random(15)
+        for _ in range(300):
+            m = rng.randint(1, 4)
+            num = [[rng.randint(-6, 6) for _ in range(m)] for _ in range(rng.randint(0, 4))]
+            den = [[c * x for x in v] for v in num for c in (rng.randint(0, 6),)]
+            den += [[sum(rng.randint(-3, 3) * v[r] for v in num) for r in range(m)]
+                    for _ in range(rng.randint(0, 2))]
+            if rng.random() < 0.1:
+                den.append([rng.randint(-6, 6) for _ in range(m)])
+            cases.append((num, den, m))
+        outcomes = set()
+        for num, den, m in cases:
+            try:
+                expected = QuotientPresentation(num, den, m).group
+            except ValidationError as exc:
+                outcomes.add(str(exc))
+                with pytest.raises(ValidationError) as caught:
+                    finite_quotient(num, den, m)
+                assert str(caught.value) == str(exc)
+                continue
+            outcomes.add("trivial" if expected.is_trivial() else "finite")
+            assert finite_quotient(num, den, m) == expected
+        assert outcomes == {"trivial", "finite", "quotient is infinite",
+                            "denominator lattice not contained in numerator lattice"}
 
 
 class TestFinAbGroup:

@@ -153,6 +153,11 @@ class TestOracle:
         assert "coefficient 5 in term '5' is not an element index 0..4 of GF(5)" \
             in capsys.readouterr().err
 
+    def test_malformed_place_exits_2(self, tmp_path, capsys):
+        curve = {"kind": "kummer", "q": 5, "p_or_l": 2, "Q_or_f": {"num": [0, 1]}}
+        assert main(["oracle", write(tmp_path, "c.json", curve), "--s", "t+a"]) == 2
+        assert "error: cannot parse term 'a'" in capsys.readouterr().err
+
 
 class TestVerify:
     def test_unknown_suite_exits_1(self, capsys):

@@ -70,6 +70,24 @@ class TestGModuleValidation:
         with pytest.raises(ValidationError):
             GModule(AbelianGroup((2, 4)), FinAbGroup((4, 4)), (swap, unit))
 
+    # over (Z/2)^3 on Z/2 x Z/2: swap and shear each have order 2 but do not
+    # commute, and the rotation has order 3
+    IDENT = ((1, 0), (0, 1))
+    SWAP = ((0, 1), (1, 0))
+    SHEAR = ((1, 1), (0, 1))
+    ROTATION = ((0, 1), (1, 1))
+
+    def test_first_and_third_generators_must_commute(self):
+        with pytest.raises(ValidationError, match="generator actions do not commute"):
+            GModule(AbelianGroup((2, 2, 2)), FinAbGroup((2, 2)),
+                    (self.SWAP, self.IDENT, self.SHEAR))
+
+    def test_last_generator_must_satisfy_its_order(self):
+        with pytest.raises(ValidationError,
+                           match="action matrix does not satisfy its generator order"):
+            GModule(AbelianGroup((2, 2, 2)), FinAbGroup((2, 2)),
+                    (self.IDENT, self.IDENT, self.ROTATION))
+
     def test_cyclic_only_guards(self):
         m = GModule.trivial_action(AbelianGroup((2, 2)), FinAbGroup.of(2))
         with pytest.raises(UnsupportedError):

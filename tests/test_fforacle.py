@@ -219,6 +219,15 @@ class TestPolyLayer:
         with pytest.raises(ValidationError, match=re.escape(term)):
             parse_base_place(GF(q), text)
 
+    @pytest.mark.parametrize("text, term", [("t+a", "'a'"), ("t^x", "'t^x'"),
+                                            ("2*s+1", "'2*s'"), ("t^", "'t^'"),
+                                            ("t^-1", "'t^'")])
+    def test_parse_rejects_malformed_terms(self, text, term):
+        import re
+
+        with pytest.raises(ValidationError, match=f"cannot parse term {re.escape(term)}"):
+            parse_poly(GF(5), text)
+
     def test_parse_reads_negative_indices_below_q(self):
         field = GF(9)
         assert parse_poly(field, "t-1") == Poly(field, [field.neg(1), 1])
