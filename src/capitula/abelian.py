@@ -2,10 +2,15 @@
 
 Everything here is integer linear algebra: Smith normal form with its
 unimodular transforms, kernels/cokernels of maps between finite abelian
-groups, and quotients of integer lattices.  A finite abelian group is
-always carried around in invariant-factor normal form d1 | d2 | ... | dk
-(each factor at least 2, the empty list being the trivial group); the
-relation lattice of that presentation is diag(d1, ..., dk) Z^k.
+groups, and quotients of integer lattices.  Lattices are kept as staircase
+bases from one untracked column echelon: a preimage {x : M x in L} comes
+from one echelon of [[M, L], [I, 0]], and a finite quotient L1/L2 is the
+Smith diagonal of L2's coordinates in the staircase of L1.
+
+A finite abelian group is always carried around in invariant-factor
+normal form d1 | d2 | ... | dk (each factor at least 2, the empty list
+being the trivial group); the relation lattice of that presentation is
+diag(d1, ..., dk) Z^k.
 
 All arithmetic is arbitrary precision: class numbers and L-polynomial
 coefficients overflow fixed width quickly.
@@ -57,15 +62,6 @@ def from_columns(cols, nrows=None):
     if not cols:
         return [[] for _ in range(nrows or 0)]
     return [[col[i] for col in cols] for i in range(len(cols[0]))]
-
-
-def mat_add_cols(a, b):
-    """Horizontal concatenation [a | b]."""
-    if not a:
-        return [list(r) for r in b]
-    if not b:
-        return [list(r) for r in a]
-    return [list(ra) + list(rb) for ra, rb in zip(a, b)]
 
 
 def _swap_rows(a, u, i, j):
@@ -195,73 +191,93 @@ def invert_unimodular(u):
     return mat_mul(v1, u1)
 
 
-def _column_echelon(matrix, track):
-    """Integer column echelon form by gcd elimination.
+def _column_echelon(a):
+    """Bring a to integer column echelon form in place, by gcd elimination.
 
-    Returns (echelon, v, pivots) where echelon = M*v, v unimodular (or None
-    when track is false) and pivots lists (row, col) staircase positions.
-    Columns beyond the last pivot are identically zero.
+    Returns the pivot rows, one per leading column: column j is zero above
+    row pivots[j] and positive there, and the columns beyond the last
+    pivot are identically zero.  Column operations keep the lattice the
+    columns span.
     """
-    rows = len(matrix)
-    cols = len(matrix[0]) if rows else 0
-    a = [list(r) for r in matrix]
-    v = identity_matrix(cols) if track else None
+    rows = len(a)
+    cols = len(a[0]) if rows else 0
     pivots = []
     pc = 0
     for r in range(rows):
         if pc >= cols:
             break
+        # the rows above r are zero from column pc on, so they never change
+        below = a[r:]
+        row_r = a[r]
         while True:
             best = None
             for j in range(pc, cols):
-                x = a[r][j]
-                if x != 0 and (best is None or abs(x) < abs(a[r][best])):
+                x = row_r[j]
+                if x != 0 and (best is None or abs(x) < abs(row_r[best])):
                     best = j
             if best is None:
                 break
             if best != pc:
-                for row in a:
+                for row in below:
                     row[pc], row[best] = row[best], row[pc]
-                if track:
-                    for row in v:
-                        row[pc], row[best] = row[best], row[pc]
             done = True
-            p = a[r][pc]
+            p = row_r[pc]
             for j in range(pc + 1, cols):
-                if a[r][j]:
-                    q = a[r][j] // p
-                    for row in a:
+                if row_r[j]:
+                    q = row_r[j] // p
+                    for row in below:
                         row[j] -= q * row[pc]
-                    if track:
-                        for row in v:
-                            row[j] -= q * row[pc]
-                    if a[r][j]:
+                    if row_r[j]:
                         done = False
             if done:
                 break
-        if pc < cols and a[r][pc] != 0:
-            if a[r][pc] < 0:
-                for row in a:
+        if pc < cols and row_r[pc] != 0:
+            if row_r[pc] < 0:
+                for row in below:
                     row[pc] = -row[pc]
-                if track:
-                    for row in v:
-                        row[pc] = -row[pc]
-            pivots.append((r, pc))
+            pivots.append(r)
             pc += 1
-    return a, v, pivots
+    return pivots
+
+
+def preimage_system(nvars, moduli):
+    """The stacked system [[M, diag(moduli)], [I_nvars, 0]] with M = 0.
+
+    The caller writes M (len(moduli) rows over nvars columns) into the
+    top-left block and passes the result to preimage_staircase.
+    """
+    m = len(moduli)
+    width = nvars + m
+    system = [[0] * width for _ in range(m + nvars)]
+    for i, f in enumerate(moduli):
+        system[i][nvars + i] = f
+    for i in range(nvars):
+        system[m + i][i] = 1
+    return system
+
+
+def preimage_staircase(system, m):
+    """Staircase basis of {x : M x in L}, from one column echelon of
+    [[M, L], [I, 0]] with M the first m rows (Cohen, GTM 138, section 2.4).
+
+    The columns span {(M x + L z, x)}.  Once the first m rows are done, the
+    columns left are zero on top, so their lower parts span the preimage,
+    and the echelon of the I rows puts that preimage in staircase form.
+    Returns (basis, pivots) as column_lattice_basis does, with the pivot
+    rows counted in Z^N; the system is overwritten.
+    """
+    pivots = _column_echelon(system)
+    top = sum(r < m for r in pivots)
+    rows = system[m:]
+    return ([[row[j] for row in rows] for j in range(top, len(pivots))],
+            [r - m for r in pivots[top:]])
 
 
 def kernel_basis(matrix):
-    """Basis (as a list of column vectors) of the integer kernel of M."""
+    """Staircase basis (as column vectors) of the integer kernel of M."""
     rows = len(matrix)
     cols = len(matrix[0]) if rows else 0
-    if cols == 0:
-        return []
-    if rows == 0:
-        return [[1 if i == j else 0 for i in range(cols)] for j in range(cols)]
-    _, v, pivots = _column_echelon(matrix, track=True)
-    rank = len(pivots)
-    return [[v[i][j] for i in range(cols)] for j in range(rank, cols)]
+    return preimage_generators(matrix, [], cols)
 
 
 def solve_integer(matrix, rhs):
@@ -294,16 +310,15 @@ def column_lattice_basis(gen_cols, ambient_dim):
     if not cols:
         return [], []
     m = from_columns(cols, ambient_dim)
-    ech, _, pivots = _column_echelon(m, track=False)
-    basis = [[ech[i][j] for i in range(ambient_dim)] for (_, j) in pivots]
-    return basis, pivots
+    pivots = _column_echelon(m)
+    return [[row[j] for row in m] for j in range(len(pivots))], pivots
 
 
 def solve_staircase(basis, pivots, rhs):
     """Coordinates of rhs in a staircase lattice basis, or None."""
     coords = [0] * len(basis)
     residual = list(rhs)
-    for idx, (r, _) in enumerate(pivots):
+    for idx, r in enumerate(pivots):
         p = basis[idx][r]
         if residual[r] % p:
             return None
@@ -319,7 +334,7 @@ def solve_staircase(basis, pivots, rhs):
 
 
 def preimage_generators(matrix, lattice_cols, domain_dim=None):
-    """Generators of {x : M x lies in the lattice spanned by lattice_cols}.
+    """Staircase basis of {x : M x lies in the lattice spanned by lattice_cols}.
 
     The target lattice lives in Z^m where m is the row count of M.  For a
     map into Z^0 the matrix carries no column count, so domain_dim must be
@@ -329,12 +344,10 @@ def preimage_generators(matrix, lattice_cols, domain_dim=None):
     cols = len(matrix[0]) if rows else domain_dim
     if cols is None:
         raise ValidationError("domain dimension of an empty matrix is unknown")
-    if rows == 0:
-        return [[1 if i == j else 0 for i in range(cols)] for j in range(cols)]
-    stacked = mat_add_cols(matrix, from_columns(lattice_cols, rows))
-    ker = kernel_basis(stacked)
-    gens = [vec[:cols] for vec in ker]
-    return [g for g in gens if any(g)]
+    system = [list(row) + [col[i] for col in lattice_cols] for i, row in enumerate(matrix)]
+    system += [[int(i == j) for j in range(cols)] + [0] * len(lattice_cols)
+               for i in range(cols)]
+    return preimage_staircase(system, rows)[0]
 
 
 class HermiteModD:
@@ -389,21 +402,16 @@ def diagonal_columns(diag):
     return [[diag[i] if r == i else 0 for r in range(len(diag))] for i in range(len(diag))]
 
 
-def _lattice_coordinates(num_cols, den_cols, ambient_dim):
-    """(basis, pivots, X) for the quotient of lattices L1/L2.
-
-    basis and pivots are the staircase basis of L1 (column_lattice_basis),
-    and column j of X holds the coordinates of the j-th generator of L2 in
-    that basis, so L1/L2 = Z^rank / X Z^n.
-    """
-    basis, pivots = column_lattice_basis(num_cols, ambient_dim)
+def _staircase_coordinates(basis, pivots, den_cols):
+    """X with column j the coordinates of the j-th den column in a staircase
+    basis of L1, so that L1/L2 = Z^rank / X Z^n."""
     x_cols = []
     for d in den_cols:
         sol = solve_staircase(basis, pivots, d)
         if sol is None:
             raise ValidationError("denominator lattice not contained in numerator lattice")
         x_cols.append(sol)
-    return basis, pivots, from_columns(x_cols, len(basis))
+    return from_columns(x_cols, len(basis))
 
 
 class QuotientPresentation:
@@ -419,7 +427,8 @@ class QuotientPresentation:
     """
 
     def __init__(self, num_cols, den_cols, ambient_dim):
-        basis, pivots, x = _lattice_coordinates(num_cols, den_cols, ambient_dim)
+        basis, pivots = column_lattice_basis(num_cols, ambient_dim)
+        x = _staircase_coordinates(basis, pivots, den_cols)
         rho = len(basis)
         u2, s2, v2 = smith_normal_form(x)
         factors = []
@@ -460,13 +469,19 @@ class QuotientPresentation:
         return tuple(tuple(cols[j][i] for j in range(k)) for i in range(k))
 
 
-def finite_quotient(num_cols, den_cols, ambient_dim) -> FinAbGroup:
-    """The finite group L1/L2, read off the Smith diagonal alone."""
-    basis, _, x = _lattice_coordinates(num_cols, den_cols, ambient_dim)
-    diag = snf_diagonal(x)
+def staircase_quotient(basis, pivots, den_cols) -> FinAbGroup:
+    """The finite group L1/L2 for L1 in staircase form (basis, pivots) and L2
+    spanned by den_cols: one forward solve per den column, then the Smith
+    diagonal of the coordinates alone."""
+    diag = snf_diagonal(_staircase_coordinates(basis, pivots, den_cols))
     if len(diag) < len(basis) or 0 in diag:
         raise ValidationError("quotient is infinite")
     return FinAbGroup(tuple(d for d in diag if d != 1))
+
+
+def finite_quotient(num_cols, den_cols, ambient_dim) -> FinAbGroup:
+    """The finite group L1/L2, read off the Smith diagonal alone."""
+    return staircase_quotient(*column_lattice_basis(num_cols, ambient_dim), den_cols)
 
 
 # ---------------------------------------------------------------------------
@@ -613,9 +628,7 @@ def kernel(h: AbHom) -> tuple[FinAbGroup, AbHom]:
     """Kernel of a hom, with its inclusion back into the source."""
     k = h.source.rank
     gens = preimage_generators(h.matrix_rows(), h.target.relation_columns(), k)
-    pres = QuotientPresentation(
-        gens + h.source.relation_columns(), h.source.relation_columns(), k
-    )
+    pres = QuotientPresentation(gens, h.source.relation_columns(), k)
     sf = h.source.invariant_factors
     incl_cols = [[lift[i] % sf[i] for i in range(k)] for lift in pres.lifts]
     incl = AbHom(pres.group, h.source, tuple(
@@ -651,10 +664,9 @@ def sum_map_kernel(d_values, big_d: int) -> FinAbGroup:
     if big_d != lcm_list(d):
         raise ValidationError(f"D={big_d} is not lcm{tuple(d)}")
     r = len(d)
-    row = [[big_d // dv for dv in d]]
-    gens = preimage_generators(row, [[big_d]])
-    den = diagonal_columns(d)
-    group = finite_quotient(gens + den, den, r)
+    system = preimage_system(r, [big_d])
+    system[0][:r] = [big_d // dv for dv in d]
+    group = staircase_quotient(*preimage_staircase(system, 1), diagonal_columns(d))
     expected = prod(d) // big_d
     if group.order != expected:
         raise ValidationError("internal error: kernel order does not match (prod d)/D")

@@ -15,21 +15,31 @@ never an enumeration of maps.  For cyclic G this is the periodic
 resolution itself:
 
     H^1 = ker N / (s - 1) M,      H^2 = ker(s - 1) / N M = H^0_hat.
+
+Each group costs one column echelon, one forward solve and one Smith
+diagonal.  The cocycles {x : delta_d x in diag(fs) Z} come out in
+staircase form from one echelon of the stacked system
+[[delta_d, diag(fs)], [I, 0]] (abelian.preimage_staircase).  The
+coboundaries, the columns of delta_(d-1) and diag(fs), are solved against
+that staircase, and H^d is read off the Smith diagonal of their
+coordinates (abelian.staircase_quotient).  hom_g_dual does the same with
+the well-definedness and equivariance conditions in place of delta_d.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from math import prod
 from operator import mul
 
 from .abelian import (
     FinAbGroup,
-    columns,
     diagonal_columns,
-    finite_quotient,
-    preimage_generators,
+    preimage_staircase,
+    preimage_system,
+    staircase_quotient,
 )
 from .errors import ResourceError, UnsupportedError, ValidationError
 
@@ -185,18 +195,16 @@ def _action_blocks(m: GModule):
 
 
 def _indices(r, d):
-    """The multi-indices alpha in N^r with |alpha| = d."""
-    if r == 0:
-        return [()] if d == 0 else []
-    return [(a,) + rest for a in range(d + 1) for rest in _indices(r - 1, d - a)]
+    """The multi-indices alpha in N^r with |alpha| = d, in lexicographic order."""
+    return [alpha for alpha in product(range(d + 1), repeat=r) if sum(alpha) == d]
 
 
 def _coboundary(blocks, src, tgt, k):
-    """Integer matrix of delta: C^d -> C^(d+1), k coordinates per index.
+    """The nonzero entries (row, column, value) of delta: C^d -> C^(d+1),
+    k coordinates per index; each position comes up at most once.
 
     src and tgt are the multi-indices of degrees d and d + 1."""
     pos = {alpha: t for t, alpha in enumerate(src)}
-    rows = [[0] * (len(src) * k) for _ in range(len(tgt) * k)]
     for b, beta in enumerate(tgt):
         sign = 1
         for i, a in enumerate(beta):
@@ -205,11 +213,11 @@ def _coboundary(blocks, src, tgt, k):
                 block = blocks[i][a % 2 == 0]
                 base = pos[beta[:i] + (a - 1,) + beta[i + 1:]] * k
                 for x in range(k):
-                    for y in range(k):
-                        rows[b * k + x][base + y] += sign * block[x][y]
+                    for y, v in enumerate(block[x]):
+                        if v:
+                            yield b * k + x, base + y, sign * v
             if a % 2:
                 sign = -sign
-    return rows
 
 
 def _cohomology(m: GModule, degree: int) -> FinAbGroup:
@@ -221,11 +229,16 @@ def _cohomology(m: GModule, degree: int) -> FinAbGroup:
     blocks = _action_blocks(m)
     below, cochains, above = (_indices(len(blocks), d) for d in (degree - 1, degree, degree + 1))
     nvars = len(cochains) * k
-    cocycles = preimage_generators(
-        _coboundary(blocks, cochains, above, k), diagonal_columns(fs * len(above)), nvars)
-    den = (columns(_coboundary(blocks, below, cochains, k))
-           + diagonal_columns(fs * len(cochains)))
-    return finite_quotient(cocycles + den, den, nvars)
+    # the cocycles, {x : delta_d x in diag(fs) Z^(above)}, in staircase form
+    system = preimage_system(nvars, fs * len(above))
+    for r, c, v in _coboundary(blocks, cochains, above, k):
+        system[r][c] = v
+    cocycles, pivots = preimage_staircase(system, len(above) * k)
+    # the coboundaries: the columns of delta_(d-1), then diag(fs) Z^(cochains)
+    den = [[0] * nvars for _ in range(len(below) * k)]
+    for r, c, v in _coboundary(blocks, below, cochains, k):
+        den[c][r] = v
+    return staircase_quotient(cocycles, pivots, den + diagonal_columns(fs * len(cochains)))
 
 
 def tate_h0(m: GModule) -> FinAbGroup:
@@ -267,9 +280,10 @@ def h_general(m: GModule, degree: int) -> FinAbGroup:
 def hom_g_dual(a: GModule, mu: GModule) -> FinAbGroup:
     """The group of g-equivariant homomorphisms A -> mu.
 
-    Both modules must carry an action of the same acting group; the result
-    is the kernel of the equivariance conditions f(g.x) = g.f(x) inside
-    Hom(A, mu), computed as a lattice quotient.
+    Both modules must carry an action of the same acting group.  A map is
+    an integer matrix f, one entry per pair of generators; the result is
+    the lattice of matrices meeting the conditions, one staircase echelon,
+    modulo the matrices that are zero in Hom(A, mu).
     """
     if a.group != mu.group:
         raise ValidationError("mismatched acting groups")
@@ -284,30 +298,20 @@ def hom_g_dual(a: GModule, mu: GModule) -> FinAbGroup:
     def vidx(i, j):
         return i * ka + j
 
-    rows = []
-    moduli = []
+    # f is well defined (afs[j] f_ij = 0 in Z/mfs[i]) and f(g.x) = g.f(x) for
+    # each generator, one block of nvars conditions each, all modulo mfs[i]
+    lam = [mfs[i] for i in range(km) for _ in range(ka)]
+    system = preimage_system(nvars, lam * (1 + len(a.action)))
     for i in range(km):
         for j in range(ka):
-            row = [0] * nvars
-            row[vidx(i, j)] = afs[j]
-            rows.append(row)
-            moduli.append(mfs[i])
-    for p_mat, q_mat in zip(a.action, mu.action):
+            system[vidx(i, j)][vidx(i, j)] = afs[j]
+    for block, (p_mat, q_mat) in enumerate(zip(a.action, mu.action), start=1):
         for i in range(km):
             for j in range(ka):
-                row = [0] * nvars
+                row = system[block * nvars + vidx(i, j)]
                 for t in range(ka):
                     row[vidx(i, t)] += p_mat[t][j]
                 for t in range(km):
                     row[vidx(t, j)] -= q_mat[i][t]
-                rows.append(row)
-                moduli.append(mfs[i])
-
-    valid = preimage_generators(rows, diagonal_columns(moduli), nvars)
-    lam_cols = []
-    for i in range(km):
-        for j in range(ka):
-            col = [0] * nvars
-            col[vidx(i, j)] = mfs[i]
-            lam_cols.append(col)
-    return finite_quotient(valid + lam_cols, lam_cols, nvars)
+    valid, pivots = preimage_staircase(system, len(system) - nvars)
+    return staircase_quotient(valid, pivots, diagonal_columns(lam))

@@ -187,12 +187,6 @@ class Poly:
         """Multiplicity of the irreducible pi in self (self nonzero)."""
         if self.is_zero():
             raise ValidationError("valuation of the zero polynomial")
-        if pi.degree == 1:
-            # pi divides self exactly when self vanishes at the root of pi
-            f = self.field
-            root = f.neg(f.div(pi.coeffs[0], pi.coeffs[1]))
-            if not f.is_zero(self.evaluate(root)):
-                return 0
         return split_off(self, pi)[0]
 
     def reversed_coeffs(self):
@@ -512,6 +506,11 @@ def factor_with_bounded_degree(poly: Poly, max_degree: int):
 
 def split_off(poly: Poly, pi: Poly) -> tuple[int, Poly]:
     """(v_pi(poly), poly / pi^v) for a nonzero poly and an irreducible pi."""
+    if pi.degree == 1:
+        # a linear pi divides poly exactly when poly vanishes at its root
+        f = poly.field
+        if not f.is_zero(poly.evaluate(f.neg(f.div(pi.coeffs[0], pi.coeffs[1])))):
+            return 0, poly
     mult = 0
     while poly.degree >= pi.degree:
         q, r = poly.divmod(pi)

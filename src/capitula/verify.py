@@ -8,7 +8,8 @@ pass/fail.  The three suites back the `capitula verify` command:
 
   abelian     exhaustive order/structure law for the local sum-map kernel
   cohomology  Herbrand quotients, H^1 and H^0-hat structures counted
-              over the module, Hilbert 90
+              over the module, Hilbert 90; H^1 over non-cyclic groups by
+              crossed homomorphisms and equivariant Homs by enumeration
   corpus      the full oracle pipeline on every shipped curve, for three
               S sets each
 """
@@ -22,14 +23,17 @@ from math import gcd, lcm, prod
 
 from .abelian import FinAbGroup, sum_map_kernel
 from .cohomology import (
+    AbelianGroup,
     Cyclic,
     GModule,
     h1_cyclic,
+    h_general,
     herbrand_quotient,
+    hom_g_dual,
     multiplicative_group_module,
     tate_h0,
 )
-from .errors import CapitulaError
+from .errors import CapitulaError, ValidationError
 from .formulas import (
     chevalley_ff,
     delta_index,
@@ -351,7 +355,95 @@ def verify_cohomology(samples: int = 200, seed: int = 20260810) -> list[Verdict]
         "trivial_action_h1_gcd",
         "H^1 with trivial action on Z/m has order gcd(n, m)",
         True, gcd_ok))
+    verdicts += _noncyclic_verdicts(rng)
     return verdicts
+
+
+NONCYCLIC_GROUPS = ((2, 2), (2, 4), (2, 2, 2), (3, 3))
+
+
+def _noncyclic_verdicts(rng) -> list[Verdict]:
+    """h_general H^1 and hom_g_dual over non-cyclic G against enumeration."""
+    h1_ok = True
+    hom_ok = True
+    for orders in NONCYCLIC_GROUPS:
+        modules = [_random_module(rng, orders) for _ in range(12)]
+        for m in modules:
+            h1_ok = h1_ok and h_general(m, 1) == _crossed_h1_by_enumeration(m)
+        # neighbours, often of coprime orders, and each module with itself
+        for a, mu in list(zip(modules, modules[1:])) + [(m, m) for m in modules]:
+            hom_ok = hom_ok and hom_g_dual(a, mu) == _equivariant_homs_by_enumeration(a, mu)
+    groups = ", ".join(" x ".join(f"Z/{n}" for n in orders) for orders in NONCYCLIC_GROUPS)
+    return [
+        _verdict("noncyclic_h1_structure",
+                 f"H^1 over {groups} has the invariant factors of crossed "
+                 "homomorphisms on the generators modulo principal ones, counted over M",
+                 True, h1_ok),
+        _verdict("equivariant_hom_structure",
+                 "Hom_G(A, mu) has the invariant factors of the equivariant maps, "
+                 "counted over all maps A -> mu",
+                 True, hom_ok),
+    ]
+
+
+def _module_elements(m: GModule):
+    """The elements of M and, per generator s_i, the dict x -> s_i x."""
+    fs = m.module.invariant_factors
+    elements = list(product(*(range(f) for f in fs)))
+    acts = [{x: tuple(sum(a * b for a, b in zip(row, x)) % f for row, f in zip(mat, fs))
+             for x in elements} for mat in m.action]
+    return elements, acts
+
+
+def _crossed_h1_by_enumeration(m: GModule) -> FinAbGroup:
+    """H^1 for G = <s_i | s_i^(n_i), [s_i, s_j]>, over the elements of M.
+
+    A crossed homomorphism f is fixed by m_i = f(s_i), and the relators
+    ask N_i m_i = 0 and m_i + s_i m_j = m_j + s_j m_i; the principal ones
+    are m_i = (s_i - 1) x.  Each tuple (m_1, ..., m_r) is one element of M^r.
+    """
+    fs = m.module.invariant_factors
+    elements, acts = _module_elements(m)
+
+    def add(x, y):
+        return tuple((a + b) % f for a, b, f in zip(x, y, fs))
+
+    def norm_kills(x, act, n):
+        total, cur = x, act[x]
+        for _ in range(n - 1):
+            total, cur = add(total, cur), act[cur]
+        return not any(total)
+
+    choices = [[x for x in elements if norm_kills(x, act, n)]
+               for act, n in zip(acts, m.group.generator_orders)]
+    r = len(acts)
+    cocycles = [
+        sum(ms, ()) for ms in product(*choices)
+        if all(add(ms[i], acts[i][ms[j]]) == add(ms[j], acts[j][ms[i]])
+               for i in range(r) for j in range(i + 1, r))]
+    principal = {sum((tuple((a - b) % f for a, b, f in zip(act[x], x, fs)) for act in acts), ())
+                 for x in elements}
+    return _subquotient_by_enumeration(cocycles, principal, fs * r)
+
+
+def _equivariant_homs_by_enumeration(a: GModule, mu: GModule) -> FinAbGroup:
+    """Hom_G(A, mu) by trying every map on the generators of A: the images
+    h(e_j) in mu with afs[j] h(e_j) = 0, kept when h(s e_j) = s h(e_j) for
+    every generator s."""
+    afs, mfs = a.module.invariant_factors, mu.module.invariant_factors
+    mu_elements, mu_acts = _module_elements(mu)
+    images = [[y for y in mu_elements if not any(af * c % f for c, f in zip(y, mfs))]
+              for af in afs]
+
+    def apply(h, x):
+        return tuple(sum(h[j][i] * c for j, c in enumerate(x)) % f for i, f in enumerate(mfs))
+
+    homs = [
+        sum(h, ()) for h in product(*images)
+        if all(apply(h, [row[j] for row in p]) == q[h[j]]
+               for p, q in zip(a.action, mu_acts) for j in range(len(afs)))]
+    zero = tuple(0 for _ in afs for _ in mfs)
+    return _subquotient_by_enumeration(homs, {zero}, mfs * len(afs))
 
 
 def _cyclic_tate_by_enumeration(m: GModule) -> tuple[FinAbGroup, FinAbGroup]:
@@ -407,9 +499,34 @@ def _subquotient_by_enumeration(num, den, fs) -> FinAbGroup:
     return FinAbGroup.of(*pieces)
 
 
-def _random_cyclic_module(rng) -> GModule:
-    from .errors import ValidationError
+def _random_module(rng, orders) -> GModule:
+    """A module of order at most 16 over Z/n_1 x ... x Z/n_r: one unit of
+    order dividing n_i per coordinate, now and then one entry off the
+    diagonal; trivial when forty draws fail the GModule checks."""
+    group = AbelianGroup(orders)
+    module = FinAbGroup(rng.choice(((2,), (3,), (4,), (5,), (7,), (8,), (9,),
+                                    (2, 2), (2, 4), (3, 3), (2, 6), (4, 4))))
+    fs = module.invariant_factors
+    k = len(fs)
+    for _ in range(40):
+        action = []
+        for n in orders:
+            mat = [[0] * k for _ in range(k)]
+            for i, f in enumerate(fs):
+                mat[i][i] = rng.choice([u for u in range(1, f)
+                                        if gcd(u, f) == 1 and pow(u, n, f) == 1])
+            i, j = rng.randrange(k), rng.randrange(k)
+            if i != j and rng.random() < 0.5:
+                mat[i][j] = rng.randrange(fs[i])
+            action.append(tuple(map(tuple, mat)))
+        try:
+            return GModule(group, module, tuple(action))
+        except ValidationError:
+            continue
+    return GModule.trivial_action(group, module)
 
+
+def _random_cyclic_module(rng) -> GModule:
     n = rng.randint(1, 12)
     factors = []
     d = rng.choice([2, 2, 2, 3, 3, 4, 5, 6])

@@ -5,6 +5,7 @@ structures are recovered from element-order statistics so that tests check
 the SNF pipeline against something independent.
 """
 
+from itertools import product
 from math import gcd, prod
 
 
@@ -139,3 +140,34 @@ def hom_images(source_factors, target_factors, matrix):
         )
         images.add(img)
     return images
+
+
+def preimage_elements_mod(matrix, moduli, modulus, n):
+    """All x in (Z/modulus)^n with (M x)_i = 0 mod moduli[i] for every row i.
+
+    Each moduli[i] must divide modulus, so that the condition is well
+    defined on residues."""
+    out = []
+    for x in product(range(modulus), repeat=n):
+        if all(sum(a * b for a, b in zip(row, x)) % f == 0 for row, f in zip(matrix, moduli)):
+            out.append(x)
+    return out
+
+
+def span_mod(vectors, modulus, n):
+    """All integer combinations of the vectors, reduced modulo modulus."""
+    span = {tuple([0] * n)}
+    for v in vectors:
+        step = tuple(x % modulus for x in v)
+        grown = set(span)
+        frontier = list(span)
+        while frontier:
+            nxt = []
+            for s in frontier:
+                t = tuple((a + b) % modulus for a, b in zip(s, step))
+                if t not in grown:
+                    grown.add(t)
+                    nxt.append(t)
+            frontier = nxt
+        span = grown
+    return span

@@ -10,6 +10,7 @@ from capitula.abelian import (
     FinAbGroup,
     HermiteModD,
     cokernel,
+    diagonal_columns,
     ell_rank,
     QuotientPresentation,
     finite_quotient,
@@ -21,9 +22,13 @@ from capitula.abelian import (
     kernel_basis,
     mat_mul,
     mat_vec,
+    preimage_generators,
+    preimage_staircase,
+    preimage_system,
     smith_normal_form,
     snf_diagonal,
     solve_integer,
+    staircase_quotient,
     sum_map_kernel,
 )
 from capitula.errors import ValidationError
@@ -31,6 +36,8 @@ from capitula.errors import ValidationError
 from enum_oracle import (
     det_bareiss,
     hom_images,
+    preimage_elements_mod,
+    span_mod,
     structure_by_enumeration,
     sum_map_kernel_elements,
     tuple_adder,
@@ -119,6 +126,57 @@ class TestSmithNormalForm:
         assert mat_mul(u, invert_unimodular(u)) == [[1, 0], [0, 1]]
         with pytest.raises(ValidationError):
             invert_unimodular([[2, 0], [0, 1]])
+
+
+@st.composite
+def preimage_problems(draw):
+    """(M, moduli, E): M up to 4 x 4 with entries in [-6, 6], and a diagonal
+    lattice diag(moduli) Z^m whose moduli divide E <= 6."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    m = draw(st.integers(min_value=1, max_value=4))
+    rows = draw(st.lists(st.lists(st.integers(min_value=-6, max_value=6),
+                                  min_size=n, max_size=n), min_size=m, max_size=m))
+    big_e = draw(st.integers(min_value=1, max_value=6))
+    divisors = [d for d in range(1, big_e + 1) if big_e % d == 0]
+    moduli = draw(st.lists(st.sampled_from(divisors), min_size=m, max_size=m))
+    return rows, moduli, big_e
+
+
+class TestPreimageStaircase:
+    @settings(max_examples=200, deadline=None)
+    @given(preimage_problems())
+    def test_matches_enumeration_modulo_e(self, problem):
+        # {x : M x in diag(moduli) Z^m} contains E Z^N, so it is known from
+        # its residues modulo E, which enumeration over (Z/E)^N finds
+        rows, moduli, big_e = problem
+        n = len(rows[0])
+        system = preimage_system(n, moduli)
+        for row, target in zip(rows, system):
+            target[:n] = row
+        basis, pivots = preimage_staircase(system, len(rows))
+        assert span_mod(basis, big_e, n) == set(preimage_elements_mod(rows, moduli, big_e, n))
+        assert len(basis) == n
+        assert pivots == sorted(set(pivots))
+        for vec, r in zip(basis, pivots):
+            assert not any(vec[:r]) and vec[r] > 0
+        assert preimage_generators(rows, diagonal_columns(moduli), n) == basis
+
+    def test_kernel_is_the_preimage_of_zero(self):
+        m = [[2, 4, 6], [1, 2, 3]]
+        basis = kernel_basis(m)
+        assert len(basis) == 2
+        assert all(mat_vec(m, col) == [0, 0] for col in basis)
+        assert kernel_basis([[1, 0], [0, 1]]) == []
+        assert kernel_basis([]) == []
+
+    def test_denominator_outside_the_numerator_is_refused(self):
+        with pytest.raises(ValidationError, match="denominator lattice not contained"):
+            staircase_quotient([[2, 0], [0, 1]], [0, 1], [[1, 0]])
+
+    def test_infinite_quotient_is_refused(self):
+        with pytest.raises(ValidationError, match="quotient is infinite"):
+            staircase_quotient([[1, 0], [0, 1]], [0, 1], [[2, 0]])
+        assert staircase_quotient([[1, 0], [0, 1]], [0, 1], [[2, 0], [0, 3]]) == FinAbGroup((6,))
 
 
 # up to 6 vectors of Z^m, m <= 5, entries in [-6, 6]
@@ -301,8 +359,11 @@ class TestHoms:
                     row.append(step * rng.randrange(0, tf.invariant_factors[i] // step + 1))
                 rows.append(tuple(row))
             h = AbHom(sf, tf, tuple(rows))
-            k, _ = kernel(h)
+            k, incl = kernel(h)
             cok = cokernel(h)
+            # the inclusion is injective and lands in the kernel
+            assert image_order(incl) == k.order
+            assert not any(any(row) for row in h.compose(incl).matrix)
             # |ker h| * |target| == |coker h| * |source|, asserted exactly
             assert k.order * tf.order == cok.order * sf.order
             assert k.order * image_order(h) == sf.order

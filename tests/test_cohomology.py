@@ -264,6 +264,60 @@ class TestHGeneral:
             assert h_general(m, 2).invariant_factors == bar_h2_by_enumeration(*bar_inputs(m))
 
 
+ORDER_8_AND_9 = [Cyclic(8), AbelianGroup((2, 4)), AbelianGroup((2, 2, 2)),
+                 Cyclic(9), AbelianGroup((3, 3))]
+
+
+def kunneth_trivial(orders, factors, degree):
+    """H^degree(G, M) for G = sum Z/n_i acting trivially on M = sum Z/m:
+    Hom(G, M), plus Ext(G, M) + Hom(G ^ G, M) in degree 2 (Kunneth and
+    universal coefficients; H_1 G = G and H_2 G = G ^ G)."""
+    pieces = []
+    for m in factors:
+        pieces += [gcd(n, m) for n in orders]
+        if degree == 2:
+            pieces += [gcd(gcd(orders[i], orders[j]), m)
+                       for i in range(len(orders)) for j in range(i + 1, len(orders))]
+    return FinAbGroup.of(*pieces)
+
+
+class TestOrderEightAndNine:
+    @pytest.mark.parametrize("group", ORDER_8_AND_9, ids=str)
+    def test_trivial_actions_match_kunneth(self, group):
+        orders = group.generator_orders
+        modules = [FinAbGroup.of(m) for m in range(2, 13)]
+        modules += [FinAbGroup(fs) for fs in ((2, 2), (2, 4), (3, 3), (2, 6), (4, 8))]
+        for module in modules:
+            m = GModule.trivial_action(group, module)
+            for degree in (1, 2):
+                assert h_general(m, degree) == kunneth_trivial(
+                    orders, module.invariant_factors, degree), (module, degree)
+
+    def test_h1_matches_bar_enumeration(self):
+        swap, ident = ((0, 1), (1, 0)), ((1, 0), (0, 1))
+        unipotent = ((1, 1), (0, 1))
+        neg, one = ((-1,),), ((1,),)
+        z248, z9 = AbelianGroup((2, 2, 2)), AbelianGroup((3, 3))
+        cases = [
+            GModule.cyclic(8, FinAbGroup.of(5), ((2,),)),
+            GModule.cyclic(8, FinAbGroup.of(3), neg),
+            GModule.cyclic(8, FinAbGroup((2, 2)), unipotent),
+            GModule(AbelianGroup((2, 4)), FinAbGroup.of(5), (neg, ((2,),))),
+            GModule(AbelianGroup((2, 4)), FinAbGroup.of(4), (neg, neg)),
+            GModule(AbelianGroup((2, 4)), FinAbGroup((2, 2)), (swap, swap)),
+            GModule(AbelianGroup((2, 4)), FinAbGroup((2, 4)), (((1, 0), (0, -1)), ((1, 0), (2, 1)))),
+            GModule(z248, FinAbGroup.of(3), (neg, one, neg)),
+            GModule(z248, FinAbGroup.of(4), (neg, neg, one)),
+            GModule(z248, FinAbGroup((2, 2)), (swap, ident, swap)),
+            GModule.cyclic(9, FinAbGroup.of(7), ((2,),)),
+            GModule.cyclic(9, FinAbGroup((3, 3)), unipotent),
+            GModule(z9, FinAbGroup.of(7), (((2,),), ((4,),))),
+            GModule(z9, FinAbGroup((3, 3)), (unipotent, ((1, 2), (0, 1)))),
+        ]
+        for m in cases:
+            assert h_general(m, 1).invariant_factors == bar_h1_by_enumeration(*bar_inputs(m))
+
+
 class TestHomGDual:
     def test_no_nonzero_homs(self):
         a = GModule.trivial_action(Cyclic(2), FinAbGroup.of(2))
@@ -297,3 +351,59 @@ class TestHomGDual:
             (2, 2), (4,), [[[0, 1], [1, 0]]], [[[1]]]
         )
         assert ours == theirs
+
+
+class TestNoncyclicVerdictsCanFail:
+    """`capitula verify cohomology` compares h_general and hom_g_dual with
+    enumeration over non-cyclic G; a wrong group must turn the verdict."""
+
+    @staticmethod
+    def _verdicts():
+        from capitula.verify import verify_cohomology
+        return {v.check: v.passed for v in verify_cohomology(samples=0)}
+
+    def test_enumerations_match_the_test_oracles(self):
+        from capitula.verify import (
+            NONCYCLIC_GROUPS,
+            _crossed_h1_by_enumeration,
+            _equivariant_homs_by_enumeration,
+            _random_module,
+        )
+
+        rng = random.Random(11)
+        for orders in NONCYCLIC_GROUPS:
+            modules = [_random_module(rng, orders) for _ in range(4)]
+            for m in modules:
+                assert _crossed_h1_by_enumeration(m).invariant_factors == \
+                    bar_h1_by_enumeration(*bar_inputs(m))
+            for a, mu in zip(modules, modules[::-1]):
+                theirs = equivariant_homs_by_enumeration(
+                    a.module.invariant_factors, mu.module.invariant_factors,
+                    [[list(r) for r in p] for p in a.action],
+                    [[list(r) for r in q] for q in mu.action])
+                assert _equivariant_homs_by_enumeration(a, mu).invariant_factors == theirs
+
+    def test_unpatched_verdicts_pass(self):
+        verdicts = self._verdicts()
+        assert verdicts["noncyclic_h1_structure"] and verdicts["equivariant_hom_structure"]
+
+    @pytest.mark.parametrize("wrong", [
+        lambda real, m, d: real(m, d).direct_sum(FinAbGroup.of(2)),
+        lambda real, m, d: real(m, 3 - d),  # H^2 in place of H^1
+    ], ids=["extra_summand", "other_degree"])
+    def test_wrong_h_general_fails(self, monkeypatch, wrong):
+        import capitula.verify as verify
+        real = verify.h_general
+        monkeypatch.setattr(verify, "h_general", lambda m, d: wrong(real, m, d))
+        verdicts = self._verdicts()
+        assert verdicts["noncyclic_h1_structure"] is False
+        assert verdicts["equivariant_hom_structure"] is True
+
+    def test_wrong_hom_g_dual_fails(self, monkeypatch):
+        import capitula.verify as verify
+        real = verify.hom_g_dual
+        monkeypatch.setattr(verify, "hom_g_dual",
+                            lambda a, mu: real(a, mu).direct_sum(FinAbGroup.of(3)))
+        verdicts = self._verdicts()
+        assert verdicts["equivariant_hom_structure"] is False
+        assert verdicts["noncyclic_h1_structure"] is True
