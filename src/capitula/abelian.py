@@ -649,12 +649,17 @@ def image_order(h: AbHom) -> int:
 
 
 def sum_map_kernel(d_values, big_d: int) -> FinAbGroup:
-    """Kernel of the summation map on ⊕ Z/d_v into Z/D.
+    """Kernel of the summation map on A = ⊕ Z/d_v into Z/D.
 
     The v-th generator is sent to D/d_v mod D, which is the additive model
     of (x_v) -> sum x_v on the union of the d_v-torsion subgroups of Q/Z.
-    The order of the kernel is (prod d_v)/D.  Requires D = lcm(d_v);
-    entries equal to 1 contribute trivial summands.
+    Requires D = lcm(d_v); entries equal to 1 contribute trivial summands.
+
+    No lattice is built.  A is a Z/D-module and the map is onto Z/D (the
+    D/d_v have gcd 1), which is free over Z/D, so the map splits:
+    A ≅ ker ⊕ Z/D.  By cancellation for finite abelian groups the kernel
+    has every invariant factor of A but the last, which is D.  Its order is
+    (prod d_v)/D.
     """
     d = [int(x) for x in d_values]
     if not d:
@@ -663,11 +668,7 @@ def sum_map_kernel(d_values, big_d: int) -> FinAbGroup:
         raise ValidationError("d-values must be positive")
     if big_d != lcm_list(d):
         raise ValidationError(f"D={big_d} is not lcm{tuple(d)}")
-    r = len(d)
-    system = preimage_system(r, [big_d])
-    system[0][:r] = [big_d // dv for dv in d]
-    group = staircase_quotient(*preimage_staircase(system, 1), diagonal_columns(d))
-    expected = prod(d) // big_d
-    if group.order != expected:
+    group = FinAbGroup(FinAbGroup.of(*d).invariant_factors[:-1])
+    if group.order != prod(d) // big_d:
         raise ValidationError("internal error: kernel order does not match (prod d)/D")
     return group

@@ -8,7 +8,9 @@ the degree-d term is free on the multi-indices alpha with |alpha| = d, and
 
     d e_alpha = sum_i (-1)^(alpha_1 + ... + alpha_(i-1)) tau_i(alpha_i) e_(alpha - eps_i)
 
-with tau_i(a) = s_i - 1 for odd a and N_i for even a.  A d-cochain is one
+with tau_i(a) = s_i - 1 for odd a and N_i for even a.  Validating a GModule
+builds these blocks once, N_i by binary doubling alongside the check
+s_i^(n_i) = 1, so no cohomology call rebuilds them.  A d-cochain is one
 element of M per multi-index, so cocycles and coboundaries are integer
 lattices of a size independent of |G|, and H^d is one lattice quotient,
 never an enumeration of maps.  For cyclic G this is the periodic
@@ -28,7 +30,7 @@ the well-definedness and equivariance conditions in place of delta_d.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 from math import prod
@@ -93,16 +95,24 @@ def _mul_mod(a, b, factors):
                   for row, f in zip(a, factors)])
 
 
-def _mat_pow_mod(a, e, factors):
-    """a^e for e >= 1, reduced like _mul_mod."""
-    result = None
-    while True:
-        if e & 1:
-            result = a if result is None else _mul_mod(result, a, factors)
-        e >>= 1
-        if not e:
-            return result
-        a = _mul_mod(a, a, factors)
+def _norm_and_power(sigma, n, factors):
+    """(N, sigma^n) with N = 1 + sigma + ... + sigma^(n-1), reduced like _mul_mod.
+
+    Binary doubling over the bits of n, O(log n) products: with P = sigma^a,
+    N_2a = [P | 1] [N; N] and P_2a = P^2, and a step of one takes
+    N_(a+1) = [sigma | 1] [N; 1] and P_(a+1) = sigma P.
+    """
+    ident = _identity(len(factors))
+    step = tuple(row + irow for row, irow in zip(sigma, ident))
+    norm, power = ident, sigma
+    for bit in bin(n)[3:]:
+        norm = _mul_mod(tuple(row + irow for row, irow in zip(power, ident)),
+                        norm + norm, factors)
+        power = _mul_mod(power, power, factors)
+        if bit == "1":
+            norm = _mul_mod(step, norm + ident, factors)
+            power = _mul_mod(sigma, power, factors)
+    return norm, power
 
 
 @dataclass(frozen=True)
@@ -113,11 +123,15 @@ class GModule:
     module presentation Z^k / diag(d).  Each matrix must define an
     automorphism, the matrices must commute, and each must satisfy its
     generator order.
+
+    blocks holds (s_i - 1, N_i) for each generator s_i, with N_i the sum of
+    its powers; validation builds N_i together with s_i^(n_i).
     """
 
     group: Cyclic | AbelianGroup
     module: FinAbGroup
     action: tuple[tuple[tuple[int, ...], ...], ...]
+    blocks: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         gens = self.group.generator_orders
@@ -138,17 +152,23 @@ class GModule:
                         raise ValidationError("action matrix is not well-defined on the module")
             reduced.append(tuple(tuple(x % f for x in row) for row, f in zip(m, fs)))
         ident = _identity(k)
+        blocks = []
         for m, order in zip(reduced, gens):
+            norm, power = _norm_and_power(m, order, fs)
             # satisfying the generator order forces invertibility: the
             # inverse automorphism is the (order-1)-th power
-            if _mat_pow_mod(m, order, fs) != ident:
+            if power != ident:
                 raise ValidationError("action matrix does not satisfy its generator order")
+            smo = tuple(tuple(x - (i == j) for j, x in enumerate(row))
+                        for i, row in enumerate(m))
+            blocks.append((smo, norm))
         # [a, b] = 1 exactly when [b, a] = 1, and a commutes with itself
         for i, a in enumerate(reduced):
             for b in reduced[i + 1:]:
                 if _mul_mod(a, b, fs) != _mul_mod(b, a, fs):
                     raise ValidationError("generator actions do not commute")
         object.__setattr__(self, "action", tuple(reduced))
+        object.__setattr__(self, "blocks", tuple(blocks))
 
     @classmethod
     def trivial_action(cls, group, module: FinAbGroup) -> "GModule":
@@ -176,22 +196,6 @@ def multiplicative_group_module(q: int, n: int) -> GModule:
     if module.is_trivial():
         return GModule.trivial_action(Cyclic(n), module)
     return GModule.cyclic(n, module, ((q % order,),))
-
-
-def _action_blocks(m: GModule):
-    """(s_i - 1, N_i) for each generator s_i, with N_i = sum of its powers."""
-    fs = m.module.invariant_factors
-    k = m.module.rank
-    blocks = []
-    ident = _identity(k)
-    for sigma, n in zip(m.action, m.group.generator_orders):
-        step = tuple(row + irow for row, irow in zip(sigma, ident))
-        norm = ident
-        for _ in range(n - 1):  # Horner: N <- 1 + s N = [s | 1] [N; 1]
-            norm = _mul_mod(step, norm + ident, fs)
-        smo = [[sigma[i][j] - (i == j) for j in range(k)] for i in range(k)]
-        blocks.append((smo, norm))
-    return blocks
 
 
 def _indices(r, d):
@@ -226,7 +230,7 @@ def _cohomology(m: GModule, degree: int) -> FinAbGroup:
         return FinAbGroup.trivial()
     fs = list(m.module.invariant_factors)
     k = len(fs)
-    blocks = _action_blocks(m)
+    blocks = m.blocks
     below, cochains, above = (_indices(len(blocks), d) for d in (degree - 1, degree, degree + 1))
     nvars = len(cochains) * k
     # the cocycles, {x : delta_d x in diag(fs) Z^(above)}, in staircase form

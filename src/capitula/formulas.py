@@ -43,6 +43,9 @@ def b_group(profile: ExtensionProfile) -> FinAbGroup:
 
     This group receives the relative Brauer classes supported outside the
     ideles of S, and controls the gap between coker j and H^2 of the units.
+    The summation map is onto Z/D, a free Z/D-module, so it splits and
+    ⊕ Z/d_v ≅ B ⊕ Z/D: B has the invariant factors of ⊕ Z/d_v but the
+    last, D (abelian.sum_map_kernel).
     """
     d = compute_dv(profile)
     big_d = lcm_list(d.values())

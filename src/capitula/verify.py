@@ -6,7 +6,8 @@ Each check produces a verdict naming the identity it tests (by its
 classical description), the expected and actual values, and an exact
 pass/fail.  The three suites back the `capitula verify` command:
 
-  abelian     exhaustive order/structure law for the local sum-map kernel
+  abelian     exhaustive order law for the local sum-map kernel, and its
+              structure by the elements each m | D kills
   cohomology  Herbrand quotients, H^1 and H^0-hat structures counted
               over the module, Hilbert 90; H^1 over non-cyclic groups by
               crossed homomorphisms and equivariant Homs by enumeration
@@ -280,33 +281,40 @@ def oracle_report(curve, s_bases=(INFINITE,), degree_bound=None,
 # suites
 
 def verify_abelian() -> list[Verdict]:
-    """Exhaustive order and structure law for the local sum-map kernel."""
-    from itertools import product as iproduct
+    """Exhaustive order and structure law for the local sum-map kernel.
 
+    A group of exponent dividing D is determined by how many of its
+    elements each m | D kills, so the structure verdict compares those
+    counts over the enumerated kernel with prod gcd(m, e_i) over the
+    invariant factors e_i of the returned group.
+    """
     verdicts = []
     order_ok = True
     structure_ok = True
     checked = 0
     for r in range(1, 5):
-        for d in iproduct(range(1, 7), repeat=r):
+        for d in product(range(1, 7), repeat=r):
             big_d = lcm(*d)
             group = sum_map_kernel(list(d), big_d)
             checked += 1
             if group.order != prod(d) // big_d:
                 order_ok = False
-            count = 0
-            for tup in iproduct(*[range(dv) for dv in d]):
-                if sum(x * (big_d // dv) for x, dv in zip(tup, d)) % big_d == 0:
-                    count += 1
-            if count != group.order:
-                structure_ok = False
+            elements = [x for x in product(*map(range, d))
+                        if sum(xv * (big_d // dv) for xv, dv in zip(x, d)) % big_d == 0]
+            for m in range(1, big_d + 1):
+                if big_d % m:
+                    continue
+                killed = sum(all(m * xv % dv == 0 for xv, dv in zip(x, d)) for x in elements)
+                if killed != prod(gcd(m, e) for e in group.invariant_factors):
+                    structure_ok = False
     verdicts.append(_verdict(
         "sum_map_kernel_order_law",
         f"kernel order is (prod d)/lcm(d) on {checked} vectors",
         True, order_ok))
     verdicts.append(_verdict(
         "sum_map_kernel_enumeration",
-        "kernel size agrees with direct enumeration",
+        "for every m | D, the kernel elements killed by m, counted by enumeration,"
+        " number prod gcd(m, e_i) over the invariant factors e_i",
         True, structure_ok))
     return verdicts
 

@@ -406,3 +406,39 @@ class TestSumMapKernel:
                 assert g.invariant_factors == structure_by_enumeration(
                     elems, tuple_adder(d), tuple([0] * r)
                 )
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.lists(st.integers(min_value=1, max_value=30), min_size=1, max_size=4)
+           .filter(lambda d: prod(d) <= 2000))
+    def test_closed_form_matches_enumeration(self, d):
+        # the invariant factors of ⊕ Z/d_v without the last one, D
+        big_d = lcm(*d)
+        elems = sum_map_kernel_elements(d, big_d)
+        assert sum_map_kernel(d, big_d).invariant_factors == structure_by_enumeration(
+            elems, tuple_adder(d), tuple([0] * len(d))
+        )
+
+
+class TestVerifyAbelianCanFail:
+    """`capitula verify abelian` compares structure, not only size."""
+
+    def test_unpatched_verdicts_pass(self):
+        from capitula.verify import verify_abelian
+
+        assert all(v.passed for v in verify_abelian())
+
+    def test_right_order_wrong_structure_fails(self, monkeypatch):
+        import capitula.verify as verify
+
+        real = verify.sum_map_kernel
+
+        def cyclic_442(d, big_d):
+            # (4, 4, 2) has kernel Z/2 x Z/4; Z/8 has the same order
+            if tuple(d) == (4, 4, 2):
+                return FinAbGroup((8,))
+            return real(d, big_d)
+
+        monkeypatch.setattr(verify, "sum_map_kernel", cyclic_442)
+        verdicts = {v.check: v.passed for v in verify.verify_abelian()}
+        assert verdicts["sum_map_kernel_order_law"] is True
+        assert verdicts["sum_map_kernel_enumeration"] is False

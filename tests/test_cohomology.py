@@ -93,8 +93,83 @@ class TestGModuleValidation:
         with pytest.raises(UnsupportedError):
             tate_h0(m)
 
+    # every text GModule validation can raise, one input each
+    @pytest.mark.parametrize("group, module, action, text", [
+        (AbelianGroup((2, 2)), FinAbGroup((2,)), (((1,),),),
+         "need exactly one action matrix per group generator"),
+        (Cyclic(2), FinAbGroup((2, 4)), (((1,),),), "action matrix has wrong shape"),
+        (Cyclic(2), FinAbGroup((2, 4)), (((1, 1), (1, 1)),),
+         "action matrix is not well-defined on the module"),
+        (Cyclic(3), FinAbGroup((7,)), (((0,),),),
+         "action matrix does not satisfy its generator order"),
+        # 2 has order 3 modulo 7, too high for Z/2
+        (Cyclic(2), FinAbGroup((7,)), (((2,),),),
+         "action matrix does not satisfy its generator order"),
+        (AbelianGroup((2, 2)), FinAbGroup((2, 2)), (SWAP, SHEAR),
+         "generator actions do not commute"),
+    ], ids=["count", "shape", "well_defined", "sigma_zero", "order_too_high", "commute"])
+    def test_error_texts(self, group, module, action, text):
+        with pytest.raises(ValidationError) as err:
+            GModule(group, module, action)
+        assert str(err.value) == text
+
+
+def _naive_norm(sigma, n, fs):
+    """1 + sigma + ... + sigma^(n-1) summed power by power, row i mod fs[i]."""
+    k = len(fs)
+    power = [[int(i == j) for j in range(k)] for i in range(k)]
+    total = [[0] * k for _ in range(k)]
+    for _ in range(n):
+        total = [[a + b for a, b in zip(r, p)] for r, p in zip(total, power)]
+        power = [[sum(sigma[i][t] * power[t][j] for t in range(k)) for j in range(k)]
+                 for i in range(k)]
+    return tuple(tuple(x % f for x in row) for row, f in zip(total, fs))
+
+
+class TestStoredNorms:
+    """Validation stores (s_i - 1, N_i); N_i must be the plain sum of powers."""
+
+    @staticmethod
+    def _check(m):
+        fs = m.module.invariant_factors
+        assert len(m.blocks) == len(m.action)
+        for (smo, norm), sigma, n in zip(m.blocks, m.action, m.group.generator_orders):
+            assert norm == _naive_norm(sigma, n, fs)
+            assert smo == tuple(tuple(x - (i == j) for j, x in enumerate(row))
+                                for i, row in enumerate(sigma))
+
+    def test_random_cyclic_modules(self):
+        rng = random.Random(18)
+        for _ in range(150):
+            self._check(random_cyclic_gmodule(rng, max_n=12))
+
+    def test_noncyclic_groups(self):
+        from capitula.verify import NONCYCLIC_GROUPS, _random_module
+
+        rng = random.Random(19)
+        for orders in NONCYCLIC_GROUPS:
+            for _ in range(12):
+                self._check(_random_module(rng, orders))
+
 
 class TestCyclicTate:
+    def test_large_cyclic_group(self):
+        # N = 1 + s + ... + s^(n-1) by doubling: O(log n) products, not n - 1
+        import signal
+
+        def timeout(signum, frame):
+            raise TimeoutError("cyclic cohomology of Z/10^12 took over 5 s")
+
+        previous = signal.signal(signal.SIGALRM, timeout)
+        signal.alarm(5)
+        try:
+            m = GModule.trivial_action(Cyclic(10**12), FinAbGroup((6,)))
+            assert h1_cyclic(m) == FinAbGroup((2,))
+            assert tate_h0(m) == FinAbGroup((2,))
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+
     def test_trivial_action_z4_on_z6(self):
         m = GModule.trivial_action(Cyclic(4), FinAbGroup.of(6))
         assert tate_h0(m).invariant_factors == (2,)

@@ -998,6 +998,20 @@ class TestSClassQuantities:
         assert [v.check for v in failed] == ["ambiguous_class_order"]
         assert failed[0].expected == verdicts["ambiguous_class_order"].expected + 1
 
+    def test_class_h1_verdict_compares_the_sum_map_kernel(self, monkeypatch):
+        # the closed form for H^1 of S-classes (formulas.b_group, through
+        # sum_map_kernel) against h1_cyclic on the realized class group
+        from capitula import formulas, verify
+
+        curve = corpus_entry("as_f2_r0").curve
+        verdicts = {v.check: v for v in verify.oracle_report(curve).verdicts}
+        assert verdicts["class_h1_is_sum_map_kernel"].passed
+        real = formulas.sum_map_kernel
+        monkeypatch.setattr(formulas, "sum_map_kernel",
+                            lambda d, big_d: real(d, big_d).direct_sum(FinAbGroup.of(2)))
+        failed = [v.check for v in verify.oracle_report(curve).verdicts if not v.passed]
+        assert failed == ["class_h1_is_sum_map_kernel"]
+
 
 # ---------------------------------------------------------------------------
 # split-place valuations against a per-label Hensel oracle
