@@ -265,7 +265,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle.add_argument("curve")
     p_oracle.add_argument("--s", default=None,
                           help="comma-separated base places (default: inf)")
-    p_oracle.add_argument("--degree-bound", type=int, default=None)
+    p_oracle.add_argument("--degree-bound", type=int, default=None,
+                          help="lower bound on the factor-base place degree, "
+                               "raised to the genus (default: 1)")
     p_oracle.add_argument("--json", action="store_true")
     p_oracle.set_defaults(func=cmd_oracle)
 

@@ -8,27 +8,32 @@ computed by linear algebra over F_q in the monomial basis y^i t^j.  A base
 polynomial pi needs no divisor computation: div(pi) is the conorm of its
 place minus deg pi times the conorm of infinity, sum_{w|P} e_w w -
 deg pi sum_{w|inf} e_w w (Stichtenoth, Algebraic Function Fields and
-Codes, 3.1).  The degree-zero part must have order exactly h = L(1); when
-it does not, the degree bound b and the function-degree bound m escalate
-(+1 resp. x2) until the presentation is certified or a cap is hit.  Every
-try takes m >= b + g: a place w of degree b is a zero of a function in
-L(m P0) only when l(m P0 - w) > 0, which Riemann's inequality guarantees
-from m = b + g on (ibid., ch. 1).  A try that needs a space with m above
-the cap max_rr_degree is refused before the space is built, and a failed
-try names how many candidate functions it tried and whether the cap
-max_candidates stopped it.
+Codes, 3.1).  The degree-zero part must have order exactly h = L(1).  One
+bound escalates: the first try takes the degree bound b = max(b_req, g),
+b_req the requested bound (1 by default), and a try that does not certify
+raises b by one, up to max_degree_bound; the error after the last try
+names it.  Each try takes the function-degree bound m = max(2g + 1, b + g):
+a place w of degree b is a zero of a function in L(m P0) only when
+l(m P0 - w) > 0, which Riemann's inequality guarantees from m = b + g on
+(ibid., ch. 1).  A try that needs a space with m above the cap
+max_rr_degree is refused before the space is built, and a failed try names
+how many candidate functions it tried and whether the cap max_candidates
+stopped it.
 
 Each new relation goes into a Hermite form of R' = R + 2h L0 kept modulo
 2h (abelian.HermiteModD), in the coordinates Z^(k-1) that drop the
 rational place p0 (deg p0 = 1, so dropping it maps L0 onto Z^(k-1)).  Its
-index certifies the presentation by itself.  Let P be the principal
-divisors in L0, so R lies in P.  Pic^0 = L0 / P has order h, so h L0 lies
-in P, and so does R'.  Once [L0 : R'] = h, R' = P, and the triangular
-Hermite basis of R' presents Pic^0.  The one assumption is that the
-factor base generates Pic^0, the same one [L0 : R] = h needs; and
-wherever that test passes, h L0 lies in R, so R = R'.  A relation lattice
-of lower rank leaves the index at least 2h.  sigma acts on Z^(k-1) as
-drop o perm o lift, where lift restores the p0 coordinate of degree zero.
+index certifies the presentation with no assumption.  The factor base
+holds every place of degree <= b, and b >= g, so it generates Pic^0: a
+class c of degree zero gives c + g p0 degree g, Riemann's inequality l(A)
+>= deg A + 1 - g puts an effective divisor E of degree g in it, every
+place of E has degree <= g, and c is the class of E - g p0.  Let P be the
+principal divisors in L0, so R lies in P, and L0 / P = Pic^0 has order h.
+So h L0 lies in P, and so does R'.  Once [L0 : R'] = h, R' = P, and the
+triangular Hermite basis of R' presents Pic^0; wherever [L0 : R] = h, h
+L0 lies in R, so R = R'.  A relation lattice of lower rank leaves the
+index at least 2h.  sigma acts on Z^(k-1) as drop o perm o lift, where
+lift restores the p0 coordinate of degree zero.
 
 Every other class group is read off that one presentation.  The rational
 place p0 of the Riemann-Roch spaces has degree one, so the factor-base
@@ -786,7 +791,6 @@ class PicardData:
     _p0: PlaceAbove | None = dataclass_field(repr=False, default=None)
     _sigma_p0: tuple = dataclass_field(repr=False, default=())
     _arith: object = dataclass_field(repr=False, default=None)
-    _ram: list = dataclass_field(repr=False, default_factory=list)
 
     def place_index(self, place: PlaceAbove) -> int:
         try:
@@ -831,7 +835,9 @@ def _candidate_functions(field, basis, cap):
 
 def picard_group(curve, degree_bound: int | None = None, extra_base_places=(),
                  config: OracleConfig = DEFAULT_CONFIG) -> PicardData:
-    """Certified Pic^0 presentation; escalates bounds until |Pic^0| = L(1)."""
+    """Certified Pic^0 presentation: tries from b = max(degree_bound, g) on,
+    raising b by one per failed try, until |Pic^0| = L(1) or b reaches
+    max_degree_bound (module docstring)."""
     arith = CurveArithmetic(curve, config)
     ram, genus = ramification_data(curve)
     if genus > config.max_genus:
@@ -840,34 +846,26 @@ def picard_group(curve, degree_bound: int | None = None, extra_base_places=(),
     b_bound = degree_bound if degree_bound is not None else 1
     if b_bound < 1:
         raise ValidationError("degree bound must be at least 1")
-    m_bound = max(2 * genus + 1, 1)
+    # places of degree <= g generate Pic^0 (module docstring)
+    b_bound = max(b_bound, genus)
     while True:
-        built = _try_presentation(arith, ram, genus, h, l_coeffs, b_bound, m_bound,
+        built = _try_presentation(arith, ram, genus, h, l_coeffs, b_bound,
                                   tuple(extra_base_places), config)
         if isinstance(built, PicardData):
             return built
-        # widen the factor base and the function space together: the former
-        # fixes generation failures cheaply, the latter adds relations
-        grew = False
-        if b_bound < config.max_degree_bound:
-            b_bound += 1
-            grew = True
-        if 2 * m_bound <= config.max_rr_degree:
-            m_bound *= 2
-            grew = True
-        if not grew:
+        if b_bound >= config.max_degree_bound:
             raise ResourceError(
                 f"presentation never certified within the configured bounds: {built}")
+        b_bound += 1
 
 
-def _try_presentation(arith, ram, genus, h, l_coeffs, b_bound, m_bound,
-                      extra_bases, config):
-    """The certified PicardData at these bounds, or a sentence saying how
+def _try_presentation(arith, ram, genus, h, l_coeffs, b_bound, extra_bases, config):
+    """The certified PicardData at degree bound b, or a sentence saying how
     far this try got."""
     curve = arith.curve
     field = curve.field
     # L(m P0) reaches every place of degree b once m >= b + g (module docstring)
-    m_bound = max(m_bound, b_bound + genus)
+    m_bound = max(2 * genus + 1, b_bound + genus)
     bases: dict[BasePlace, None] = {}
     for base in arith._critical_bases():
         bases[base] = None
@@ -987,7 +985,6 @@ def _try_presentation(arith, ram, genus, h, l_coeffs, b_bound, m_bound,
         _p0=p0,
         _sigma_p0=pres.coords(sigma_p0),
         _arith=arith,
-        _ram=list(ram),
     )
 
 
@@ -1093,12 +1090,6 @@ def delta_prime(pd: PicardData) -> int:
     dp = 1
     for f, y in zip(coinvariants.group.invariant_factors, coinvariants.coords(pd._sigma_p0)):
         dp = lcm(dp, f // gcd(f, y))
-    n = pd._arith.curve.n
-    from ..formulas import delta_index
-    delta = delta_index(n, [(r.e, r.place.degree) for r in pd._ram])
-    if delta % dp or n % delta:
-        raise InconsistencyError(
-            f"period/index chain broken: delta'={dp}, delta={delta}, n={n}")
     return dp
 
 

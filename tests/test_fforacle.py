@@ -1012,6 +1012,24 @@ class TestSClassQuantities:
         failed = [v.check for v in verify.oracle_report(curve).verdicts if not v.passed]
         assert failed == ["class_h1_is_sum_map_kernel"]
 
+    def test_period_index_verdict_reads_a_broken_delta_prime(self, monkeypatch):
+        # y^2+y = t^3 + 1/t over F_2: delta = 1 and the coinvariants are Z/2,
+        # so a doubling lcm in delta_prime makes delta' = 2, which does not
+        # divide delta; delta_prime returns it and the verdict reads FAIL
+        from math import lcm
+
+        from capitula import verify
+        from capitula.fforacle import picard
+
+        curve = corpus_entry("as_f2_r1").curve
+        verdicts = {v.check: v for v in verify.oracle_report(curve).verdicts}
+        assert verdicts["period_index_chain"].passed
+        monkeypatch.setattr(picard, "lcm", lambda a, b: 2 * lcm(a, b))
+        report = verify.oracle_report(curve)
+        assert (report.delta, report.delta_prime) == (1, 2)
+        verdicts = {v.check: v for v in report.verdicts}
+        assert not verdicts["period_index_chain"].passed
+
 
 # ---------------------------------------------------------------------------
 # split-place valuations against a per-label Hensel oracle
@@ -1389,7 +1407,7 @@ class TestRelationSearch:
         real_divisor_of = picard.CurveArithmetic.divisor_of
 
         def counting_try(*args):
-            tries.append(args[5:7])
+            tries.append(args[5])
             return real_try(*args)
 
         def counting_divisor_of(self, *args, **kwargs):
@@ -1423,6 +1441,51 @@ class TestRelationSearch:
         with pytest.raises(InconsistencyError,
                            match=r"above t\^2\+4\*t\+1: \(e, f, g\) = \(2, 1, 2\)"):
             picard_group(curve)
+
+    def test_genus_three_certifies_at_b_equal_to_g(self):
+        # y^2 = 2t^7 + t^6 + 3t^5 + 3t^3 + 4t^2 + 2t over F_5 (g = 3, h = 160):
+        # the first try, at (b, m) = (3, 7), certifies
+        import json
+        import signal
+        from pathlib import Path
+
+        from capitula.verify import oracle_report
+
+        def timeout(signum, frame):
+            raise TimeoutError("the genus-3 Kummer cover over F_5 took over 10 s")
+
+        raw = json.loads((Path(__file__).parent / "data" / "kummer_f5_g3.json").read_text())
+        previous = signal.signal(signal.SIGALRM, timeout)
+        signal.alarm(10)
+        try:
+            report = oracle_report(curve_from_json(raw))
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert (report.genus, report.class_number) == (3, 160)
+        assert report.pic0 == [2, 2, 2, 2, 10]
+        assert report.all_passed, [v.check for v in report.verdicts if not v.passed]
+
+    def test_the_first_try_takes_b_at_least_g(self, monkeypatch):
+        # y^2 = t^5 + t^2 + 1 over F_3 has genus 2: a request at b = 1 tries
+        # b = 2 first, so its factor base holds the places of degree 2
+        from capitula.fforacle import picard
+
+        tries = []
+        real_try = picard._try_presentation
+
+        def counting_try(*args):
+            tries.append(args[5])
+            return real_try(*args)
+
+        monkeypatch.setattr(picard, "_try_presentation", counting_try)
+        curve = curve_from_json({"kind": "kummer", "q": 3, "p_or_l": 2,
+                                 "Q_or_f": {"num": [1, 0, 1, 0, 0, 1], "den": [1]}})
+        assert ramification_data(curve)[1] == 2
+        pd = picard_group(curve, 1)
+        assert tries == [2]
+        assert pd.group.order == pd.h
+        assert 2 in {w.deg for w in pd.factor_base}
 
     def test_exhausted_escalation_names_its_last_try(self):
         from capitula.fforacle.picard import OracleConfig
