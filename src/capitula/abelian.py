@@ -598,13 +598,6 @@ class AbHom:
                     )
         object.__setattr__(self, "matrix", reduced)
 
-    @classmethod
-    def identity(cls, group: FinAbGroup) -> "AbHom":
-        n = group.rank
-        return cls(group, group, tuple(
-            tuple(1 if i == j else 0 for j in range(n)) for i in range(n)
-        ))
-
     def matrix_rows(self):
         return [list(r) for r in self.matrix]
 
@@ -615,13 +608,6 @@ class AbHom:
         img = mat_vec(self.matrix_rows(), list(element))
         tf = self.target.invariant_factors
         return tuple(img[i] % tf[i] for i in range(self.target.rank))
-
-    def compose(self, other: "AbHom") -> "AbHom":
-        """self after other."""
-        if other.target != self.source:
-            raise ValidationError("homs are not composable")
-        return AbHom(other.source, self.target,
-                     tuple(tuple(r) for r in mat_mul(self.matrix_rows(), other.matrix_rows())))
 
 
 def kernel(h: AbHom) -> tuple[FinAbGroup, AbHom]:

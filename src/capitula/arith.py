@@ -4,7 +4,7 @@ from math import gcd, lcm, prod
 
 from .errors import ValidationError
 
-__all__ = ["gcd", "lcm", "prod", "gcd_list", "lcm_list", "ext_gcd", "is_prime"]
+__all__ = ["gcd", "lcm", "prod", "gcd_list", "lcm_list", "ext_gcd", "is_prime", "json_int"]
 
 
 def gcd_list(values):
@@ -48,3 +48,11 @@ def is_prime(n: int) -> bool:
             return False
         d += 2
     return True
+
+
+def json_int(value, what: str, error=ValidationError) -> int:
+    """A JSON integer as it stands: bool, float and str are rejected, not
+    converted, by raising `error` with a message that names `what`."""
+    if type(value) is not int:
+        raise error(f"{what} must be an integer, got {value!r}")
+    return value

@@ -21,6 +21,7 @@ from math import lcm
 from pathlib import Path
 
 from .abelian import sum_map_kernel
+from .arith import json_int
 from .errors import CapitulaError, ResourceError
 from .formulas import analyze_profile
 from .fforacle import OracleConfig, curve_from_json, parse_base_place
@@ -50,8 +51,7 @@ def load_config(directory: Path | None = None) -> OracleConfig:
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
     for key, value in raw.items():
-        # a JSON integer as it stands: bool, float and str are rejected, not converted
-        if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        if json_int(value, f"config {key!r}", ValueError) < 0:
             raise ValueError(f"config {key!r} must be an integer >= 0, got {value!r}")
     return OracleConfig(**raw)
 

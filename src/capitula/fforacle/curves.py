@@ -38,6 +38,7 @@ from functools import cached_property
 from math import gcd
 from typing import NamedTuple
 
+from ..arith import json_int
 from ..errors import (
     DegenerateExtensionError,
     InconsistencyError,
@@ -477,13 +478,6 @@ def _reject_constant_ext(curve: Curve):
 _CURVE_KEYS = {"kind", "q", "p_or_l", "Q_or_f"}
 
 
-def _json_int(value, what: str) -> int:
-    """A JSON integer as it stands: bool, float and str are rejected, not converted."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValidationError(f"{what} must be an integer, got {value!r}")
-    return value
-
-
 def curve_from_json(data) -> Curve:
     """Parse the curve description schema.
 
@@ -506,7 +500,7 @@ def curve_from_json(data) -> Curve:
         if key not in data:
             raise ValidationError(f"curve JSON is missing {key!r}")
     kind = data["kind"]
-    q = _json_int(data["q"], "q")
+    q = json_int(data["q"], "q")
     field = GF(q)
     fraction = data["Q_or_f"]
     if not isinstance(fraction, dict) or "num" not in fraction \
@@ -517,7 +511,7 @@ def curve_from_json(data) -> Curve:
         coeffs = fraction.get(key, [1])
         if not isinstance(coeffs, (list, tuple)):
             raise ValidationError(f"Q_or_f {key} must be a list of element indices")
-        indices = [_json_int(c, f"{key} coefficient") for c in coeffs]
+        indices = [json_int(c, f"{key} coefficient") for c in coeffs]
         bad = next((c for c in indices if not 0 <= c < q), None)
         if bad is not None:
             raise ValidationError(
@@ -529,7 +523,7 @@ def curve_from_json(data) -> Curve:
     if den.is_zero():
         raise ValidationError("denominator is zero")
     rat = RationalFunc(num, den)
-    degree = _json_int(data["p_or_l"], "p_or_l")
+    degree = json_int(data["p_or_l"], "p_or_l")
     if kind == "artin_schreier":
         if degree != field.char:
             raise ValidationError(

@@ -770,17 +770,18 @@ def _nullspace(field, rows, nvars):
 class PicardData:
     """Certified presentation of Pic^0 with the Galois action.
 
-    group is Pic^0 in invariant-factor form, generators are divisor
-    representatives on the factor base, sigma_action the induced matrix of
-    the chosen Galois generator, and h = L(1) the certifying class number.
-    The degree-one place _p0 splits Pic = Pic^0 + Z p0, and _sigma_p0 holds
-    the Pic^0 coordinates of sigma(p0) - p0 (module docstring).  _pres0
-    presents Pic^0 on the factor base without p0, and _relations are its
-    Hermite rows lifted into L0.
+    group is Pic^0 in invariant-factor form, sigma_action the induced
+    matrix of the chosen Galois generator on its generators, and h = L(1)
+    the certifying class number.  The degree-one place _p0 splits Pic =
+    Pic^0 + Z p0, and _sigma_p0 holds the Pic^0 coordinates of sigma(p0) -
+    p0 (module docstring).  _pres0 presents Pic^0 on the factor base
+    without p0, and _relations are its Hermite rows lifted into L0.  The
+    S-class group is read off it once per S (_profile_and_s_classes); the
+    local integers d_v, D, n0 and |B| are not computed here but by the
+    ExtensionProfile that realize_profile emits.
     """
 
     group: FinAbGroup
-    generators: list[dict]
     sigma_action: AbHom
     h: int
     l_poly: list[int]
@@ -968,13 +969,8 @@ def _try_presentation(arith, ram, genus, h, l_coeffs, b_bound, extra_bases, conf
     sigma_p0 = [0] * k
     sigma_p0[perm[p0_at]] = 1
     del sigma_p0[p0_at]
-    generators = [
-        {fb[i].id: int(v) for i, v in enumerate(lift(vec)) if v}
-        for vec in pres.lifts
-    ]
     return PicardData(
         group=group,
-        generators=generators,
         sigma_action=sigma,
         h=h,
         l_poly=list(l_coeffs),
@@ -1147,6 +1143,13 @@ def realize_profile(curve, s_bases, degree_bound: int | None = None,
         raise ValidationError("S must be nonempty")
     if pd is None:
         pd = picard_group(curve, degree_bound, extra_base_places=s_bases, config=config)
+    profile, *_ = _profile_and_s_classes(curve, s_bases, pd)
+    return profile, pd
+
+
+def _profile_and_s_classes(curve, s_bases: list, pd: PicardData):
+    """(profile, S_K, C_{K,S}, action on C_{K,S}) for S: the one build of
+    the S-class group behind realize_profile and verify.oracle_report."""
     # the places of S, then the ramified places outside S in sort_key order
     ram_outside = [r.place for r in ramification_data(curve)[0] if r.place not in s_bases]
     places = []
@@ -1154,17 +1157,18 @@ def realize_profile(curve, s_bases, degree_bound: int | None = None,
         data = local_invariants(curve, base)
         places.append(PlaceProfile(
             id=base.id, in_S=base in s_bases, e=data.e, f=data.f, deg=base.degree))
+    h_fs = base_class_number(s_bases)
     s_k = []
     for base in s_bases:
         s_k.extend(pd.places_above(base))
-    group, _ = s_class_group(pd, s_k)
+    group, action = s_class_group(pd, s_k)
     profile = ExtensionProfile(
         base=FunctionField(curve.field.order),
         n=curve.n,
         group=CYCLIC,
         places=tuple(places),
-        h_FS=base_class_number(s_bases),
+        h_FS=h_fs,
         h_KS=group.order,
         q_prime=curve.field.order,
     )
-    return profile, pd
+    return profile, s_k, group, action

@@ -40,10 +40,6 @@ class Poly:
     def x(cls, field):
         return cls(field, [field.zero(), field.one()])
 
-    @classmethod
-    def from_ints(cls, field, int_coeffs):
-        return cls(field, [field.from_int(c) for c in int_coeffs])
-
     @property
     def degree(self):
         return len(self.coeffs) - 1
@@ -339,15 +335,6 @@ class RationalFunc:
         if e < 0:
             return RationalFunc(self.den**(-e), self.num**(-e))
         return RationalFunc(self.num**e, self.den**e)
-
-    def valuation_at(self, pi: Poly) -> int:
-        """Order at the finite place pi (num and den are coprime)."""
-        if self.is_zero():
-            raise ValidationError("valuation of zero")
-        v = self.num.valuation(pi)
-        if v:
-            return v
-        return -self.den.valuation(pi)
 
     def valuation_at_infinity(self) -> int:
         if self.is_zero():

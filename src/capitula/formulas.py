@@ -10,6 +10,10 @@ nothing is ever silently assumed.
 
 Bounds are tagged with a kind (lower_bound / divisor / exact) so reports
 cannot conflate "at least" with "equals".
+
+The local integers d_v, D, n0, |B| = (prod d_v)/D and the pairwise
+coprimality of the d_v are derived once per profile, on ExtensionProfile
+(profile module docstring); every calculator here reads them there.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from math import gcd, prod
 from .abelian import FinAbGroup, sum_map_kernel
 from .arith import is_prime, lcm_list
 from .errors import HypothesisError, InconsistencyError, ValidationError
-from .profile import ExtensionProfile, compute_D_n0, compute_dv
+from .profile import ExtensionProfile
 
 
 def _require_cyclic(profile: ExtensionProfile, what: str):
@@ -32,10 +36,8 @@ def hilbert94_lower_bound(profile: ExtensionProfile) -> int:
     """Divisor of the capitulation kernel order for cyclic extensions:
     n0 / gcd(n0, (prod d_v)/D).  This many S-classes at least capitulate."""
     _require_cyclic(profile, "the capitulation kernel bound")
-    d = compute_dv(profile)
-    big_d, n0 = compute_D_n0(profile)
-    ratio = prod(d.values()) // big_d
-    return n0 // gcd(n0, ratio)
+    n0 = profile.n0
+    return n0 // gcd(n0, profile.b_order)
 
 
 def b_group(profile: ExtensionProfile) -> FinAbGroup:
@@ -47,9 +49,7 @@ def b_group(profile: ExtensionProfile) -> FinAbGroup:
     ⊕ Z/d_v ≅ B ⊕ Z/D: B has the invariant factors of ⊕ Z/d_v but the
     last, D (abelian.sum_map_kernel).
     """
-    d = compute_dv(profile)
-    big_d = lcm_list(d.values())
-    return sum_map_kernel(list(d.values()), big_d)
+    return sum_map_kernel(list(profile.d_map.values()), profile.big_d)
 
 
 @dataclass(frozen=True)
@@ -66,10 +66,7 @@ def semisimple_report(profile: ExtensionProfile, h_KS: int) -> SemisimpleReport:
             f"semisimple case needs gcd(n, h_KS) = 1, got gcd({profile.n}, {h_KS})"
         )
     structure = b_group(profile)
-    ker_j = None
-    if profile.group.is_cyclic:
-        _, n0 = compute_D_n0(profile)
-        ker_j = n0
+    ker_j = profile.n0 if profile.group.is_cyclic else None
     return SemisimpleReport(structure, ker_j)
 
 
@@ -79,29 +76,8 @@ def coker_lower_bound(profile: ExtensionProfile, units_are_norms: bool) -> int:
     if not units_are_norms:
         raise HypothesisError("caller must assert that U_{F,S} consists of norms")
     _require_cyclic(profile, "the capitulation cokernel bound")
-    d = compute_dv(profile)
-    big_d, n0 = compute_D_n0(profile)
-    ratio = prod(d.values()) // big_d
-    return ratio // gcd(n0, ratio)
-
-
-def example53_t(ell: int, m: int, t_list) -> int:
-    """The exponent t = sum t_i - m in the prime-power cyclic setting.
-
-    With r ramified primes of ramification index ell^{t_i} and degree
-    ell^m, ell^t divides the cokernel order; the degenerate Artin-Schreier
-    shape (every t_i = 1, m = 1) gives the rank bound r - 1.
-    """
-    if not is_prime(ell):
-        raise ValidationError(f"{ell} is not prime")
-    ts = [int(t) for t in t_list]
-    if any(t < 1 for t in ts):
-        raise ValidationError("ramification exponents must be positive")
-    if m < 1:
-        raise ValidationError("m must be positive")
-    if m >= sum(ts):
-        raise HypothesisError(f"need m < sum(t_i), got m={m}, sum={sum(ts)}")
-    return sum(ts) - m
+    ratio = profile.b_order
+    return ratio // gcd(profile.n0, ratio)
 
 
 @dataclass(frozen=True)
@@ -114,14 +90,7 @@ def norm_index_report(profile: ExtensionProfile) -> NormIndexReport:
     """[U_{F,S} : W_{F,S}] divides (prod d_v)/D; when the d_v are pairwise
     coprime every S-unit of F is a norm from K."""
     _require_cyclic(profile, "the norm index bound")
-    d = compute_dv(profile)
-    big_d, _ = compute_D_n0(profile)
-    values = list(d.values())
-    coprime = all(
-        gcd(values[i], values[j]) == 1
-        for i in range(len(values)) for j in range(i + 1, len(values))
-    )
-    return NormIndexReport(prod(values) // big_d, coprime)
+    return NormIndexReport(profile.b_order, profile.d_pairwise_coprime)
 
 
 def genus_field_h1(h_F: int, e_list, class_exponent_condition: bool,
@@ -217,9 +186,7 @@ def large_s_report(profile: ExtensionProfile) -> LargeSReport:
     """
     if profile.ramified_outside_s:
         raise HypothesisError("S must contain every ramified place")
-    d = compute_dv(profile)
-    big_d = lcm_list(d.values())
-    b_order = prod(d.values()) // big_d
+    b_order = profile.b_order
     ramified = [p for p in profile.places if p.ramified]
     cor72 = len(ramified) == 1 and all(
         p.local_degree == 1 for p in profile.places if not p.ramified
@@ -240,9 +207,7 @@ def h1_class_lower_bound(profile: ExtensionProfile, h2_units_trivial: bool) -> i
     (prod d_v)/D elements."""
     if not h2_units_trivial:
         raise HypothesisError("caller must assert that H^2(G, U_{K,S}) vanishes")
-    d = compute_dv(profile)
-    big_d = lcm_list(d.values())
-    return prod(d.values()) // big_d
+    return profile.b_order
 
 
 def order_relation_check(ker_j: int, h1_units: int, coker_jprime: int, e_list,
@@ -372,21 +337,13 @@ def analyze_profile(profile: ExtensionProfile, *, units_are_norms: bool = False,
     one place above S) are checked here; the rest come in as keyword
     assertions and default to off.
     """
-    d_map = compute_dv(profile)
-    big_d = lcm_list(d_map.values())
-    n0 = None
+    d_map = profile.d_map.copy()
     flags = {"cyclic": profile.group.is_cyclic}
-    if profile.group.is_cyclic:
-        big_d, n0 = compute_D_n0(profile)
-
+    n0 = profile.n0 if profile.group.is_cyclic else None
     report = FormulaReport(
-        d_map=d_map, big_d=big_d, n0=n0, b_group=b_group(profile), flags=flags
+        d_map=d_map, big_d=profile.big_d, n0=n0, b_group=b_group(profile), flags=flags
     )
-    values = list(d_map.values())
-    flags["d_pairwise_coprime"] = all(
-        gcd(values[i], values[j]) == 1
-        for i in range(len(values)) for j in range(i + 1, len(values))
-    )
+    flags["d_pairwise_coprime"] = profile.d_pairwise_coprime
     flags["large_S"] = not profile.ramified_outside_s
 
     if profile.group.is_cyclic:

@@ -17,16 +17,35 @@ extensions the general-case integers agree with e_v, so a supplied
 h2_local_order must equal e_v there.  In every case the local H^2 order
 sits in an exact sequence between Z/(e,f) and Z/e, hence is a multiple of
 gcd(e_v, f_v) dividing e_v^2; the validator enforces exactly that.
+
+ExtensionProfile derives these integers once per profile, as cached
+properties (_cached): d_map, big_d = D, n0, b_order = |B| = (prod d_v)/D and
+d_pairwise_coprime.  compute_dv and compute_D_n0 return fresh copies of
+them, and the validator and every calculator in formulas read them there.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd, prod
+from types import MappingProxyType
 
-from .arith import lcm_list
+from .arith import json_int, lcm_list
 from .errors import HypothesisError, ValidationError
+
+
+class _cached(cached_property):
+    """functools.cached_property without the lock that Python 3.11 takes on
+    every first read (Python 3.12 dropped it).  The derivations are pure, so
+    two threads racing on one profile can at most compute a value twice."""
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.attrname] = self.func(instance)
+        return value
 
 
 @dataclass(frozen=True)
@@ -151,49 +170,74 @@ class ExtensionProfile:
             total += self.n // p.local_degree
         return total
 
+    @_cached
+    def d_map(self) -> MappingProxyType:
+        """The local integers d_v for every v in S' = S ∪ R, read-only.
+
+        S-places always take the local degree branch, even when also ramified.
+        Outside S the cyclic case uses e_v and the general case needs the
+        supplied local H^2 order.
+        """
+        out: dict[str, int] = {}
+        for p in self.places:
+            if p.in_S:
+                out[p.id] = p.local_degree
+            elif p.ramified:
+                if self.group.is_cyclic:
+                    out[p.id] = p.e
+                else:
+                    if p.h2_local_order is None:
+                        raise ValidationError(
+                            f"incomplete profile: place {p.id} is ramified outside S and the "
+                            "group is not cyclic, so h2_local_order is required"
+                        )
+                    out[p.id] = p.h2_local_order
+            else:
+                raise ValidationError(
+                    f"place {p.id} is neither in S nor ramified and does not belong in S'"
+                )
+            if self.group.is_cyclic and self.n % out[p.id]:
+                raise ValidationError(
+                    f"place {p.id}: d_v={out[p.id]} does not divide n={self.n} "
+                    "in a cyclic extension"
+                )
+        return MappingProxyType(out)
+
+    @_cached
+    def big_d(self) -> int:
+        """D = lcm of the d_v over S'."""
+        return lcm_list(self.d_map.values())
+
+    @_cached
+    def n0(self) -> int:
+        """n0 = n / D (cyclic extensions only)."""
+        if not self.group.is_cyclic:
+            raise HypothesisError("n0 = n/D is defined for cyclic extensions only")
+        if self.n % self.big_d:
+            raise ValidationError(f"D={self.big_d} does not divide n={self.n}")
+        return self.n // self.big_d
+
+    @_cached
+    def b_order(self) -> int:
+        """|B| = (prod d_v)/D, the order of the kernel of ⊕ Z/d_v -> Z/D."""
+        return prod(self.d_map.values()) // self.big_d
+
+    @_cached
+    def d_pairwise_coprime(self) -> bool:
+        """Whether the d_v are pairwise coprime."""
+        return _pairwise_coprime(self.d_map.values())
+
 
 def compute_dv(profile: ExtensionProfile) -> dict[str, int]:
-    """The local integers d_v for every v in S' = S ∪ R.
-
-    S-places always take the local degree branch, even when also ramified.
-    Outside S the cyclic case uses e_v and the general case needs the
-    supplied local H^2 order.
-    """
-    out: dict[str, int] = {}
-    for p in profile.places:
-        if p.in_S:
-            out[p.id] = p.local_degree
-        elif p.ramified:
-            if profile.group.is_cyclic:
-                out[p.id] = p.e
-            else:
-                if p.h2_local_order is None:
-                    raise ValidationError(
-                        f"incomplete profile: place {p.id} is ramified outside S and the "
-                        "group is not cyclic, so h2_local_order is required"
-                    )
-                out[p.id] = p.h2_local_order
-        else:
-            raise ValidationError(
-                f"place {p.id} is neither in S nor ramified and does not belong in S'"
-            )
-        if profile.group.is_cyclic and profile.n % out[p.id]:
-            raise ValidationError(
-                f"place {p.id}: d_v={out[p.id]} does not divide n={profile.n} "
-                "in a cyclic extension"
-            )
-    return out
+    """The local integers d_v for every v in S' = S ∪ R, as a fresh dict
+    (ExtensionProfile.d_map)."""
+    return profile.d_map.copy()
 
 
 def compute_D_n0(profile: ExtensionProfile) -> tuple[int, int]:
     """D = lcm of the d_v over S', and n0 = n / D (cyclic extensions only)."""
-    if not profile.group.is_cyclic:
-        raise HypothesisError("n0 = n/D is defined for cyclic extensions only")
-    d = compute_dv(profile)
-    big_d = lcm_list(d.values())
-    if profile.n % big_d:
-        raise ValidationError(f"D={big_d} does not divide n={profile.n}")
-    return big_d, profile.n // big_d
+    n0 = profile.n0  # first: a non-cyclic profile raises HypothesisError before d_v is read
+    return profile.big_d, n0
 
 
 def d_prime_values(profile: ExtensionProfile) -> dict[str, int]:
@@ -298,7 +342,7 @@ def validate(profile: ExtensionProfile) -> ValidationReport:
     d_coprime = None
     try:
         d_map = compute_dv(profile)
-        d_coprime = _pairwise_coprime(d_map.values())
+        d_coprime = profile.d_pairwise_coprime
     except ValidationError:
         pass
 
@@ -318,8 +362,16 @@ _TOP_KEYS = {"base", "n", "group", "h_FS", "h_KS", "q_prime", "places"}
 _PLACE_KEYS = {"id", "in_S", "e", "f", "deg", "h2_local_order"}
 
 
+def _optional_int(raw: dict, key: str, where: str = ""):
+    return None if raw.get(key) is None else json_int(raw[key], where + key)
+
+
 def profile_from_json(data) -> ExtensionProfile:
-    """Parse the profile JSON schema; unknown keys are rejected."""
+    """Parse the profile JSON schema; unknown keys are rejected.
+
+    Integers are read as they stand (arith.json_int) and in_S must be a
+    JSON boolean; anything else is a ValidationError naming the key.
+    """
     if isinstance(data, str):
         data = json.loads(data)
     if not isinstance(data, dict):
@@ -337,7 +389,7 @@ def profile_from_json(data) -> ExtensionProfile:
         fn = base_raw["function"]
         if not isinstance(fn, dict) or set(fn) != {"q"}:
             raise ValidationError('function base must be {"function": {"q": ...}}')
-        base = FunctionField(int(fn["q"]))
+        base = FunctionField(json_int(fn["q"], "q"))
     else:
         raise ValidationError(f"unrecognized base {base_raw!r}")
 
@@ -347,7 +399,7 @@ def profile_from_json(data) -> ExtensionProfile:
     elif group_raw == "general":
         group = GENERAL
     elif isinstance(group_raw, dict) and set(group_raw) == {"abelian"}:
-        group = abelian_shape(*[int(x) for x in group_raw["abelian"]])
+        group = abelian_shape(*[json_int(x, "abelian order") for x in group_raw["abelian"]])
     else:
         raise ValidationError(f"unrecognized group {group_raw!r}")
 
@@ -361,24 +413,27 @@ def profile_from_json(data) -> ExtensionProfile:
         for key in ("id", "in_S", "e", "f"):
             if key not in praw:
                 raise ValidationError(f"place is missing required key {key!r}")
+        pid = str(praw["id"])
+        where = f"place {pid}: "
+        if not isinstance(praw["in_S"], bool):
+            raise ValidationError(f"{where}in_S must be a JSON boolean, got {praw['in_S']!r}")
         places.append(PlaceProfile(
-            id=str(praw["id"]),
-            in_S=bool(praw["in_S"]),
-            e=int(praw["e"]),
-            f=int(praw["f"]),
-            deg=None if praw.get("deg") is None else int(praw["deg"]),
-            h2_local_order=(None if praw.get("h2_local_order") is None
-                            else int(praw["h2_local_order"])),
+            id=pid,
+            in_S=praw["in_S"],
+            e=json_int(praw["e"], where + "e"),
+            f=json_int(praw["f"], where + "f"),
+            deg=_optional_int(praw, "deg", where),
+            h2_local_order=_optional_int(praw, "h2_local_order", where),
         ))
 
     return ExtensionProfile(
         base=base,
-        n=int(data["n"]),
+        n=json_int(data["n"], "n"),
         group=group,
         places=tuple(places),
-        h_FS=None if data.get("h_FS") is None else int(data["h_FS"]),
-        h_KS=None if data.get("h_KS") is None else int(data["h_KS"]),
-        q_prime=None if data.get("q_prime") is None else int(data["q_prime"]),
+        h_FS=_optional_int(data, "h_FS"),
+        h_KS=_optional_int(data, "h_KS"),
+        q_prime=_optional_int(data, "q_prime"),
     )
 
 

@@ -35,23 +35,12 @@ from .cohomology import (
     tate_h0,
 )
 from .errors import CapitulaError, ValidationError
-from .formulas import (
-    chevalley_ff,
-    delta_index,
-    hilbert94_lower_bound,
-    imaginary_report,
-    m_invariant,
-    order_relation_check,
-    prop86_check,
-    semisimple_report,
-)
-from .profile import compute_D_n0
+from .formulas import analyze_profile, chevalley_ff, order_relation_check
 from .fforacle import (
     BasePlace,
     INFINITE,
     OracleConfig,
     Poly,
-    base_class_number,
     capitulation_kernel_order,
     corpus,
     delta_prime,
@@ -60,11 +49,10 @@ from .fforacle import (
     monic_irreducibles,
     picard_group,
     ramification_data,
-    realize_profile,
-    s_class_group,
     strongly_ambiguous_order,
     zeta_functional_equation_holds,
 )
+from .fforacle.picard import _profile_and_s_classes
 from .profile import ExtensionProfile
 
 
@@ -139,13 +127,21 @@ def splitting_degree_sum_holds(arith, base) -> bool:
 
 def oracle_report(curve, s_bases=(INFINITE,), degree_bound=None,
                   config: OracleConfig = OracleConfig()) -> OracleReport:
-    """Run the full oracle pipeline and every applicable cross-check."""
+    """Run the full oracle pipeline and every applicable cross-check.
+
+    The calculators' side of every verdict comes from one
+    analyze_profile of the realized profile, the run that `capitula
+    analyze` makes, so d_v, D, n0 and |B| are derived on that profile
+    (ExtensionProfile) and nowhere here; the oracle's side is read off the
+    certified Pic^0 and the one S-class group built for S.
+    """
     from .fforacle.curves import curve_to_json
 
     s_bases = list(s_bases)
     ram, g = ramification_data(curve)
     pd = picard_group(curve, degree_bound, extra_base_places=s_bases, config=config)
-    profile, _ = realize_profile(curve, s_bases, pd=pd, config=config)
+    profile, s_k, cks, cks_action = _profile_and_s_classes(curve, s_bases, pd)
+    analysis = analyze_profile(profile)
     q = curve.field.order
     n = curve.n
 
@@ -163,25 +159,21 @@ def oracle_report(curve, s_bases=(INFINITE,), degree_bound=None,
         "splitting_degree_sum", "sum of e*f over places above v equals n",
         True, split_ok))
 
-    s_k = []
-    for base in s_bases:
-        s_k.extend(pd.places_above(base))
-    cks, cks_action = s_class_group(pd, s_k)
     cks_invariants = invariants_of(cks, cks_action)
     jg = galois_invariants(pd)
-    h_fs = base_class_number(s_bases)
+    h_fs = profile.h_FS
 
-    dlt = delta_index(n, [(r.e, r.place.degree) for r in ram])
+    dlt = analysis.ff_invariants["delta"]
     dp = delta_prime(pd)
     verdicts.append(_verdict(
         "period_index_chain", "period divides index divides degree",
         True, dlt % dp == 0 and n % dlt == 0))
 
-    m_inv = m_invariant(q, [(r.e, r.place.degree) for r in ram]) if ram else None
+    m_inv = analysis.ff_invariants["m"]
     verdicts.append(_verdict(
         "ramification_congruence",
         "cyclic constraint on ramification degrees and indices",
-        True, prop86_check(q, n, [(r.e, r.place.degree) for r in ram])))
+        True, analysis.flags["prop86"]))
 
     # ambiguous class number formula, both sides computed independently
     unit_module = GModule.trivial_action(Cyclic(n), FinAbGroup.of(q - 1))
@@ -199,24 +191,25 @@ def oracle_report(curve, s_bases=(INFINITE,), degree_bound=None,
 
     one_place_above_s = profile.s_k_count() == 1
     ram_outside = [p for p in profile.places if p.ramified and not p.in_S]
-    if one_place_above_s and gcd(n, q - 1) == 1:
-        # the calculator's side; a Kummer cover never gets here (n | q - 1),
-        # so an elementary abelian structure is the Artin-Schreier one
-        imaginary = imaginary_report(profile, h_fs)
+    if "ambiguous_order" in analysis.bounds:
+        # the imaginary case: one place above S and gcd(n, q - 1) = 1; a
+        # Kummer cover never gets here (n | q - 1), so an elementary
+        # abelian structure is the Artin-Schreier one
         verdicts.append(_verdict(
             "ambiguous_class_order",
             "imaginary case: ambiguous classes count h_FS * prod e_v",
-            imaginary.ckg_order, cks_invariants.order))
+            analysis.bounds["ambiguous_order"].value, cks_invariants.order))
         class_module = GModule.cyclic(n, cks, cks_action.matrix)
         verdicts.append(_verdict(
             "class_h1_is_sum_map_kernel",
             "imaginary case: H^1 of S-classes vs the local sum-map kernel",
-            _factors(imaginary.h1_class), _factors(h1_cyclic(class_module))))
-        if imaginary.cor62_structure is not None:
+            _factors(analysis.structures["h1_class"]), _factors(h1_cyclic(class_module))))
+        cor62 = analysis.structures.get("imaginary_CKG")
+        if cor62 is not None:
             verdicts.append(_verdict(
                 "artin_schreier_ambiguous_structure",
                 "imaginary Artin-Schreier: ambiguous classes are elementary abelian",
-                _factors(imaginary.cor62_structure), _factors(cks_invariants)))
+                _factors(cor62), _factors(cks_invariants)))
 
     if one_place_above_s:
         # with one place above S the S-units are the constants, so the
@@ -239,17 +232,16 @@ def oracle_report(curve, s_bases=(INFINITE,), degree_bound=None,
             "n times unit H^0-hat equals unit H^1 times local S-degrees",
             True, second))
 
-    _, n0 = compute_D_n0(profile)
     verdicts.append(_verdict(
         "hilbert94_consistency",
         "the Hilbert 94 lower bound n0/gcd(n0, prod d_v/D) is 1",
-        1, hilbert94_lower_bound(profile)))
-    if gcd(n, profile.h_KS) == 1:
-        semi = semisimple_report(profile, profile.h_KS)
+        1, analysis.bounds["hilbert94"].value))
+    if "ker_j_exact" in analysis.bounds:
+        # the semisimple case, gcd(n, h_KS) = 1
         verdicts.append(_verdict(
             "semisimple_kernel_order",
             "coprime-degree case: kernel order is exactly n0, here 1",
-            [1, 1], [semi.ker_j_order, n0]))
+            [1, 1], [analysis.bounds["ker_j_exact"].value, analysis.n0]))
 
     return OracleReport(
         curve_json=curve_to_json(curve),

@@ -25,3 +25,39 @@ def test_picard_does_not_import_rational_functions():
     imported = {alias.name for node in ast.walk(tree)
                 if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
     assert "RationalFunc" not in imported
+
+
+def _called_names(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            if isinstance(func, ast.Name):
+                yield func.id
+            elif isinstance(func, ast.Attribute):
+                yield func.attr
+
+
+def test_local_integers_are_derived_on_the_profile():
+    # d_v, D and n0 are cached on ExtensionProfile; compute_dv and
+    # compute_D_n0 hand out copies to callers outside the package
+    callers = {name for name, tree in _trees() for called in _called_names(tree)
+               if called in ("compute_dv", "compute_D_n0")}
+    assert callers <= {"profile.py"}
+
+
+def test_verify_reads_the_calculators_through_analyze_profile():
+    # the oracle's verdicts check the calculators that `capitula analyze`
+    # runs, through one analyze_profile, not through bindings of its own
+    formulas = ast.parse((PACKAGE / "formulas.py").read_text())
+    defined = {node.name for node in formulas.body if isinstance(node, ast.FunctionDef)}
+    analyze = next(node for node in formulas.body
+                   if isinstance(node, ast.FunctionDef) and node.name == "analyze_profile")
+    run = set(_called_names(analyze)) & defined
+    assert {"hilbert94_lower_bound", "semisimple_report", "imaginary_report",
+            "delta_index", "m_invariant", "prop86_check"} <= run
+    verify = ast.parse((PACKAGE / "verify.py").read_text())
+    imported = {alias.asname or alias.name for node in ast.walk(verify)
+                if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+    assert "analyze_profile" in imported
+    assert not imported & run
+    assert not set(_called_names(verify)) & run

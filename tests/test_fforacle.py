@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from capitula.abelian import AbHom, FinAbGroup, HermiteModD, QuotientPresentation, \
-    finite_quotient, preimage_generators
+    finite_quotient, identity_matrix, mat_mul, preimage_generators
 from capitula.cohomology import Cyclic, GModule, h1_cyclic
 from capitula.errors import (
     DegenerateExtensionError,
@@ -73,6 +73,15 @@ T2, T3, T4 = Poly.x(F2), Poly.x(F3), Poly.x(F4)
 ONE2, ONE3 = Poly.one(F2), Poly.one(F3)
 
 
+def _valuation_at(rat, pi):
+    """Order of a nonzero rational function at the finite place pi."""
+    return rat.num.valuation(pi) or -rat.den.valuation(pi)
+
+
+def _identity(group):
+    return AbHom(group, group, tuple(map(tuple, identity_matrix(group.rank))))
+
+
 def _tower(field):
     """The tuple tower over GF(p) whose element indices GF(q) tabulates."""
     p, k = field.char, field.degree_over_prime
@@ -96,7 +105,7 @@ class TestFiniteFields:
     def test_shipped_table_entries_are_irreducible(self):
         for (p, k), coeffs in IRREDUCIBLE_TABLE.items():
             base = PrimeField(p)
-            poly = Poly.from_ints(base, coeffs)
+            poly = Poly(base, [base.from_int(c) for c in coeffs])
             assert poly.degree == k
             assert _is_irreducible(poly)
 
@@ -263,7 +272,7 @@ class TestPolyLayer:
 
     def test_rational_reciprocal_matches_infinity(self):
         rat = RationalFunc(T3**3 + ONE3, T3**2 + T3)
-        assert rat.reciprocal_substitution().valuation_at(Poly.x(F3)) \
+        assert _valuation_at(rat.reciprocal_substitution(), Poly.x(F3)) \
             == rat.valuation_at_infinity()
 
     @pytest.mark.parametrize("q", [2, 4, 5, 9])
@@ -317,7 +326,7 @@ class TestReduction:
         reduced = as_reduce(RationalFunc(ONE2, T2**2), F2)
         poles = reduced.den
         assert poles.degree == 1
-        assert reduced.valuation_at(T2) == -1
+        assert _valuation_at(reduced, T2) == -1
 
     def test_degenerate_rejected(self):
         with pytest.raises(DegenerateExtensionError):
@@ -549,7 +558,7 @@ class TestCoverTable:
 
         def exact(place):
             return (rat.valuation_at_infinity() if place.is_infinite
-                    else rat.valuation_at(place.pi))
+                    else _valuation_at(rat, place.pi))
 
         with_zeros = curve.field.is_zero(curve.model.c)
         for place, v in curve.divisor.items():
@@ -798,10 +807,12 @@ class TestPicard:
     def test_sigma_has_order_dividing_n(self):
         for entry in corpus():
             pd = picard_group(entry.curve)
-            power = AbHom.identity(pd.group)
+            identity = _identity(pd.group)
+            power = identity
             for _ in range(entry.curve.n):
-                power = pd.sigma_action.compose(power)
-            assert power.matrix == AbHom.identity(pd.group).matrix
+                power = AbHom(pd.group, pd.group, tuple(map(tuple, mat_mul(
+                    pd.sigma_action.matrix_rows(), power.matrix_rows()))))
+            assert power.matrix == identity.matrix
 
     def test_invariants_examples(self):
         # sigma = -1 on Z/3: no invariants
@@ -809,7 +820,7 @@ class TestPicard:
         minus = AbHom(g3, g3, ((-1,),))
         assert invariants_of(g3, minus).is_trivial()
         # trivial action: everything
-        assert invariants_of(g3, AbHom.identity(g3)).invariant_factors == (3,)
+        assert invariants_of(g3, _identity(g3)).invariant_factors == (3,)
         # swap on (Z/2)^2: the diagonal
         klein = FinAbGroup((2, 2))
         swap = AbHom(klein, klein, ((0, 1), (1, 0)))
@@ -981,22 +992,50 @@ class TestSClassQuantities:
         # so the imaginary-case verdicts read formulas.imaginary_report
         from dataclasses import replace
 
-        from capitula import verify
+        from capitula import formulas, verify
 
         curve = corpus_entry("as_f2_r0").curve
         verdicts = {v.check: v for v in verify.oracle_report(curve).verdicts}
         assert verdicts["ambiguous_class_order"].passed
         assert verdicts["artin_schreier_ambiguous_structure"].passed
-        real = verify.imaginary_report
+        real = formulas.imaginary_report
 
         def off_by_one(profile, h_fs):
             report = real(profile, h_fs)
             return replace(report, ckg_order=report.ckg_order + 1)
 
-        monkeypatch.setattr(verify, "imaginary_report", off_by_one)
+        monkeypatch.setattr(formulas, "imaginary_report", off_by_one)
         failed = [v for v in verify.oracle_report(curve).verdicts if not v.passed]
         assert [v.check for v in failed] == ["ambiguous_class_order"]
         assert failed[0].expected == verdicts["ambiguous_class_order"].expected + 1
+
+    @pytest.mark.parametrize("calculator, verdict", [
+        ("prop86_check", "ramification_congruence"),
+        ("hilbert94_lower_bound", "hilbert94_consistency"),
+        ("semisimple_report", "semisimple_kernel_order"),
+    ])
+    def test_verdicts_read_the_calculators_through_analyze_profile(
+            self, monkeypatch, calculator, verdict):
+        # y^2+y = t^3 over F_2, S = {inf}: h_KS = 3 is prime to n = 2, so
+        # the semisimple verdict runs; a wrong calculator in formulas turns
+        # exactly its verdict to FAIL
+        from dataclasses import replace
+
+        from capitula import formulas, verify
+
+        curve = corpus_entry("as_f2_r0").curve
+        verdicts = {v.check: v for v in verify.oracle_report(curve).verdicts}
+        assert verdicts[verdict].passed
+        real = getattr(formulas, calculator)
+        wrong = {
+            "prop86_check": lambda q, n, ram: False,
+            "hilbert94_lower_bound": lambda profile: 2,
+            "semisimple_report": lambda profile, h_ks: replace(
+                real(profile, h_ks), ker_j_order=2),
+        }[calculator]
+        monkeypatch.setattr(formulas, calculator, wrong)
+        failed = [v.check for v in verify.oracle_report(curve).verdicts if not v.passed]
+        assert failed == [verdict]
 
     def test_class_h1_verdict_compares_the_sum_map_kernel(self, monkeypatch):
         # the closed form for H^1 of S-classes (formulas.b_group, through
@@ -1069,7 +1108,7 @@ def _local_equation(curve, base):
         u = to_model(curve.Q)
         return 0, lambda r, m: (r**curve.p - r - _mod(u, m)) % m
     f = to_model(curve.f)
-    a = f.valuation_at(pi)
+    a = _valuation_at(f, pi)
     u = f * RationalFunc.of(pi)**(-a)
     return a // curve.ell, lambda r, m: (r**curve.ell - _mod(u, m)) % m
 
@@ -1110,7 +1149,7 @@ def _oracle_valuation(curve, base, shift, root, function, precision=ORACLE_PRECI
     coeffs = [RationalFunc(a, function[1]) for a in function[0]]
     terms = [(i, to_model(c) * pi_rat**(i * shift))
              for i, c in enumerate(coeffs) if not c.is_zero()]
-    low = min(term.valuation_at(pi) for _, term in terms)
+    low = min(_valuation_at(term, pi) for _, term in terms)
     modulus = pi**precision
     total = Poly.zero(curve.field)
     for i, term in terms:

@@ -11,7 +11,6 @@ from capitula.formulas import (
     chevalley_ff,
     coker_lower_bound,
     delta_index,
-    example53_t,
     genus_field_h1,
     h1_class_lower_bound,
     hilbert94_lower_bound,
@@ -31,6 +30,10 @@ from capitula.profile import (
     NumberField,
     PlaceProfile,
     abelian_shape,
+    compute_dv,
+    profile_from_json,
+    profile_to_json,
+    validate,
 )
 
 
@@ -165,26 +168,9 @@ class TestCokerLower:
         p = cyclic_profile(ell**m, [PlaceProfile("s", True, 1, 1)] + [
             PlaceProfile(f"p{i}", False, ell**min(t, m), 1) for i, t in enumerate(ts)
         ])
-        t = example53_t(ell, m, [min(t, m) for t in ts])
+        # the exponent of Example 5.3: t = sum t_i - m
+        t = sum(min(t, m) for t in ts) - m
         assert coker_lower_bound(p, True) == ell**t
-
-
-class TestExample53:
-    def test_basic(self):
-        assert example53_t(2, 1, [1, 1]) == 1
-
-    def test_artin_schreier_rank_shape(self):
-        r = 5
-        assert example53_t(3, 1, [1] * r) == r - 1
-
-    def test_boundary(self):
-        assert example53_t(2, 3, [2, 2]) == 1
-
-    def test_guard(self):
-        with pytest.raises(HypothesisError):
-            example53_t(2, 3, [1, 1])
-        with pytest.raises(ValidationError):
-            example53_t(4, 1, [1, 1])
 
 
 class TestNormIndex:
@@ -403,3 +389,52 @@ class TestAnalyze:
         )
         report = analyze_profile(p)
         assert report.bounds["rank87"].value == max(0, 3 - 1)
+
+
+class TestLocalIntegersOncePerProfile:
+    """d_v, D, n0 and |B| are derived on the profile, once."""
+
+    def _profile(self, t_in_s=False):
+        # imaginary and semisimple: one place above S, gcd(2, q' - 1) = 1
+        # and gcd(2, h_KS) = 1; with t in S instead, S holds every ramified
+        # place and the large-S report runs
+        return ExtensionProfile(
+            base=FunctionField(2), n=2, group=CYCLIC,
+            places=(PlaceProfile("inf", True, 2, 1, deg=1),
+                    PlaceProfile("t", t_in_s, 2, 1, deg=1)),
+            h_FS=1, h_KS=3, q_prime=2)
+
+    @pytest.mark.parametrize("t_in_s, runs", [
+        (False, {"hilbert94", "coker_lower", "ker_j_exact", "ambiguous_order",
+                 "h1_class_lower", "norm_index_divisor"}),
+        (True, {"hilbert94", "coker_lower", "ker_j_exact", "b_order",
+                "h1_class_lower", "norm_index_divisor"}),
+    ])
+    def test_validate_then_analyze_derives_the_d_map_once(self, monkeypatch, t_in_s, runs):
+        derivation = ExtensionProfile.__dict__["d_map"]
+        real = derivation.func
+        calls = []
+
+        def counting(profile):
+            calls.append(profile)
+            return real(profile)
+
+        monkeypatch.setattr(derivation, "func", counting)
+        p = self._profile(t_in_s)
+        assert validate(p).ok
+        report = analyze_profile(p, units_are_norms=True, h2_units_trivial=True)
+        assert runs <= set(report.bounds)
+        assert len(calls) == 1
+
+    def test_returned_maps_are_copies(self):
+        p = self._profile()
+        expected = analyze_profile(profile_from_json(profile_to_json(p)))
+        d = compute_dv(p)
+        d["inf"] = 7
+        d["extra"] = 3
+        validate(p).d_map["t"] = 5
+        analyze_profile(p).d_map["inf"] = 11
+        assert analyze_profile(p) == expected
+        assert compute_dv(p) == {"inf": 2, "t": 2}
+        with pytest.raises(TypeError):
+            p.d_map["inf"] = 7

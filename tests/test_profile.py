@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -205,3 +206,40 @@ class TestJson:
     def test_malformed_base(self):
         with pytest.raises(ValidationError):
             profile_from_json({"base": "padic", "n": 2, "group": "cyclic"})
+
+    @pytest.mark.parametrize("path, value, named", [
+        (("base", "function", "q"), 3.9, "q"),
+        (("n",), "4", "n"),
+        (("h_KS",), 2.5, "h_KS"),
+        (("q_prime",), "3", "q_prime"),
+        (("places", 0, "e"), 2.9, "place inf: e"),
+        (("places", 1, "f"), True, "place t: f"),
+        (("places", 1, "deg"), 1.0, "place t: deg"),
+        (("places", 0, "in_S"), "false", "place inf: in_S"),
+        (("places", 1, "in_S"), 0, "place t: in_S"),
+    ])
+    def test_values_are_read_as_they_stand(self, path, value, named):
+        # integers are JSON integers and in_S a JSON boolean: a float, a
+        # string or a bool in their place is rejected by name, not converted
+        raw = {
+            "base": {"function": {"q": 3}}, "n": 2, "group": "cyclic",
+            "q_prime": 3, "h_KS": 1,
+            "places": [
+                {"id": "inf", "in_S": True, "e": 2, "f": 1, "deg": 1},
+                {"id": "t", "in_S": False, "e": 2, "f": 1, "deg": 1},
+            ],
+        }
+        assert profile_from_json(raw).n == 2
+        target = raw
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        with pytest.raises(ValidationError, match=f"^{re.escape(named)} must be"):
+            profile_from_json(raw)
+
+    def test_abelian_orders_are_read_as_they_stand(self):
+        with pytest.raises(ValidationError, match="^abelian order must be an integer"):
+            profile_from_json({
+                "base": "number", "n": 4, "group": {"abelian": [2, 2.0]},
+                "places": [{"id": "v", "in_S": True, "e": 1, "f": 1}],
+            })
