@@ -30,6 +30,7 @@ from .picard import (
     galois_invariants,
     invariants_of,
     picard_group,
+    profile_and_s_classes,
     realize_profile,
     s_class_group,
     strongly_ambiguous_order,

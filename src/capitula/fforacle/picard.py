@@ -776,7 +776,7 @@ class PicardData:
     Pic^0 + Z p0, and _sigma_p0 holds the Pic^0 coordinates of sigma(p0) -
     p0 (module docstring).  _pres0 presents Pic^0 on the factor base
     without p0, and _relations are its Hermite rows lifted into L0.  The
-    S-class group is read off it once per S (_profile_and_s_classes); the
+    S-class group is read off it once per S (profile_and_s_classes); the
     local integers d_v, D, n0 and |B| are not computed here but by the
     ExtensionProfile that realize_profile emits.
     """
@@ -1143,11 +1143,11 @@ def realize_profile(curve, s_bases, degree_bound: int | None = None,
         raise ValidationError("S must be nonempty")
     if pd is None:
         pd = picard_group(curve, degree_bound, extra_base_places=s_bases, config=config)
-    profile, *_ = _profile_and_s_classes(curve, s_bases, pd)
+    profile, *_ = profile_and_s_classes(curve, s_bases, pd)
     return profile, pd
 
 
-def _profile_and_s_classes(curve, s_bases: list, pd: PicardData):
+def profile_and_s_classes(curve, s_bases: list, pd: PicardData):
     """(profile, S_K, C_{K,S}, action on C_{K,S}) for S: the one build of
     the S-class group behind realize_profile and verify.oracle_report."""
     # the places of S, then the ramified places outside S in sort_key order
@@ -1157,7 +1157,6 @@ def _profile_and_s_classes(curve, s_bases: list, pd: PicardData):
         data = local_invariants(curve, base)
         places.append(PlaceProfile(
             id=base.id, in_S=base in s_bases, e=data.e, f=data.f, deg=base.degree))
-    h_fs = base_class_number(s_bases)
     s_k = []
     for base in s_bases:
         s_k.extend(pd.places_above(base))
@@ -1167,7 +1166,7 @@ def _profile_and_s_classes(curve, s_bases: list, pd: PicardData):
         n=curve.n,
         group=CYCLIC,
         places=tuple(places),
-        h_FS=h_fs,
+        h_FS=base_class_number(s_bases),
         h_KS=group.order,
         q_prime=curve.field.order,
     )

@@ -18,9 +18,9 @@ h2_local_order must equal e_v there.  In every case the local H^2 order
 sits in an exact sequence between Z/(e,f) and Z/e, hence is a multiple of
 gcd(e_v, f_v) dividing e_v^2; the validator enforces exactly that.
 
-ExtensionProfile derives these integers once per profile, as cached
-properties (_cached): d_map, big_d = D, n0, b_order = |B| = (prod d_v)/D and
-d_pairwise_coprime.  compute_dv and compute_D_n0 return fresh copies of
+ExtensionProfile derives these integers once per profile, as
+functools.cached_property: d_map, big_d = D, n0, b_order = |B| = (prod d_v)/D
+and d_pairwise_coprime.  compute_dv and compute_D_n0 return fresh copies of
 them, and the validator and every calculator in formulas read them there.
 """
 
@@ -34,18 +34,6 @@ from types import MappingProxyType
 
 from .arith import json_int, lcm_list
 from .errors import HypothesisError, ValidationError
-
-
-class _cached(cached_property):
-    """functools.cached_property without the lock that Python 3.11 takes on
-    every first read (Python 3.12 dropped it).  The derivations are pure, so
-    two threads racing on one profile can at most compute a value twice."""
-
-    def __get__(self, instance, owner=None):
-        if instance is None:
-            return self
-        value = instance.__dict__[self.attrname] = self.func(instance)
-        return value
 
 
 @dataclass(frozen=True)
@@ -170,7 +158,7 @@ class ExtensionProfile:
             total += self.n // p.local_degree
         return total
 
-    @_cached
+    @cached_property
     def d_map(self) -> MappingProxyType:
         """The local integers d_v for every v in S' = S ∪ R, read-only.
 
@@ -203,12 +191,12 @@ class ExtensionProfile:
                 )
         return MappingProxyType(out)
 
-    @_cached
+    @cached_property
     def big_d(self) -> int:
         """D = lcm of the d_v over S'."""
         return lcm_list(self.d_map.values())
 
-    @_cached
+    @cached_property
     def n0(self) -> int:
         """n0 = n / D (cyclic extensions only)."""
         if not self.group.is_cyclic:
@@ -217,12 +205,12 @@ class ExtensionProfile:
             raise ValidationError(f"D={self.big_d} does not divide n={self.n}")
         return self.n // self.big_d
 
-    @_cached
+    @cached_property
     def b_order(self) -> int:
         """|B| = (prod d_v)/D, the order of the kernel of ⊕ Z/d_v -> Z/D."""
         return prod(self.d_map.values()) // self.big_d
 
-    @_cached
+    @cached_property
     def d_pairwise_coprime(self) -> bool:
         """Whether the d_v are pairwise coprime."""
         return _pairwise_coprime(self.d_map.values())

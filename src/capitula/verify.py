@@ -48,11 +48,11 @@ from .fforacle import (
     invariants_of,
     monic_irreducibles,
     picard_group,
+    profile_and_s_classes,
     ramification_data,
     strongly_ambiguous_order,
     zeta_functional_equation_holds,
 )
-from .fforacle.picard import _profile_and_s_classes
 from .profile import ExtensionProfile
 
 
@@ -78,8 +78,15 @@ def _verdict(check, anchor, expected, actual):
     return Verdict(check, anchor, expected, actual, expected == actual)
 
 
-def _factors(group: FinAbGroup):
-    return list(group.invariant_factors)
+def _factors(group: FinAbGroup | None):
+    return None if group is None else list(group.invariant_factors)
+
+
+def _bound(analysis, key: str):
+    """The value of an analyze_profile bound, None where the analysis left
+    it out, so that a verdict whose case verify decides reads FAIL."""
+    bound = analysis.bounds.get(key)
+    return None if bound is None else bound.value
 
 
 # ---------------------------------------------------------------------------
@@ -133,14 +140,16 @@ def oracle_report(curve, s_bases=(INFINITE,), degree_bound=None,
     analyze_profile of the realized profile, the run that `capitula
     analyze` makes, so d_v, D, n0 and |B| are derived on that profile
     (ExtensionProfile) and nowhere here; the oracle's side is read off the
-    certified Pic^0 and the one S-class group built for S.
+    certified Pic^0 and the one S-class group built for S.  Whether the
+    imaginary and semisimple cases apply is decided here, from q, n and
+    h_KS, so a case the analysis leaves out reads FAIL.
     """
     from .fforacle.curves import curve_to_json
 
     s_bases = list(s_bases)
     ram, g = ramification_data(curve)
     pd = picard_group(curve, degree_bound, extra_base_places=s_bases, config=config)
-    profile, s_k, cks, cks_action = _profile_and_s_classes(curve, s_bases, pd)
+    profile, s_k, cks, cks_action = profile_and_s_classes(curve, s_bases, pd)
     analysis = analyze_profile(profile)
     q = curve.field.order
     n = curve.n
@@ -173,7 +182,7 @@ def oracle_report(curve, s_bases=(INFINITE,), degree_bound=None,
     verdicts.append(_verdict(
         "ramification_congruence",
         "cyclic constraint on ramification degrees and indices",
-        True, analysis.flags["prop86"]))
+        True, analysis.flags.get("prop86")))
 
     # ambiguous class number formula, both sides computed independently
     unit_module = GModule.trivial_action(Cyclic(n), FinAbGroup.of(q - 1))
@@ -191,25 +200,27 @@ def oracle_report(curve, s_bases=(INFINITE,), degree_bound=None,
 
     one_place_above_s = profile.s_k_count() == 1
     ram_outside = [p for p in profile.places if p.ramified and not p.in_S]
-    if "ambiguous_order" in analysis.bounds:
-        # the imaginary case: one place above S and gcd(n, q - 1) = 1; a
-        # Kummer cover never gets here (n | q - 1), so an elementary
-        # abelian structure is the Artin-Schreier one
+    if one_place_above_s and gcd(n, q - 1) == 1:
+        # the imaginary case, decided here so that an analysis that skips
+        # it reads FAIL; a Kummer cover never gets here (n | q - 1), so an
+        # elementary abelian structure is the Artin-Schreier one
         verdicts.append(_verdict(
             "ambiguous_class_order",
             "imaginary case: ambiguous classes count h_FS * prod e_v",
-            analysis.bounds["ambiguous_order"].value, cks_invariants.order))
+            _bound(analysis, "ambiguous_order"), cks_invariants.order))
         class_module = GModule.cyclic(n, cks, cks_action.matrix)
         verdicts.append(_verdict(
             "class_h1_is_sum_map_kernel",
             "imaginary case: H^1 of S-classes vs the local sum-map kernel",
-            _factors(analysis.structures["h1_class"]), _factors(h1_cyclic(class_module))))
-        cor62 = analysis.structures.get("imaginary_CKG")
-        if cor62 is not None:
+            _factors(analysis.structures.get("h1_class")),
+            _factors(h1_cyclic(class_module))))
+        if h_fs == 1:
+            # an Artin-Schreier cover has prime degree p and e_v = p at
+            # every ramified place, the shape of the elementary abelian case
             verdicts.append(_verdict(
                 "artin_schreier_ambiguous_structure",
                 "imaginary Artin-Schreier: ambiguous classes are elementary abelian",
-                _factors(cor62), _factors(cks_invariants)))
+                _factors(analysis.structures.get("imaginary_CKG")), _factors(cks_invariants)))
 
     if one_place_above_s:
         # with one place above S the S-units are the constants, so the
@@ -235,13 +246,12 @@ def oracle_report(curve, s_bases=(INFINITE,), degree_bound=None,
     verdicts.append(_verdict(
         "hilbert94_consistency",
         "the Hilbert 94 lower bound n0/gcd(n0, prod d_v/D) is 1",
-        1, analysis.bounds["hilbert94"].value))
-    if "ker_j_exact" in analysis.bounds:
-        # the semisimple case, gcd(n, h_KS) = 1
+        1, _bound(analysis, "hilbert94")))
+    if gcd(n, profile.h_KS) == 1:
         verdicts.append(_verdict(
             "semisimple_kernel_order",
             "coprime-degree case: kernel order is exactly n0, here 1",
-            [1, 1], [analysis.bounds["ker_j_exact"].value, analysis.n0]))
+            [1, 1], [_bound(analysis, "ker_j_exact"), analysis.n0]))
 
     return OracleReport(
         curve_json=curve_to_json(curve),

@@ -199,6 +199,20 @@ class TestConfig:
         assert main(["oracle", write(tmp_path, "c.json", AS_CURVE)]) == 1
         assert "'max_genus'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value, message", [
+        (1.5, "config 'max_genus' must be an integer, got 1.5"),
+        (True, "config 'max_genus' must be an integer, got True"),
+        ("3", "config 'max_genus' must be an integer, got '3'"),
+        (-1, "config 'max_genus' must be an integer >= 0, got -1"),
+    ])
+    def test_load_config_names_the_key_and_value(self, tmp_path, value, message):
+        from capitula.cli import load_config
+
+        (tmp_path / "capitula.json").write_text(json.dumps({"max_genus": value}))
+        with pytest.raises(ValueError) as info:
+            load_config(tmp_path)
+        assert str(info.value) == message
+
     def test_no_command_exits_1(self):
         assert main([]) == 1
 

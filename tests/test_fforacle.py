@@ -1037,6 +1037,35 @@ class TestSClassQuantities:
         failed = [v.check for v in verify.oracle_report(curve).verdicts if not v.passed]
         assert failed == [verdict]
 
+    @pytest.mark.parametrize("left_out, verdicts", [
+        (("ambiguous_order", "h1_class", "imaginary_CKG"),
+         ["ambiguous_class_order", "class_h1_is_sum_map_kernel",
+          "artin_schreier_ambiguous_structure"]),
+        (("ker_j_exact",), ["semisimple_kernel_order"]),
+    ])
+    def test_a_case_the_analysis_leaves_out_reads_fail(self, monkeypatch, left_out, verdicts):
+        # y^2+y = t^3 over F_2, S = {inf} is imaginary and semisimple; verify
+        # decides both cases itself, so an analyze_profile with a wrong
+        # gate turns their verdicts to FAIL rather than dropping them
+        from capitula import verify
+
+        curve = corpus_entry("as_f2_r0").curve
+        names = [v.check for v in verify.oracle_report(curve).verdicts]
+        assert set(verdicts) <= set(names)
+        real = verify.analyze_profile
+
+        def without_case(profile):
+            report = real(profile)
+            for key in left_out:
+                report.bounds.pop(key, None)
+                report.structures.pop(key, None)
+            return report
+
+        monkeypatch.setattr(verify, "analyze_profile", without_case)
+        report = verify.oracle_report(curve)
+        assert [v.check for v in report.verdicts] == names
+        assert [v.check for v in report.verdicts if not v.passed] == verdicts
+
     def test_class_h1_verdict_compares_the_sum_map_kernel(self, monkeypatch):
         # the closed form for H^1 of S-classes (formulas.b_group, through
         # sum_map_kernel) against h1_cyclic on the realized class group
