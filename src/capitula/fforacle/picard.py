@@ -4,7 +4,10 @@ The presentation is concrete: the free abelian group on a factor base of
 low-degree places of K, modulo relations given by principal divisors.
 Relations are harvested from the base-field places themselves and from
 functions in Riemann-Roch spaces L(m P0) of a fixed rational place P0,
-computed by linear algebra over F_q in the monomial basis y^i t^j.  A base
+computed by linear algebra over F_q in the monomial basis y^i t^j.  The
+t-degree window of that basis is read off the places above infinity,
+where the numerators' degrees are bounded by proof (riemann_roch_basis),
+so each space is one linear system, solved once.  A base
 polynomial pi needs no divisor computation: div(pi) is the conorm of its
 place minus deg pi times the conorm of infinity, sum_{w|P} e_w w -
 deg pi sum_{w|inf} e_w w (Stichtenoth, Algebraic Function Fields and
@@ -70,15 +73,19 @@ base.
 
 Valuations are exact, and read off the numerators: v_w(z) = v_w(sum A_i
 y^i) - e_w v_P(H), with v_P(A_i) the multiplicity of pi in A_i (-deg A_i
-at infinity).  At totally ramified places the n residues i*v_w(y) mod n
-are distinct, so v_w(sum A_i y^i) = min_i (n v(A_i) + i v_w(y)) with no
-cancellation; at inert places the basis y^i stays a unit basis and the
-minimum of the coefficient valuations wins.  At an unramified place y =
-pi^s Y, with s = v(D)/n when c = 0 and s = 0 otherwise (a pole of D is
-then ramified), so Y is integral.  The local equation stays in F_q[x]: D
-pi^(-ns) = Dn' / Dd' with polynomials in the model variable, the power of
-pi divided exactly out of the numerator or the denominator of D, and Dd'
-is prime to pi, since a split place is no pole of D pi^(-ns).  Y solves
+at infinity).  Let s = e v_P(D) / n (the engine's s_y), v_P(D) read as 0
+at a zero of D when c != 0.  At a ramified place s = v_w(y); at an
+unramified one y = pi^s Y with Y integral (when c != 0 a pole of D is
+ramified).  Where w is the only place above its base, one formula holds:
+v_w(sum A_i y^i) = min_i (e v(A_i) + i s), with no cancellation.  At a
+totally ramified place (e = n) s is prime to n, so the values i s are
+distinct mod n; at an inert one (e = 1) the basis Y^i stays a unit basis
+(Stichtenoth, Algebraic Function Fields and Codes, Prop. 3.7.3).  At a
+split place the same minimum w0 (e = 1) is a lower bound.  The local
+equation stays in F_q[x]: D pi^(-ns) = Dn' / Dd' with polynomials in the
+model variable, the power of pi divided exactly out of the numerator or
+the denominator of D, and Dd' is prime to pi, since a split place is no
+pole of D pi^(-ns).  Y solves
 G(Y) = Dd' (Y^n - c Y) - Dn' = 0.  At a totally split place w, labelled by
 a residue r of Y, sum A_i y^i = pi^w0 sum a_i Y^i with polynomials a_i,
 not all divisible by pi: each a_i is A_i multiplied or exactly divided by
@@ -189,15 +196,16 @@ class PlaceAbove:
 class LocalEngine:
     """All places of K above one base place, with exact valuations.
 
-    y = pi^sigma_shift Y at an unramified base (module docstring), and
-    s_y is v_w(y) at a ramified one.  At a totally split base, unit_num /
-    unit_den = D pi^(-n s) (Dn' / Dd' in the module docstring), and Y
-    solves G(Y) = unit_den (Y^n - c Y) - unit_num.  orbit[k] is the element
-    index of sigma^k(r0) = zeta_k r0 + beta_k, r0 the first residual root
-    in index order, and sigma maps the place labelled orbit[k] to the one
-    labelled orbit[k - 1].  labels[j] is the residue of Y at place j, in
-    index order, and root_mod(j, N) the root of G above it, zeta_k R0 +
-    beta_k for the one Hensel-lifted root R0.
+    s_y = e v_P(D) / n is v_w(y) at a ramified base, and y = pi^s_y Y with
+    Y integral at an unramified one (module docstring).  labels is empty
+    unless the base is totally split.  There unit_num / unit_den = D
+    pi^(-n s_y) (Dn' / Dd' in the module docstring), and Y solves G(Y) =
+    unit_den (Y^n - c Y) - unit_num.  orbit[k] is the element index of
+    sigma^k(r0) = zeta_k r0 + beta_k, r0 the first residual root in index
+    order, and sigma maps the place labelled orbit[k] to the one labelled
+    orbit[k - 1].  labels[j] is the residue of Y at place j, in index
+    order, and root_mod(j, N) the root of G above it, zeta_k R0 + beta_k
+    for the one Hensel-lifted root R0.
     """
 
     def __init__(self, arith: "CurveArithmetic", base: BasePlace):
@@ -216,9 +224,8 @@ class LocalEngine:
         n = curve.n
         c, zeta, beta = curve.model
         d = self.data
-        ramified = d.kind == "ramified"
-        self.sigma_shift = 0 if ramified or not field.is_zero(c) else self.def_val // n
-        self.s_y = self.def_val if ramified else self.sigma_shift
+        # v_w(y) at a ramified place; y = pi^s_y Y with Y integral at an unramified one
+        self.s_y = d.e * self.def_val // n
 
         deg = d.f * base.degree
         self.labels = []
@@ -229,7 +236,7 @@ class LocalEngine:
             # D pi^(-n s) by an exact division of the numerator or the
             # denominator: n s = v_P(D) when c = 0, and s = 0 otherwise
             num, den = model_defining.num, model_defining.den
-            ns = n * self.sigma_shift
+            ns = n * self.s_y
             self.unit_num, self.unit_den = ((num // self.pi_power(ns), den) if ns >= 0
                                             else (num, den // self.pi_power(-ns)))
             c_k = point.embed(c)
@@ -323,14 +330,13 @@ class LocalEngine:
         if not terms:
             raise ValidationError("valuation of the zero function")
         n = self.arith.curve.n
-        if self.data.kind == "ramified":
-            return [min(n * v + i * self.s_y for i, v in terms) - n * den_val]
-        shift = self.sigma_shift
-        w0 = min(v + i * shift for i, v in terms)
-        if self.data.kind == "inert":
-            return [w0 - den_val]
+        e, s = self.data.e, self.s_y
+        # the value at an unsplit base; at a split one (e = 1) v_w - w0 >= 0
+        w0 = min(e * v + i * s for i, v in terms)
+        if not self.labels:
+            return [w0 - e * den_val]
         # split: sum coeffs[i] y^i = pi^w0 sum a_i Y^i, a_i in F_q[x] not all divisible by pi
-        integral = [self._integral(c, i * shift - w0) for i, c in enumerate(coeffs)]
+        integral = [self._integral(c, i * s - w0) for i, c in enumerate(coeffs)]
         # residue first: a nonzero value of sum a_i label^i in kappa means v = w0
         kappa = self.model_point.kappa
         residues = [self.model_point.reduce_poly(a) for a in integral]
@@ -579,9 +585,24 @@ def riemann_roch_basis(arith: CurveArithmetic, p0: PlaceAbove, m: int, genus: in
     function D: at a zero of order a the coefficient of y^i may carry a
     denominator of order floor(i a / n) (the valuation of y there is a).
     Linear constraints at the finitely many places where a monomial can
-    have a pole cut out exactly L(m P0); completeness is certified by
-    dim = m + 1 - genus, with the t-degree window growing until that
-    dimension is reached.
+    have a pole cut out exactly L(m P0).
+
+    The t-degree window is read off the places w above infinity, where the
+    condition is v_w(sum A_i y^i) >= l_w = (-m if w = P0 else 0) - e deg H
+    (Hess, J. Symbolic Comput. 33, 2002, bounds the degrees through an
+    integral basis; here the local shapes suffice).
+    - One place above infinity: v_w(sum A_i y^i) = min_i (e v(A_i) + i s_y)
+      with no cancellation (module docstring), so deg A_i <= floor((i s_y -
+      l_w) / e).
+    - n split places: y = u^s Y, and the n roots of Y have distinct
+      residues, so their Vandermonde matrix is a unit of F_q[[u]].  Each
+      A_i u^(i s) is a combination of the n values, so its valuation is at
+      least min_w l_w: deg A_i <= i s - min_w l_w.
+    Both read deg A_i <= floor((i s_y - min_w l_w) / e), as e = 1 when
+    infinity splits.  A_i = (sum_j c_ij t^j) E_i, so the window takes j up
+    to the largest of these bounds less deg E_i (and at least 0).  Every
+    function of L(m P0) lies in it, and the one system is solved once; a
+    dimension other than m + 1 - genus raises InconsistencyError.
     """
     if p0.deg != 1:
         raise ValidationError("the pole place must have degree one")
@@ -617,10 +638,14 @@ def riemann_roch_basis(arith: CurveArithmetic, p0: PlaceAbove, m: int, genus: in
             if power:
                 e_i = e_i * base.pi**power
         multipliers.append(e_i)
-    den_poly = Poly.one(field)
-    for base, mult in den_mults.items():
-        den_poly = den_poly * base.pi**mult
-    den_degree = den_poly.degree
+    den_degree = sum(mult * base.degree for base, mult in den_mults.items())
+
+    # the window: deg A_i <= floor((i s_y - min_w l_w) / e) above infinity
+    inf = arith.engine(INFINITE)
+    e_inf = inf.data.e
+    lowest = (0 if p0_finite else -m) - e_inf * den_degree
+    j_max = max(0, max((i * inf.s_y - lowest) // e_inf - mult.degree
+                       for i, mult in enumerate(multipliers)))
 
     constraint_bases = {INFINITE: None}
     for base in arith._critical_bases():
@@ -628,28 +653,19 @@ def riemann_roch_basis(arith: CurveArithmetic, p0: PlaceAbove, m: int, genus: in
     for base in den_mults:
         constraint_bases[base] = None
 
-    j_max = m + 2 * genus + 2
-    while True:
-        nvars = n * (j_max + 1)
-        rows = []
-        for base in constraint_bases:
-            eng = arith.engine(base)
-            for root_idx, w in enumerate(eng.places):
-                lreq = -m if w == p0 else 0
-                if base in den_mults:
-                    lreq += w.e * den_mults[base]
-                elif base.is_infinite:
-                    lreq += -w.e * den_degree
-                rows.extend(_constraint_rows(eng, root_idx, lreq, j_max, multipliers))
-        basis = _nullspace(field, rows, nvars)
-        if len(basis) == expected:
-            break
-        if len(basis) > expected:
-            raise InconsistencyError(
-                f"Riemann-Roch space dimension {len(basis)} exceeds {expected}")
-        j_max *= 2
-        if j_max > 4 * (m + 2 * genus + 2) + 64:
-            raise ResourceError("could not reach the Riemann-Roch dimension")
+    rows = []
+    for base in constraint_bases:
+        eng = arith.engine(base)
+        # v_P(H); v_w(z) >= -m at P0 and 0 elsewhere asks v_w(sum A_i y^i) >= lreq
+        den_val = -den_degree if base.is_infinite else den_mults.get(base, 0)
+        for root_idx, w in enumerate(eng.places):
+            lreq = (-m if w == p0 else 0) + w.e * den_val
+            rows.extend(_constraint_rows(eng, root_idx, lreq, j_max, multipliers))
+    basis = _nullspace(field, rows, n * (j_max + 1))
+    if len(basis) != expected:
+        raise InconsistencyError(
+            f"Riemann-Roch space L({m} P0) has dimension {len(basis)}, "
+            f"not m + 1 - g = {expected}")
 
     numerators = [[Poly(field, vec[i * (j_max + 1): (i + 1) * (j_max + 1)]) * multipliers[i]
                    for i in range(n)] for vec in basis]
@@ -659,56 +675,46 @@ def riemann_roch_basis(arith: CurveArithmetic, p0: PlaceAbove, m: int, genus: in
 def _constraint_rows(eng: LocalEngine, root_idx: int, lreq: int, j_max: int,
                      multipliers):
     """F_q-linear conditions forcing v_w(sum_ij c_ij t^j E_i y^i) >= lreq at
-    the place w = eng.places[root_idx]."""
+    the place w = eng.places[root_idx], as x-digits in the place's own model.
+
+    At infinity x = u = 1/t, and u^offset t^j E_i = u^(offset - j - deg E_i)
+    rev(E_i) is a polynomial whose exponent rises by one as j falls; the
+    conditions read the valuation offset higher.  At an unsplit place the
+    terms of sum A_i y^i have the distinct valuations e v(A_i) + i s_y, so
+    each A_i gets its own rows, v(A_i) >= ceil((lreq - i s_y) / e).  At a
+    split place y = pi^s Y, and the rows are the digits of sum A_i pi^(i s)
+    R^i modulo pi^lreq, R the root above w, every term and the modulus
+    scaled by pi^((n - 1) max(0, -s)) to stay integral.
+    """
     field = eng.field
-    curve = eng.arith.curve
-    n = curve.n
+    n = eng.arith.curve.n
     nvars = n * (j_max + 1)
-    rows = []
-    kind = eng.data.kind
-
-    if kind in ("ramified", "inert"):
-        e_w = eng.data.e if kind == "ramified" else 1
-        s_y = eng.s_y
-        for i in range(n):
-            k_i = -(-(lreq - i * s_y) // e_w)  # ceil
-            mult = multipliers[i]
-            if eng.is_inf:
-                # v_inf(t^j E_i) = -(j + deg E_i) >= k_i
-                for j in range(j_max + 1):
-                    if j + mult.degree > -k_i:
-                        row = [field.zero()] * nvars
-                        row[i * (j_max + 1) + j] = field.one()
-                        rows.append(row)
-            else:
-                drop = mult.valuation(eng.pi) if not mult.is_constant() else 0
-                if k_i - drop < 1:
-                    continue
-                rows += _digit_rows(field, {i: mult}, range(j_max + 1), j_max,
-                                    eng.pi**k_i, nvars)
-        return rows
-
-    # split place: the digits of t^j E_i R^i modulo pi^depth, R the root above w
+    e, s = eng.data.e, eng.s_y
     if eng.is_inf:
-        # t^j E_i y^i = u^(i s - j - deg E_i) rev(E_i) Y^i in u = 1/t, scaled by
-        # u^offset to be integral; the exponent of u rises by one as j falls
-        shift = eng.sigma_shift
-        offset = j_max + max(mult.degree for mult in multipliers) + (n - 1) * max(0, -shift)
-        depth = lreq + offset
-        lead = [Poly.x(field)**(offset - j_max - mult.degree + i * shift) * mult.reversed_coeffs()
-                for i, mult in enumerate(multipliers)]
+        offset = j_max + max(mult.degree for mult in multipliers)
+        lead = [Poly.x(field)**(offset - j_max - mult.degree) * mult.reversed_coeffs()
+                for mult in multipliers]
         js = range(j_max, -1, -1)
     else:
-        depth = lreq
-        lead = multipliers
-        js = range(j_max + 1)
-    if depth < 1:
+        offset, lead, js = 0, multipliers, range(j_max + 1)
+
+    if not eng.labels:
+        rows = []
+        for i in range(n):
+            depth = offset - (i * s - lreq) // e  # offset + ceil((lreq - i s) / e)
+            if depth >= 1:
+                rows += _digit_rows(field, {i: lead[i]}, js, j_max, eng.pi_power(depth), nvars)
         return rows
+
+    lift = (n - 1) * max(0, -s)
+    depth = lreq + offset + lift
+    if depth < 1:
+        return []
     modulus = eng.pi_power(depth)
     root = eng.root_mod(root_idx, depth)
     starts, root_pow = {}, Poly.one(field)
     for i in range(n):
-        starts[i] = lead[i] * root_pow
+        starts[i] = lead[i] * eng.pi_power(i * s + lift) * root_pow
         root_pow = (root_pow * root) % modulus
     return _digit_rows(field, starts, js, j_max, modulus, nvars)
 

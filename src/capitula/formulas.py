@@ -11,9 +11,10 @@ nothing is ever silently assumed.
 Bounds are tagged with a kind (lower_bound / divisor / exact) so reports
 cannot conflate "at least" with "equals".
 
-The local integers d_v, D, n0, |B| = (prod d_v)/D and the pairwise
-coprimality of the d_v are derived once per profile, on ExtensionProfile
-(profile module docstring); every calculator here reads them there.
+The local integers d_v, D, n0, |B| = (prod d_v)/D, the b-group B and the
+pairwise coprimality of the d_v are derived once per profile, on
+ExtensionProfile (profile module docstring); every calculator here reads
+them there.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import gcd, prod
 
-from .abelian import FinAbGroup, sum_map_kernel
+from .abelian import FinAbGroup
 from .arith import is_prime, lcm_list
 from .errors import HypothesisError, InconsistencyError, ValidationError
 from .profile import ExtensionProfile
@@ -47,9 +48,10 @@ def b_group(profile: ExtensionProfile) -> FinAbGroup:
     ideles of S, and controls the gap between coker j and H^2 of the units.
     The summation map is onto Z/D, a free Z/D-module, so it splits and
     ⊕ Z/d_v ≅ B ⊕ Z/D: B has the invariant factors of ⊕ Z/d_v but the
-    last, D (abelian.sum_map_kernel).
+    last, D (abelian.sum_map_kernel).  It is built once per profile
+    (ExtensionProfile.b_group).
     """
-    return sum_map_kernel(list(profile.d_map.values()), profile.big_d)
+    return profile.b_group
 
 
 @dataclass(frozen=True)

@@ -19,9 +19,10 @@ sits in an exact sequence between Z/(e,f) and Z/e, hence is a multiple of
 gcd(e_v, f_v) dividing e_v^2; the validator enforces exactly that.
 
 ExtensionProfile derives these integers once per profile, as
-functools.cached_property: d_map, big_d = D, n0, b_order = |B| = (prod d_v)/D
-and d_pairwise_coprime.  compute_dv and compute_D_n0 return fresh copies of
-them, and the validator and every calculator in formulas read them there.
+functools.cached_property: d_map, big_d = D, n0, b_order = |B| = (prod d_v)/D,
+the b-group B itself and d_pairwise_coprime.  compute_dv and compute_D_n0
+return fresh copies of them, and the validator and every calculator in
+formulas read them there.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from functools import cached_property
 from math import gcd, prod
 from types import MappingProxyType
 
+from .abelian import FinAbGroup, sum_map_kernel
 from .arith import json_int, lcm_list
 from .errors import HypothesisError, ValidationError
 
@@ -211,6 +213,12 @@ class ExtensionProfile:
         return prod(self.d_map.values()) // self.big_d
 
     @cached_property
+    def b_group(self) -> FinAbGroup:
+        """B, the kernel of ⊕ Z/d_v -> Z/D, of order b_order
+        (abelian.sum_map_kernel)."""
+        return sum_map_kernel(list(self.d_map.values()), self.big_d)
+
+    @cached_property
     def d_pairwise_coprime(self) -> bool:
         """Whether the d_v are pairwise coprime."""
         return _pairwise_coprime(self.d_map.values())
@@ -354,10 +362,19 @@ def _optional_int(raw: dict, key: str, where: str = ""):
     return None if raw.get(key) is None else json_int(raw[key], where + key)
 
 
+def _json_list(raw: dict, key: str) -> list:
+    """raw[key] as a JSON list (empty when absent), else a ValidationError."""
+    value = raw.get(key, [])
+    if not isinstance(value, list):
+        raise ValidationError(f"{key} must be a JSON list, got {value!r}")
+    return value
+
+
 def profile_from_json(data) -> ExtensionProfile:
     """Parse the profile JSON schema; unknown keys are rejected.
 
-    Integers are read as they stand (arith.json_int) and in_S must be a
+    Integers are read as they stand (arith.json_int), places and the
+    abelian orders must be JSON lists, a place id a JSON string and in_S a
     JSON boolean; anything else is a ValidationError naming the key.
     """
     if isinstance(data, str):
@@ -387,12 +404,13 @@ def profile_from_json(data) -> ExtensionProfile:
     elif group_raw == "general":
         group = GENERAL
     elif isinstance(group_raw, dict) and set(group_raw) == {"abelian"}:
-        group = abelian_shape(*[json_int(x, "abelian order") for x in group_raw["abelian"]])
+        group = abelian_shape(*[json_int(x, "abelian order")
+                                for x in _json_list(group_raw, "abelian")])
     else:
         raise ValidationError(f"unrecognized group {group_raw!r}")
 
     places = []
-    for praw in data.get("places", []):
+    for praw in _json_list(data, "places"):
         if not isinstance(praw, dict):
             raise ValidationError("each place must be an object")
         unknown = set(praw) - _PLACE_KEYS
@@ -401,7 +419,9 @@ def profile_from_json(data) -> ExtensionProfile:
         for key in ("id", "in_S", "e", "f"):
             if key not in praw:
                 raise ValidationError(f"place is missing required key {key!r}")
-        pid = str(praw["id"])
+        pid = praw["id"]
+        if not isinstance(pid, str):
+            raise ValidationError(f"place id must be a JSON string, got {pid!r}")
         where = f"place {pid}: "
         if not isinstance(praw["in_S"], bool):
             raise ValidationError(f"{where}in_S must be a JSON boolean, got {praw['in_S']!r}")

@@ -19,6 +19,28 @@ def test_only_curves_names_the_cover_families():
     assert naming == {"fforacle/curves.py"}
 
 
+def test_only_curves_names_the_decomposition_kinds():
+    # the local engines read (e, f, g) and the places they build, not the
+    # kind that LocalData names
+    naming = {name for name, tree in _trees() for node in ast.walk(tree)
+              if isinstance(node, ast.Constant) and node.value in ("ramified", "inert")}
+    assert naming == {"fforacle/curves.py"}
+
+
+def test_riemann_roch_basis_solves_one_system():
+    # the window is read off the places above infinity, so the system is
+    # built and solved once, with no widening loop around the solve
+    tree = ast.parse((PACKAGE / "fforacle" / "picard.py").read_text())
+    basis = next(node for node in tree.body
+                 if isinstance(node, ast.FunctionDef) and node.name == "riemann_roch_basis")
+    solves = [name for name in _called_names(basis) if name == "_nullspace"]
+    assert solves == ["_nullspace"]
+    loops = [node for node in ast.walk(basis)
+             if isinstance(node, (ast.For, ast.While, ast.ListComp, ast.SetComp,
+                                  ast.DictComp, ast.GeneratorExp))]
+    assert not [name for loop in loops for name in _called_names(loop) if name == "_nullspace"]
+
+
 def test_picard_does_not_import_rational_functions():
     # the Picard engine works in F_q[t] and F_q alone
     tree = ast.parse((PACKAGE / "fforacle" / "picard.py").read_text())

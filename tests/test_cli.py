@@ -95,6 +95,18 @@ class TestAnalyze:
         path.write_text("{not json")
         assert main(["analyze", str(path)]) == 1
 
+    @pytest.mark.parametrize("profile, message", [
+        ({"base": "number", "n": 2, "group": {"abelian": 5}}, "abelian must be a JSON list"),
+        (dict(CYCLIC9_PROFILE, places=5), "places must be a JSON list"),
+        (dict(CYCLIC9_PROFILE, places=[{"id": 5, "in_S": True, "e": 1, "f": 1}]),
+         "place id must be a JSON string"),
+    ])
+    def test_wrong_json_types_exit_2_by_name(self, tmp_path, capsys, profile, message):
+        assert main(["analyze", write(tmp_path, "p.json", profile)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}, got 5")
+        assert "Traceback" not in err
+
     def test_unknown_key_exits_2(self, tmp_path, capsys):
         profile = dict(CYCLIC9_PROFILE)
         profile["surprise"] = 1

@@ -1068,17 +1068,37 @@ class TestSClassQuantities:
 
     def test_class_h1_verdict_compares_the_sum_map_kernel(self, monkeypatch):
         # the closed form for H^1 of S-classes (formulas.b_group, through
-        # sum_map_kernel) against h1_cyclic on the realized class group
-        from capitula import formulas, verify
+        # ExtensionProfile.b_group and sum_map_kernel) against h1_cyclic on
+        # the realized class group
+        from capitula import profile, verify
 
         curve = corpus_entry("as_f2_r0").curve
         verdicts = {v.check: v for v in verify.oracle_report(curve).verdicts}
         assert verdicts["class_h1_is_sum_map_kernel"].passed
-        real = formulas.sum_map_kernel
-        monkeypatch.setattr(formulas, "sum_map_kernel",
+        real = profile.sum_map_kernel
+        monkeypatch.setattr(profile, "sum_map_kernel",
                             lambda d, big_d: real(d, big_d).direct_sum(FinAbGroup.of(2)))
         failed = [v.check for v in verify.oracle_report(curve).verdicts if not v.passed]
         assert failed == ["class_h1_is_sum_map_kernel"]
+
+    def test_the_corpus_reports_build_one_b_group_per_profile(self, monkeypatch):
+        # analyze_profile, semisimple_report and imaginary_report all read
+        # the one b-group of the realized profile: 11 covers x 3 S sets
+        from capitula import verify
+        from capitula.profile import ExtensionProfile
+
+        derivation = ExtensionProfile.__dict__["b_group"]
+        real = derivation.func
+        calls = []
+
+        def counting(profile):
+            calls.append(profile)
+            return real(profile)
+
+        monkeypatch.setattr(derivation, "func", counting)
+        assert all(v.passed for v in verify.verify_corpus())
+        assert len(calls) == 33
+        assert len(set(map(id, calls))) == 33
 
     def test_period_index_verdict_reads_a_broken_delta_prime(self, monkeypatch):
         # y^2+y = t^3 + 1/t over F_2: delta = 1 and the coinvariants are Z/2,
@@ -1370,7 +1390,7 @@ class TestSplitValuations:
             used.clear()
             out = real_valuations(self, coeffs, norm_val, den_val)
             if self.data.kind == "split":
-                w0 = min(self.base_valuation(c) + i * self.sigma_shift
+                w0 = min(self.base_valuation(c) + i * self.s_y
                          for i, c in enumerate(coeffs) if not c.is_zero()) - den_val
                 pending = sum(v > w0 for v in out)
                 # one evaluation per pending place, all at the one precision
@@ -1596,6 +1616,18 @@ class TestRelationSearch:
         assert built == []
 
 
+# covers of genus 1 over F_3 whose type at infinity no corpus entry has:
+# totally split with s = 0, split with s = -2 and inert with s = -2
+WINDOW_COVERS = {
+    "as_f3_inf_split": {"kind": "artin_schreier", "q": 3, "p_or_l": 3,
+                        "Q_or_f": {"num": [1], "den": [0, 0, 1]}},
+    "kummer_f3_inf_split_s-2": {"kind": "kummer", "q": 3, "p_or_l": 2,
+                                "Q_or_f": {"num": [0, 1, 1, 1, 1], "den": [1]}},
+    "kummer_f3_inf_inert_s-2": {"kind": "kummer", "q": 3, "p_or_l": 2,
+                                "Q_or_f": {"num": [1, 1, 0, 0, 2], "den": [1]}},
+}
+
+
 class TestRiemannRoch:
     @staticmethod
     def _rational_places(arith):
@@ -1608,11 +1640,12 @@ class TestRiemannRoch:
             out += [w for base in bases for w in arith.places_above(base) if w.deg == 1][:1]
         return out
 
-    @pytest.mark.parametrize("name", [e.name for e in corpus()])
+    @pytest.mark.parametrize("name", [e.name for e in corpus()] + list(WINDOW_COVERS))
     def test_basis_lies_in_l_of_m_p0(self, name):
         from capitula.fforacle.picard import CurveArithmetic, riemann_roch_basis
 
-        curve = corpus_entry(name).curve
+        curve = (curve_from_json(WINDOW_COVERS[name]) if name in WINDOW_COVERS
+                 else corpus_entry(name).curve)
         arith = CurveArithmetic(curve)
         _, genus = ramification_data(curve)
         m = 2 * genus + 1
@@ -1625,6 +1658,38 @@ class TestRiemannRoch:
                 div = arith.divisor_of(coeffs, None, extra_bases=[p0.base], den=den)
                 assert div.get(p0, 0) >= -m, (name, p0.id)
                 assert all(v >= 0 for w, v in div.items() if w != p0), (name, p0.id, div)
+
+    def test_window_covers_reach_their_types_at_infinity_and_certify(self):
+        from capitula.fforacle.picard import CurveArithmetic
+
+        types = {}
+        for name, raw in WINDOW_COVERS.items():
+            curve = curve_from_json(raw)
+            eng = CurveArithmetic(curve).engine(INFINITE)
+            d = eng.data
+            types[name] = (ramification_data(curve)[1], (d.e, d.f, d.g), eng.s_y)
+            pd = picard_group(curve)
+            assert pd.group.order == pd.h, name
+        assert types == {"as_f3_inf_split": (1, (1, 1, 3), 0),
+                         "kummer_f3_inf_split_s-2": (1, (1, 1, 2), -2),
+                         "kummer_f3_inf_inert_s-2": (1, (1, 2, 1), -2)}
+
+    def test_a_short_basis_names_its_dimension(self, monkeypatch):
+        # the window holds all of L(m P0) and is solved once, so a lost
+        # basis vector is an inconsistency that names the dimension
+        from capitula.fforacle import picard
+
+        real = picard._nullspace
+        monkeypatch.setattr(picard, "_nullspace", lambda *args: real(*args)[:-1])
+        curve = corpus_entry("as_f2_r0").curve
+        arith = picard.CurveArithmetic(curve)
+        _, genus = ramification_data(curve)
+        p0 = self._rational_places(arith)[0]
+        m = 2 * genus + 1
+        with pytest.raises(InconsistencyError,
+                           match=rf"L\({m} P0\) has dimension {m - genus}, "
+                                 rf"not m \+ 1 - g = {m + 1 - genus}"):
+            picard.riemann_roch_basis(arith, p0, m, genus)
 
 
 def _rational_det(mat):

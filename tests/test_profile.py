@@ -237,6 +237,20 @@ class TestJson:
         with pytest.raises(ValidationError, match=f"^{re.escape(named)} must be"):
             profile_from_json(raw)
 
+    @pytest.mark.parametrize("raw, message", [
+        ({"base": "number", "n": 2, "group": {"abelian": 5}},
+         "abelian must be a JSON list, got 5"),
+        ({"base": "number", "n": 2, "group": "cyclic", "places": 5},
+         "places must be a JSON list, got 5"),
+        ({"base": "number", "n": 2, "group": "cyclic",
+          "places": [{"id": 5, "in_S": True, "e": 1, "f": 2}]},
+         "place id must be a JSON string, got 5"),
+    ])
+    def test_lists_and_ids_are_read_as_they_stand(self, raw, message):
+        # no bare TypeError from iterating a number, and no id converted by str()
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            profile_from_json(raw)
+
     def test_abelian_orders_are_read_as_they_stand(self):
         with pytest.raises(ValidationError, match="^abelian order must be an integer"):
             profile_from_json({
