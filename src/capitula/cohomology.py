@@ -26,11 +26,18 @@ coboundaries, the columns of delta_(d-1) and diag(fs), are solved against
 that staircase, and H^d is read off the Smith diagonal of their
 coordinates (abelian.staircase_quotient).  hom_g_dual does the same with
 the well-definedness and equivariance conditions in place of delta_d.
+
+A GModule computes each group once: H^1 and H^2 are cached properties, and
+h1_cyclic, tate_h0, h2_cyclic, herbrand_quotient and h_general read them, so
+a Herbrand quotient after h1_cyclic and tate_h0 computes nothing more.
+h_general bounds the rank of G (the generators of order > 1), which is what
+a cochain's size depends on, not the order of G.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from itertools import product
 from math import prod
@@ -45,7 +52,7 @@ from .abelian import (
 )
 from .errors import ResourceError, UnsupportedError, ValidationError
 
-GROUP_BOUND = 64  # largest group order h_general accepts
+RANK_BOUND = 6  # most generators of order > 1 that h_general accepts
 
 
 @dataclass(frozen=True)
@@ -126,6 +133,9 @@ class GModule:
 
     blocks holds (s_i - 1, N_i) for each generator s_i, with N_i the sum of
     its powers; validation builds N_i together with s_i^(n_i).
+
+    h1 and h2 are computed once per module, on first use.  They are cached
+    properties, not fields, so equality, hashing and repr ignore them.
     """
 
     group: Cyclic | AbelianGroup
@@ -179,6 +189,16 @@ class GModule:
     def cyclic(cls, n: int, module: FinAbGroup, matrix) -> "GModule":
         return cls(Cyclic(n), module, (tuple(tuple(r) for r in matrix),))
 
+    @cached_property
+    def h1(self) -> FinAbGroup:
+        """H^1(G, M), computed on first use."""
+        return _cohomology(self, 1)
+
+    @cached_property
+    def h2(self) -> FinAbGroup:
+        """H^2(G, M), computed on first use; H^0_hat for cyclic G."""
+        return _cohomology(self, 2)
+
     def sigma(self):
         if not isinstance(self.group, Cyclic):
             raise UnsupportedError("cyclic-only operation; use h_general")
@@ -230,7 +250,8 @@ def _cohomology(m: GModule, degree: int) -> FinAbGroup:
         return FinAbGroup.trivial()
     fs = list(m.module.invariant_factors)
     k = len(fs)
-    blocks = m.blocks
+    # a generator of order 1 acts as the identity and adds nothing to G
+    blocks = [b for b, n in zip(m.blocks, m.group.generator_orders) if n > 1]
     below, cochains, above = (_indices(len(blocks), d) for d in (degree - 1, degree, degree + 1))
     nvars = len(cochains) * k
     # the cocycles, {x : delta_d x in diag(fs) Z^(above)}, in staircase form
@@ -248,13 +269,13 @@ def _cohomology(m: GModule, degree: int) -> FinAbGroup:
 def tate_h0(m: GModule) -> FinAbGroup:
     """H^0_hat(G, M) = M^G / N M for cyclic G, the resolution's H^2."""
     m.sigma()  # raises UnsupportedError unless G is cyclic
-    return _cohomology(m, 2)
+    return m.h2
 
 
 def h1_cyclic(m: GModule) -> FinAbGroup:
     """H^1(G, M) = ker N / (sigma - 1) M for cyclic G."""
     m.sigma()
-    return _cohomology(m, 1)
+    return m.h1
 
 
 def h2_cyclic(m: GModule) -> FinAbGroup:
@@ -271,14 +292,16 @@ def h_general(m: GModule, degree: int) -> FinAbGroup:
     """H^degree(G, M) for degree 1 or 2 and any finite abelian G.
 
     One lattice quotient of cocycles by coboundaries in the tensor-product
-    resolution.  For G of rank r and M of rank k a d-cochain has
-    C(d + r - 1, r - 1) * k integer coordinates, whatever the order of G.
+    resolution.  For G with r generators of order > 1 and M of rank k a
+    d-cochain has C(d + r - 1, r - 1) * k integer coordinates, whatever the
+    order of G, so the bound is on r: at most RANK_BOUND.
     """
     if degree not in (1, 2):
         raise ValidationError("only degrees 1 and 2 are supported")
-    if m.group.order > GROUP_BOUND:
-        raise ResourceError(f"group order {m.group.order} exceeds the bound {GROUP_BOUND}")
-    return _cohomology(m, degree)
+    rank = sum(n > 1 for n in m.group.generator_orders)
+    if rank > RANK_BOUND:
+        raise ResourceError(f"group rank {rank} exceeds the bound {RANK_BOUND}")
+    return m.h1 if degree == 1 else m.h2
 
 
 def hom_g_dual(a: GModule, mu: GModule) -> FinAbGroup:

@@ -83,3 +83,19 @@ def test_verify_reads_the_calculators_through_analyze_profile():
     assert "analyze_profile" in imported
     assert not imported & run
     assert not set(_called_names(verify)) & run
+
+
+def test_each_cohomology_group_is_computed_in_one_place():
+    # _cohomology is called only from GModule's cached properties, so no
+    # entry point computes a group its module already holds
+    def calls(node):
+        return sum(name == "_cohomology" for name in _called_names(node))
+
+    total = sum(calls(tree) for _, tree in _trees())
+    tree = ast.parse((PACKAGE / "cohomology.py").read_text())
+    gmodule = next(node for node in tree.body
+                   if isinstance(node, ast.ClassDef) and node.name == "GModule")
+    cached = [node for node in gmodule.body if isinstance(node, ast.FunctionDef)
+              and [ast.unparse(d) for d in node.decorator_list] == ["cached_property"]]
+    assert {node.name: calls(node) for node in cached} == {"h1": 1, "h2": 1}
+    assert total == 2

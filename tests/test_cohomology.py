@@ -277,9 +277,29 @@ class TestHGeneral:
             h_general(m, 3)
 
     def test_group_bound(self):
-        m = GModule.trivial_action(Cyclic(70), FinAbGroup.of(2))
-        with pytest.raises(ResourceError):
+        # a cochain's size depends on the rank of G, not its order, so the
+        # bound is on the rank: (Z/2)^7 is refused and the message says why
+        m = GModule.trivial_action(AbelianGroup((2,) * 7), FinAbGroup.of(2))
+        with pytest.raises(ResourceError, match="rank 7"):
             h_general(m, 1)
+
+    def test_large_cyclic_group_accepted(self):
+        module, action = FinAbGroup((2, 4)), ((1, 1), (0, 1))
+        general = GModule(AbelianGroup((1024,)), module, (action,))
+        cyclic = GModule.cyclic(1024, module, action)
+        assert h_general(general, 1) == h1_cyclic(cyclic)
+        assert h_general(general, 2) == tate_h0(cyclic)
+
+    @pytest.mark.parametrize("orders, factors", [
+        ((2, 64), (2, 8)),
+        ((3, 5, 7), (3, 105)),
+        # generators of order 1 do not count towards the rank
+        ((1,) * 7 + (4,), (2, 4)),
+    ], ids=str)
+    def test_large_and_padded_groups_match_kunneth(self, orders, factors):
+        m = GModule.trivial_action(AbelianGroup(orders), FinAbGroup(factors))
+        for degree in (1, 2):
+            assert h_general(m, degree) == kunneth_trivial(orders, factors, degree)
 
     def test_matches_cyclic_methods(self):
         # against the cyclic Tate groups by enumeration, modules of order <= 16
@@ -337,6 +357,64 @@ class TestHGeneral:
         ]
         for m in cases:
             assert h_general(m, 2).invariant_factors == bar_h2_by_enumeration(*bar_inputs(m))
+
+
+class TestEachGroupComputedOnce:
+    """A GModule computes H^1 and H^2 once, and every entry point reads them."""
+
+    @staticmethod
+    def _module():
+        # H^1 = Z/4 but H^0_hat = (Z/2)^2
+        return GModule.cyclic(8, FinAbGroup((2, 4)), ((1, 1), (0, 1)))
+
+    @staticmethod
+    def _count_groups(monkeypatch):
+        import capitula.cohomology as cohomology
+
+        degrees = []
+        real = cohomology._cohomology
+
+        def counted(m, degree):
+            degrees.append(degree)
+            return real(m, degree)
+
+        monkeypatch.setattr(cohomology, "_cohomology", counted)
+        return degrees
+
+    def test_either_group_first(self):
+        h1_first, h0_first = self._module(), self._module()
+        assert h1_cyclic(h1_first).invariant_factors == (4,)
+        assert tate_h0(h1_first).invariant_factors == (2, 2)
+        assert tate_h0(h0_first).invariant_factors == (2, 2)
+        assert h1_cyclic(h0_first).invariant_factors == (4,)
+
+    def test_h_general_agrees_with_the_cyclic_functions(self):
+        rng = random.Random(23)
+        for m in [self._module()] + [random_cyclic_gmodule(rng, max_n=12) for _ in range(40)]:
+            twin = GModule(m.group, m.module, m.action)
+            assert h_general(m, 1) == h1_cyclic(twin)
+            assert h_general(m, 2) == tate_h0(twin)
+
+    def test_herbrand_quotient_alone_computes_both_groups(self, monkeypatch):
+        degrees = self._count_groups(monkeypatch)
+        assert herbrand_quotient(self._module()) == 1
+        assert sorted(degrees) == [1, 2]
+
+    def test_a_cyclic_request_computes_each_group_once(self, monkeypatch):
+        # the calculators request: h1_cyclic, tate_h0, herbrand_quotient
+        degrees = self._count_groups(monkeypatch)
+        m = self._module()
+        h1, h0, hq = h1_cyclic(m), tate_h0(m), herbrand_quotient(m)
+        assert (h1.order, h0.order, hq) == (4, 4, 1)
+        assert h2_cyclic(m) == h0 and h_general(m, 1) == h1 and h_general(m, 2) == h0
+        assert degrees == [1, 2]
+
+    def test_queried_modules_stay_equal(self):
+        queried, fresh = self._module(), self._module()
+        herbrand_quotient(queried)
+        assert queried == fresh and hash(queried) == hash(fresh)
+        assert repr(queried) == repr(fresh)
+        assert len({queried, fresh}) == 1
 
 
 ORDER_8_AND_9 = [Cyclic(8), AbelianGroup((2, 4)), AbelianGroup((2, 2, 2)),
@@ -482,3 +560,35 @@ class TestNoncyclicVerdictsCanFail:
         verdicts = self._verdicts()
         assert verdicts["equivariant_hom_structure"] is False
         assert verdicts["noncyclic_h1_structure"] is True
+
+
+class TestCyclicVerdictsCanFail:
+    """`capitula verify cohomology` checks the cyclic groups against
+    enumeration and closed forms.  Every group is computed by
+    cohomology._cohomology, so a wrong group there must turn each verdict
+    that reads it, and only those."""
+
+    @staticmethod
+    def _failing(monkeypatch, wrong):
+        import capitula.cohomology as cohomology
+        from capitula.verify import verify_cohomology
+
+        real = cohomology._cohomology
+        monkeypatch.setattr(cohomology, "_cohomology", lambda m, d: wrong(real, m, d))
+        return {v.check for v in verify_cohomology(samples=20) if not v.passed}
+
+    def test_unpatched_verdicts_pass(self, monkeypatch):
+        assert self._failing(monkeypatch, lambda real, m, d: real(m, d)) == set()
+
+    @pytest.mark.parametrize("wrong, failing", [
+        (lambda real, m, d: real(m, d).direct_sum(FinAbGroup.of(2)) if d == 2 else real(m, d),
+         {"herbrand_quotient_one", "tate_periodicity"}),
+        # the orders agree, so the Herbrand quotient is still 1
+        (lambda real, m, d: real(m, 3 - d),
+         {"h1_structure", "tate_periodicity", "noncyclic_h1_structure"}),
+        (lambda real, m, d: real(m, d).direct_sum(FinAbGroup.of(3)) if d == 1 else real(m, d),
+         {"herbrand_quotient_one", "h1_structure", "hilbert_90", "trivial_action_h1_gcd",
+          "noncyclic_h1_structure"}),
+    ], ids=["extra_z2_in_degree_2", "degrees_swapped", "extra_z3_in_degree_1"])
+    def test_wrong_group_fails(self, monkeypatch, wrong, failing):
+        assert self._failing(monkeypatch, wrong) == failing
