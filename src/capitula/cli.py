@@ -8,8 +8,8 @@ with all cross-checks; `verify` runs the exhaustive property suites.
 Reports are exact: integers and invariant-factor lists only, no floats,
 and --json output is canonical (sorted keys), so parsing and re-emitting
 a report is byte-identical.  Exit codes: 0 success, 1 usage or parse
-error, 2 validation or hypothesis failure (including failed checks),
-3 resource cap exceeded.
+error (argparse's own errors included), 2 validation or hypothesis
+failure (including failed checks), 3 resource cap exceeded.
 """
 
 from __future__ import annotations
@@ -239,8 +239,18 @@ def _print_payload(args, payload, renderer=None):
         print(renderer(payload))
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with the usage-error exit code 1 (its own is 2, which
+    this front end reserves for validation failures); the subcommand
+    parsers are built from the same class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="capitula",
         description="exact calculators for capitulation kernels, ambiguous "
                     "classes and S-unit cohomology, with a function-field oracle",

@@ -49,8 +49,10 @@ from .gf import ExtField, absolute_trace, is_power_residue, primitive_root_of_un
 from .poly import (
     Poly,
     RationalFunc,
+    _is_irreducible,
     factor_with_bounded_degree,
     norm_mod,
+    parse_poly,
     render_poly,
     trace_mod,
 )
@@ -549,13 +551,13 @@ def curve_to_json(curve: Curve) -> dict:
 
 
 def parse_base_place(field, text: str) -> BasePlace:
-    """Parse a place id: "inf" or a monic polynomial in t."""
-    from .poly import parse_poly
-
+    """Parse a place id: "inf" or a monic irreducible polynomial in t."""
     text = text.strip()
     if text == "inf":
         return INFINITE
     pi = parse_poly(field, text)
     if pi.degree < 1 or pi.leading() != field.one():
         raise ValidationError(f"{text!r} is not a monic polynomial place")
+    if not _is_irreducible(pi):
+        raise ValidationError(f"{text!r} is reducible over GF({field.order}), not a place")
     return BasePlace(pi)

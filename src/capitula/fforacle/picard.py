@@ -98,17 +98,19 @@ sum to T = v_P(N (H z)) - n w0 and each pending one is at least 1, so each
 is at most T - (m - 1), and N = max(2, T - m + 2) decides them all.  A
 value that vanishes modulo pi^N means the engine and the norm disagree and
 raises InconsistencyError.  The n places above the base are one Galois
-orbit (Stichtenoth, Algebraic Function Fields and Codes, Thm. 3.7.1): r0,
-the first r in element-index order with Dd' (r^n - c r) = Dn' in kappa_P,
-and its images r_k = zeta_k r0 + beta_k under sigma^k (beta is nonzero
-only when s = 0, so sigma acts on Y as on y).  One root R0 above r0 is
-Hensel-lifted per base, and the others are zeta_k R0 + beta_k.  The lift
-doubles the precision at every Newton step, carries the inverse of G'(R0)
-= Dd' (n R0^(n-1) - c) from step to step, and checks G(R0) = 0 after each.
-sigma moves the place labelled r to the one labelled (r - beta) / zeta,
-and (r_k - beta) / zeta = r_(k-1), so on the places above a split base it
-is the shift k -> k - 1 (mod n) of orbit positions, with no residue-field
-arithmetic.  Only a totally split base place gets n places; any other gets
+orbit (Stichtenoth, Algebraic Function Fields and Codes, Thm. 3.7.1), and
+the engine numbers them by orbit position: place k is labelled r_k =
+zeta_k r0 + beta_k, the residue of sigma^k(Y) (beta is nonzero only when
+s = 0, so sigma acts on Y as on y), where r0 is the first r in
+element-index order with Dd' (r^n - c r) = Dn' in kappa_P.  One root R0
+above r0 is Hensel-lifted per base, and the root above place k is zeta_k
+R0 + beta_k.  The lift doubles the precision at every Newton step,
+carries the inverse of G'(R0) = Dd' (n R0^(n-1) - c) from step to step,
+and checks G(R0) = 0 after each.  sigma moves the place labelled r to the
+one labelled (r - beta) / zeta, and (r_k - beta) / zeta = r_(k-1), so
+sigma is the shift k -> k - 1 (mod n) of place numbers, with no
+residue-field arithmetic; the sum of the places above a base is its one
+orbit sum.  Only a totally split base place gets n places; any other gets
 one.  So the places, their valuations and the conorm are exact only where
 n is one of e, f and g: totally ramified, inert or totally split.  Any
 other type (possible only for composite Kummer degrees) is rejected before
@@ -174,15 +176,14 @@ class PlaceAbove:
     residue of y that cuts it out."""
 
     base: BasePlace
-    kind: str
     e: int
     f: int
-    label_index: int  # -1 unless split
+    label_index: int  # the element index of the residue of Y when split, else -1
     deg: int
 
     @property
     def id(self):
-        if self.kind == "split":
+        if self.label_index >= 0:
             return f"{self.base.id}#{self.label_index}"
         return self.base.id
 
@@ -200,12 +201,12 @@ class LocalEngine:
     Y integral at an unramified one (module docstring).  labels is empty
     unless the base is totally split.  There unit_num / unit_den = D
     pi^(-n s_y) (Dn' / Dd' in the module docstring), and Y solves G(Y) =
-    unit_den (Y^n - c Y) - unit_num.  orbit[k] is the element index of
-    sigma^k(r0) = zeta_k r0 + beta_k, r0 the first residual root in index
-    order, and sigma maps the place labelled orbit[k] to the one labelled
-    orbit[k - 1].  labels[j] is the residue of Y at place j, in index
-    order, and root_mod(j, N) the root of G above it, zeta_k R0 + beta_k
-    for the one Hensel-lifted root R0.
+    unit_den (Y^n - c Y) - unit_num.  The places are numbered by orbit
+    position: r0 is the first residual root in index order, labels[k] =
+    zeta_k r0 + beta_k (the image of r0 under sigma^k(Y) = zeta_k Y +
+    beta_k), places[k] is the place where Y has the residue labels[k], and
+    root_mod(k, N) is the root of G above it, zeta_k R0 + beta_k for the
+    one Hensel-lifted root R0.  sigma maps places[k] to places[k - 1].
     """
 
     def __init__(self, arith: "CurveArithmetic", base: BasePlace):
@@ -229,8 +230,8 @@ class LocalEngine:
 
         deg = d.f * base.degree
         self.labels = []
-        self.places = [PlaceAbove(base, d.kind, d.e, d.f, -1, deg)]
-        if d.kind == "split":
+        self.places = [PlaceAbove(base, d.e, d.f, -1, deg)]
+        if d.e == d.f == 1:
             point = self.model_point
             kappa = point.kappa
             # D pi^(-n s) by an exact division of the numerator or the
@@ -252,17 +253,14 @@ class LocalEngine:
             for _ in range(n - 1):
                 zeta_k, beta_k = consts[-1]
                 consts.append((field.mul(zeta, zeta_k), field.add(field.mul(zeta, beta_k), beta)))
-            orbit = [kappa.add(kappa.mul(point.embed(zeta_k), base_root), point.embed(beta_k))
-                     for zeta_k, beta_k in consts]
-            self.orbit = [kappa.element_index(label) for label in orbit]
-            by_label = sorted(range(n), key=self.orbit.__getitem__)
-            self.labels = [orbit[k] for k in by_label]
-            self._root_consts = [consts[k] for k in by_label]
+            self._root_consts = consts
+            self.labels = [kappa.add(kappa.mul(point.embed(zeta_k), base_root), point.embed(beta_k))
+                           for zeta_k, beta_k in consts]
             self._root = point.lift(base_root)
             self._root_precision = 1
             self._root_inverse = None  # 1 / G'(R0), modulo pi^k for R0 modulo pi^(<= 2k)
-            self.places = [PlaceAbove(base, "split", d.e, d.f, self.orbit[k], deg)
-                           for k in by_label]
+            self.places = [PlaceAbove(base, d.e, d.f, kappa.element_index(label), deg)
+                           for label in self.labels]
 
     # -- model-side helpers ------------------------------------------------
 
@@ -993,22 +991,21 @@ def _try_presentation(arith, ram, genus, h, l_coeffs, b_bound, extra_bases, conf
 def _sigma_permutation(arith, fb):
     """Index map w -> sigma(w) on the factor base.
 
-    The generator acts by y -> zeta y + beta; on a split place labelled by
-    the residue r of Y this moves the label to (r - beta) / zeta, and it
-    fixes every non-split place.  Label k of a base's orbit is zeta_k r0 +
-    beta_k = zeta (label k-1) + beta, so sigma moves it to label k - 1
-    (mod n): an index shift along LocalEngine.orbit.
+    The generator acts by y -> zeta y + beta, so it moves the place whose
+    residue of Y is r to the one where it is (r - beta) / zeta.  The
+    engine numbers the places above a base by orbit position, labels[k] =
+    zeta labels[k-1] + beta, so sigma(w) is the place just before w in
+    LocalEngine.places: the shift k -> k - 1 (mod n).  Above any other
+    base that list holds w alone, and sigma fixes it.
     """
-    index = {(w.base, w.label_index): i for i, w in enumerate(fb)}
-    perm = list(range(len(fb)))
-    for i, w in enumerate(fb):
-        if w.kind != "split":
-            continue
-        orbit = arith.engine(w.base).orbit
-        j = index.get((w.base, orbit[orbit.index(w.label_index) - 1]))
+    index = {w: i for i, w in enumerate(fb)}
+    perm = []
+    for w in fb:
+        places = arith.engine(w.base).places
+        j = index.get(places[places.index(w) - 1])
         if j is None:
             raise InconsistencyError("factor base is not Galois stable")
-        perm[i] = j
+        perm.append(j)
     return perm
 
 
@@ -1105,20 +1102,17 @@ def base_class_number(s_bases) -> int:
 
 def strongly_ambiguous_order(pd: PicardData, s_places) -> int:
     """Order of the subgroup of C_{K,S} generated by classes of
-    Galois-invariant divisors (the transgressive ambiguous classes)."""
-    orbit_sums = []
-    seen = set()
-    for i in range(len(pd.factor_base)):
-        if i in seen:
-            continue
-        orbit = [i]
-        j = pd._perm[i]
-        while j != i:
-            orbit.append(j)
-            j = pd._perm[j]
-        seen.update(orbit)
-        orbit_sums.append({pd.factor_base[j]: 1 for j in orbit})
-    return _class_subgroup_order(pd, s_places, orbit_sums)
+    Galois-invariant divisors (the transgressive ambiguous classes).
+
+    The places above a base are one Galois orbit (module docstring), and
+    the factor base holds all of them or none, as they share one degree.
+    So the invariant divisors are spanned by one orbit sum per base: the
+    sum of the factor-base places above it.
+    """
+    orbit_sums: dict[BasePlace, dict[PlaceAbove, int]] = {}
+    for w in pd.factor_base:
+        orbit_sums.setdefault(w.base, {})[w] = 1
+    return _class_subgroup_order(pd, s_places, list(orbit_sums.values()))
 
 
 def capitulation_kernel_order(pd: PicardData, s_bases, s_places) -> int:

@@ -23,8 +23,21 @@ def test_only_curves_names_the_decomposition_kinds():
     # the local engines read (e, f, g) and the places they build, not the
     # kind that LocalData names
     naming = {name for name, tree in _trees() for node in ast.walk(tree)
-              if isinstance(node, ast.Constant) and node.value in ("ramified", "inert")}
+              if isinstance(node, ast.Constant)
+              and node.value in ("ramified", "inert", "split")}
     assert naming == {"fforacle/curves.py"}
+
+
+def test_local_engine_keeps_no_separate_orbit():
+    # the places above a base are numbered by orbit position, so sigma is
+    # a shift along LocalEngine.places and no second list holds the orbit
+    tree = ast.parse((PACKAGE / "fforacle" / "picard.py").read_text())
+    engine = next(node for node in tree.body
+                  if isinstance(node, ast.ClassDef) and node.name == "LocalEngine")
+    assigned = {node.attr for node in ast.walk(engine) if isinstance(node, ast.Attribute)
+                and isinstance(node.ctx, ast.Store)}
+    assert "places" in assigned
+    assert "orbit" not in assigned
 
 
 def test_riemann_roch_basis_solves_one_system():

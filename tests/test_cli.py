@@ -13,6 +13,8 @@ AS_CURVE = {"kind": "artin_schreier", "q": 2, "p_or_l": 2,
             "Q_or_f": {"num": [0, 0, 0, 1], "den": [1]}}
 KUMMER_CURVE = {"kind": "kummer", "q": 3, "p_or_l": 2,
                 "Q_or_f": {"num": [0, 1], "den": [1]}}
+KUMMER_F5_CURVE = {"kind": "kummer", "q": 5, "p_or_l": 2,
+                   "Q_or_f": {"num": [1, 0, 0, 1], "den": [1]}}
 CYCLIC9_PROFILE = {
     "base": "number", "n": 9, "group": "cyclic",
     "places": [
@@ -170,6 +172,21 @@ class TestOracle:
         assert main(["oracle", write(tmp_path, "c.json", curve), "--s", "t+a"]) == 2
         assert "error: cannot parse term 'a'" in capsys.readouterr().err
 
+    # t^2+4 = (t+1)(t+4) and t^2+1 = (t+2)(t+3) over F_5; t^2+2 is irreducible
+    @pytest.mark.parametrize("place", ["t^2+4", "t^2+1"])
+    def test_reducible_place_exits_2_by_name(self, tmp_path, capsys, place):
+        assert main(["oracle", write(tmp_path, "c.json", KUMMER_F5_CURVE), "--s", place]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: '{place}' is reducible over GF(5), not a place\n"
+
+    def test_irreducible_quadratic_place_answers(self, tmp_path, capsys):
+        code = main(["oracle", write(tmp_path, "c.json", KUMMER_F5_CURVE),
+                     "--s", "t^2+2", "--json"])
+        out = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert out["s"] == ["t^2+2"]
+        assert all(check["pass"] for check in out["checks"])
+
 
 class TestVerify:
     def test_unknown_suite_exits_1(self, capsys):
@@ -227,6 +244,28 @@ class TestConfig:
 
     def test_no_command_exits_1(self):
         assert main([]) == 1
+
+
+class TestUsage:
+    # argparse's own usage errors exit 1, the documented code, not its 2
+    @pytest.mark.parametrize("argv", [
+        ["oracle"],
+        ["bogus"],
+        ["kernel-sum"],
+        ["oracle", "c.json", "--degree-bound", "q"],
+    ])
+    def test_usage_error_exits_1(self, capsys, argv):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 1
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["oracle", "--help"]])
+    def test_help_exits_0(self, capsys, argv):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 0
+        assert "usage:" in capsys.readouterr().out
 
 
 def test_python_m_capitula_runs_the_cli():

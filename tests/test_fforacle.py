@@ -802,7 +802,7 @@ class TestPicard:
                 while pd._perm[orbit[-1]] != i:
                     orbit.append(pd._perm[orbit[-1]])
                 assert {pd.factor_base[j].base for j in orbit} == {w.base}
-                assert len(orbit) == (entry.curve.n if w.kind == "split" else 1)
+                assert len(orbit) == (entry.curve.n if w.label_index >= 0 else 1)
 
     def test_sigma_has_order_dividing_n(self):
         for entry in corpus():
@@ -1127,8 +1127,7 @@ ORACLE_PRECISION = 32
 
 def _valuation_curves():
     """The corpus (bases of degree <= 2) and a cubic Kummer cover over F_7
-    whose split bases list their places in another order than the Galois
-    orbit (bases of degree 1)."""
+    (bases of degree 1), whose Galois orbits do not run in label order."""
     f7 = GF(7)
     t7 = Poly.x(f7)
     cubic = KummerCurve.make(f7, 3, RationalFunc.of(t7**2 + t7))
@@ -1303,8 +1302,17 @@ class TestSplitValuations:
                 unit = to_model(curve.defining) * RationalFunc.of(pi)**(-n * shift)
                 assert (eng.unit_num, eng.unit_den) == (unit.num, unit.den), (name, base.id)
                 _, roots = _oracle_roots(curve, base, eng.labels)
-                assert [w.label_index for w in eng.places] == sorted(
-                    point.kappa.element_index(lab) for lab in eng.labels)
+                # orbit order: labels[k] = zeta labels[k-1] + beta = zeta_k labels[0] + beta_k,
+                # from the first residual root in index order
+                kappa, (_, zeta, beta) = point.kappa, curve.model
+                orbit = [eng.labels[0]]
+                for _ in range(n - 1):
+                    orbit.append(kappa.add(kappa.mul(point.embed(zeta), orbit[-1]),
+                                           point.embed(beta)))
+                assert eng.labels == orbit, (name, base.id)
+                indices = [kappa.element_index(label) for label in eng.labels]
+                assert [w.label_index for w in eng.places] == indices
+                assert indices[0] == min(indices)
                 for precision in (1, 8, 20, 5):
                     modulus = pi**precision
                     for j, label in enumerate(eng.labels):
@@ -1319,7 +1327,7 @@ class TestSplitValuations:
     def test_sigma_is_the_orbit_shift(self):
         from capitula.fforacle.picard import CurveArithmetic, _sigma_permutation
 
-        moved = shuffled = 0
+        moved = 0
         for name, curve, max_degree in _valuation_curves():
             arith = CurveArithmetic(curve)
             _, zeta, beta = curve.model
@@ -1329,7 +1337,7 @@ class TestSplitValuations:
             at = {(w.base, w.label_index): i for i, w in enumerate(fb)}
             expected = []
             for i, w in enumerate(fb):
-                if w.kind != "split":
+                if w.label_index < 0:
                     expected.append(i)
                     continue
                 # the label r moves to (r - beta) / zeta in the residue field
@@ -1339,10 +1347,8 @@ class TestSplitValuations:
                 image = kappa.div(kappa.sub(r, point.embed(beta)), point.embed(zeta))
                 expected.append(at[(w.base, kappa.element_index(image))])
                 moved += expected[i] != i
-                shuffled += arith.engine(w.base).orbit != sorted(arith.engine(w.base).orbit)
             assert _sigma_permutation(arith, fb) == expected, name
-        # the cubic cover's orbits are not in label order
-        assert moved > 50 and shuffled
+        assert moved > 50
 
     def test_one_hensel_lift_per_split_base_and_precision(self, monkeypatch):
         from collections import Counter
@@ -1899,5 +1905,16 @@ class TestCurveJson:
         assert parse_base_place(F3, "inf").is_infinite
         place = parse_base_place(F3, "t^2+1")
         assert place.degree == 2
+        for q, text in [(5, "t^2+2"), (2, "t^4+t+1")]:
+            assert parse_base_place(GF(q), text).pi == parse_poly(GF(q), text)
         with pytest.raises(ValidationError):
             parse_base_place(F3, "2*t+1")
+
+    @pytest.mark.parametrize("q, text", [(5, "t^2+4"), (5, "t^2+1"), (3, "t^2+2"),
+                                         (2, "t^4+t^2+1"), (4, "t^2+t+1")])
+    def test_parse_base_place_rejects_a_reducible_polynomial(self, q, text):
+        import re
+
+        with pytest.raises(ValidationError,
+                           match=re.escape(f"'{text}' is reducible over GF({q})")):
+            parse_base_place(GF(q), text)
