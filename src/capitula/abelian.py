@@ -7,6 +7,14 @@ bases from one untracked column echelon: a preimage {x : M x in L} comes
 from one echelon of [[M, L], [I, 0]], and a finite quotient L1/L2 is the
 Smith diagonal of L2's coordinates in the staircase of L1.
 
+Transforms are formed only where coordinates are read.  A presented
+quotient (QuotientPresentation) is always Z^r / L, so its one SNF with
+transforms maps vectors of Z^r to quotient coordinates; a quotient of
+lattices L1 / L2 is presented as Z^r / X, X the coordinates of L2 in the
+staircase of L1 (kernel).  A subgroup that is only counted
+(subgroup_order) is [Z^r : L] / [Z^r : L + <gens>], two Smith diagonals
+with no transforms (Cohen, GTM 138, section 2.4).
+
 A finite abelian group is always carried around in invariant-factor
 normal form d1 | d2 | ... | dk (each factor at least 2, the empty list
 being the trivial group); the relation lattice of that presentation is
@@ -403,79 +411,80 @@ def diagonal_columns(diag):
 
 
 def _staircase_coordinates(basis, pivots, den_cols):
-    """X with column j the coordinates of the j-th den column in a staircase
-    basis of L1, so that L1/L2 = Z^rank / X Z^n."""
+    """The coordinates of each den column in a staircase basis of L1, so
+    that L1/L2 = Z^rank / <coordinates>."""
     x_cols = []
     for d in den_cols:
         sol = solve_staircase(basis, pivots, d)
         if sol is None:
             raise ValidationError("denominator lattice not contained in numerator lattice")
         x_cols.append(sol)
-    return from_columns(x_cols, len(basis))
+    return x_cols
+
+
+def _finite_diagonal(cols, rank):
+    """The Smith diagonal of Z^rank / <cols>, with no transforms; the
+    quotient must be finite."""
+    diag = snf_diagonal(from_columns(cols, rank))
+    if len(diag) < rank or 0 in diag:
+        raise ValidationError("quotient is infinite")
+    return diag
 
 
 class QuotientPresentation:
-    """A finite quotient L1/L2 of integer lattices, with generator lifts.
+    """The finite group Z^rank / L, L spanned by den_cols, with generator lifts.
 
-    Carries enough of the SNF transforms to express any lattice element in
+    Carries the SNF transform that expresses any vector of Z^rank in
     quotient coordinates, which is what lets Galois actions and subgroup
     inclusions descend to computed quotients.  One SNF U X V = S of the
-    relation matrix X gives both: U maps coordinates to the quotient, and
-    the generator lifts are the columns of U^-1, read off X V = U^-1 S
-    column by column (every s_i is nonzero on a finite quotient), so no
-    second SNF inverts U.
+    relation matrix X gives both: U maps vectors to the quotient, and the
+    generator lifts are the columns of U^-1, read off X V = U^-1 S column
+    by column (every s_i is nonzero on a finite quotient), so no second
+    SNF inverts U.
     """
 
-    def __init__(self, num_cols, den_cols, ambient_dim):
-        basis, pivots = column_lattice_basis(num_cols, ambient_dim)
-        x = _staircase_coordinates(basis, pivots, den_cols)
-        rho = len(basis)
-        u2, s2, v2 = smith_normal_form(x)
-        factors = []
-        for i in range(rho):
-            si = s2[i][i] if i < len(s2[i]) else 0
-            if si == 0:
-                raise ValidationError("quotient is infinite")
-            factors.append(si)
-        self.ambient_dim = ambient_dim
-        self._basis = basis
-        self._pivots = pivots
-        self._u2 = u2
+    def __init__(self, den_cols, rank):
+        x = from_columns(den_cols, rank)
+        u, s, v = smith_normal_form(x)
+        factors = [s[i][i] if i < len(s[i]) else 0 for i in range(rank)]
+        if 0 in factors:
+            raise ValidationError("quotient is infinite")
+        self._u = u
         self._all_factors = factors
         self._kept = [i for i, f in enumerate(factors) if f != 1]
         self.group = FinAbGroup(tuple(factors[i] for i in self._kept))
         # X V = U^-1 S and no s_i is 0, so column i of U^-1 is (X V)[:, i] / s_i
-        bmat = from_columns(basis, ambient_dim)
-        self.lifts = []
-        for i in self._kept:
-            xv = mat_vec(x, [row[i] for row in v2])
-            self.lifts.append(mat_vec(bmat, [c // factors[i] for c in xv]))
+        self.lifts = [[c // factors[i] for c in mat_vec(x, [row[i] for row in v])]
+                      for i in self._kept]
 
     def coords(self, vec):
-        """Quotient coordinates of a lattice vector, one per invariant factor."""
-        sol = solve_staircase(self._basis, self._pivots, vec)
-        if sol is None:
-            raise ValidationError("vector is not in the presented lattice")
-        y = mat_vec(self._u2, sol)
+        """Quotient coordinates of a vector of Z^rank, one per invariant factor."""
+        y = mat_vec(self._u, vec)
         return tuple(y[i] % self._all_factors[i] for i in self._kept)
 
     def induced_matrix(self, endo_rows):
-        """Matrix of an ambient endomorphism on the quotient generators.
+        """Matrix of an endomorphism of Z^rank on the quotient generators.
 
-        The endomorphism must map both lattices into themselves.
+        The endomorphism must map L into itself.
         """
         cols = [self.coords(mat_vec(endo_rows, lift)) for lift in self.lifts]
         k = len(self._kept)
         return tuple(tuple(cols[j][i] for j in range(k)) for i in range(k))
 
 
+def subgroup_order(den_cols, gen_cols, rank) -> int:
+    """Order of the subgroup that gen_cols generate in the finite group
+    Z^rank / L, L spanned by den_cols: [Z^rank : L] / [Z^rank : L + <gens>],
+    read off two Smith diagonals with no transforms."""
+    whole = prod(_finite_diagonal(den_cols, rank))
+    return whole // prod(_finite_diagonal(den_cols + gen_cols, rank))
+
+
 def staircase_quotient(basis, pivots, den_cols) -> FinAbGroup:
     """The finite group L1/L2 for L1 in staircase form (basis, pivots) and L2
     spanned by den_cols: one forward solve per den column, then the Smith
     diagonal of the coordinates alone."""
-    diag = snf_diagonal(_staircase_coordinates(basis, pivots, den_cols))
-    if len(diag) < len(basis) or 0 in diag:
-        raise ValidationError("quotient is infinite")
+    diag = _finite_diagonal(_staircase_coordinates(basis, pivots, den_cols), len(basis))
     return FinAbGroup(tuple(d for d in diag if d != 1))
 
 
@@ -613,14 +622,16 @@ class AbHom:
 def kernel(h: AbHom) -> tuple[FinAbGroup, AbHom]:
     """Kernel of a hom, with its inclusion back into the source."""
     k = h.source.rank
-    gens = preimage_generators(h.matrix_rows(), h.target.relation_columns(), k)
-    pres = QuotientPresentation(gens, h.source.relation_columns(), k)
-    sf = h.source.invariant_factors
-    incl_cols = [[lift[i] % sf[i] for i in range(k)] for lift in pres.lifts]
-    incl = AbHom(pres.group, h.source, tuple(
-        tuple(col[i] for col in incl_cols) for i in range(k)
-    ))
-    return pres.group, incl
+    system = preimage_system(k, h.target.invariant_factors)
+    for target, row in zip(system, h.matrix):
+        target[:k] = row
+    basis, pivots = preimage_staircase(system, h.target.rank)
+    # ker h = preimage / source relations, presented in the preimage's
+    # staircase coordinates; the lifts map back through the basis
+    pres = QuotientPresentation(
+        _staircase_coordinates(basis, pivots, h.source.relation_columns()), len(basis))
+    incl = mat_mul(from_columns(basis, k), from_columns(pres.lifts, len(basis)))
+    return pres.group, AbHom(pres.group, h.source, incl)
 
 
 def cokernel(h: AbHom) -> FinAbGroup:

@@ -32,6 +32,7 @@ from .picard import (
     picard_group,
     profile_and_s_classes,
     realize_profile,
+    reject_repeated_places,
     s_class_group,
     strongly_ambiguous_order,
 )

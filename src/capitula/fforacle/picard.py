@@ -46,7 +46,12 @@ D - deg D p0 in Pic^0, deg D), and sigma acts on Z^(r+1) by [[A, c],
 S-class group C_{K,S} is the quotient of Z^(r+1) by the invariant factors
 of Pic^0 and the classes of the places in S (Cohen, GTM 138, 2.4.3), and
 the invariant classes (a, d) are those with (sigma - 1) a = -d c, so delta'
-is the order of c in the coinvariants Pic^0 / (sigma - 1) Pic^0.
+is the order of c in the coinvariants Pic^0 / (sigma - 1) Pic^0.  Each of
+these is a quotient Z^r / L.  Only Pic^0 and C_{K,S}, whose coordinates
+and sigma the report reads, are presented with SNF transforms
+(abelian.QuotientPresentation); delta', the strongly ambiguous classes and
+the image of C_{F,S} are only counted, as subgroup orders [Z^r : L] /
+[Z^r : L + <gens>] read off two Smith diagonals (abelian.subgroup_order).
 
 Every cover is read through one model (curves.CoverModel): y^n = c y +
 D(t) with Galois generator sigma: y -> zeta y + beta, where Artin-Schreier
@@ -124,7 +129,6 @@ place, and its degree against zero.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
-from math import gcd, lcm
 from ..abelian import (
     AbHom,
     FinAbGroup,
@@ -134,6 +138,7 @@ from ..abelian import (
     from_columns,
     identity_matrix,
     kernel,
+    subgroup_order,
 )
 from ..arith import gcd_list
 from ..errors import InconsistencyError, ResourceError, UnsupportedError, ValidationError
@@ -952,7 +957,7 @@ def _try_presentation(arith, ram, genus, h, l_coeffs, b_bound, extra_bases, conf
                 f"after {stop}")
 
     rows = form.rows
-    pres = QuotientPresentation(identity_matrix(k - 1), rows, k - 1)
+    pres = QuotientPresentation(rows, k - 1)
     group = pres.group
     if group.order != h:
         raise InconsistencyError(
@@ -1037,12 +1042,10 @@ def _pic_class(pd: PicardData, divisor: dict) -> list[int]:
     return list(pd._pres0.coords(vec)) + [deg]
 
 
-def _s_class_quotient(pd: PicardData, s_places, extra_divisors=()) -> QuotientPresentation:
-    """C_{K,S} modulo the classes of extra_divisors, on Z^(r+1).
-
-    The relations are the invariant factors of Pic^0, the classes of the
-    places in S_K and the classes of the extra divisors.  S_K must be
-    nonempty, Galois stable and inside the factor base.
+def _s_class_relations(pd: PicardData, s_places) -> list[list[int]]:
+    """The relations of C_{K,S} = Z^(r+1) / L: the invariant factors of
+    Pic^0 and the classes of the places in S_K.  S_K must be nonempty,
+    Galois stable and inside the factor base.
     """
     s_list = list(s_places)
     if not s_list:
@@ -1050,17 +1053,9 @@ def _s_class_quotient(pd: PicardData, s_places, extra_divisors=()) -> QuotientPr
     idx = [pd.place_index(w) for w in s_list]
     if any(pd._perm[i] not in idx for i in idx):
         raise ValidationError("S_K is not Galois stable")
-    r = pd.group.rank
     den = [col + [0] for col in pd.group.relation_columns()]
     den += [_pic_class(pd, {w: 1}) for w in s_list]
-    den += [_pic_class(pd, div) for div in extra_divisors]
-    return QuotientPresentation(identity_matrix(r + 1), den, r + 1)
-
-
-def _class_subgroup_order(pd: PicardData, s_places, divisors) -> int:
-    """Order of the subgroup of C_{K,S} generated by the divisors' classes."""
-    whole = _s_class_quotient(pd, s_places).group.order
-    return whole // _s_class_quotient(pd, s_places, divisors).group.order
+    return den
 
 
 def s_class_group(pd: PicardData, s_places) -> tuple[FinAbGroup, AbHom]:
@@ -1068,7 +1063,7 @@ def s_class_group(pd: PicardData, s_places) -> tuple[FinAbGroup, AbHom]:
 
     The set must be Galois stable and inside the factor base presentation.
     """
-    pres = _s_class_quotient(pd, s_places)
+    pres = QuotientPresentation(_s_class_relations(pd, s_places), pd.group.rank + 1)
     sigma = [list(row) + [c] for row, c in zip(pd.sigma_action.matrix, pd._sigma_p0)]
     sigma.append([0] * pd.group.rank + [1])
     return pres.group, AbHom(pres.group, pres.group, pres.induced_matrix(sigma))
@@ -1078,18 +1073,15 @@ def delta_prime(pd: PicardData) -> int:
     """gcd of the degrees of Galois-invariant classes in the full Pic.
 
     (a, d) is invariant when (sigma - 1) a = -d c, c the class of
-    sigma(p0) - p0, so delta' is the order of c in Pic^0 / (sigma - 1) Pic^0.
+    sigma(p0) - p0, so delta' is the order of c in the coinvariants
+    Pic^0 / (sigma - 1) Pic^0, a subgroup order.
     """
     rank = pd.group.rank
     sigma_minus_1 = pd.sigma_action.matrix_rows()
     for i in range(rank):
         sigma_minus_1[i][i] -= 1
-    coinvariants = QuotientPresentation(
-        identity_matrix(rank), pd.group.relation_columns() + columns(sigma_minus_1), rank)
-    dp = 1
-    for f, y in zip(coinvariants.group.invariant_factors, coinvariants.coords(pd._sigma_p0)):
-        dp = lcm(dp, f // gcd(f, y))
-    return dp
+    return subgroup_order(pd.group.relation_columns() + columns(sigma_minus_1),
+                          [pd._sigma_p0], rank)
 
 
 def base_class_number(s_bases) -> int:
@@ -1112,7 +1104,9 @@ def strongly_ambiguous_order(pd: PicardData, s_places) -> int:
     orbit_sums: dict[BasePlace, dict[PlaceAbove, int]] = {}
     for w in pd.factor_base:
         orbit_sums.setdefault(w.base, {})[w] = 1
-    return _class_subgroup_order(pd, s_places, list(orbit_sums.values()))
+    return subgroup_order(_s_class_relations(pd, s_places),
+                          [_pic_class(pd, div) for div in orbit_sums.values()],
+                          pd.group.rank + 1)
 
 
 def capitulation_kernel_order(pd: PicardData, s_bases, s_places) -> int:
@@ -1125,7 +1119,17 @@ def capitulation_kernel_order(pd: PicardData, s_bases, s_places) -> int:
     h_fs = base_class_number(s_bases)
     if h_fs == 1:
         return 1
-    return h_fs // _class_subgroup_order(pd, s_places, [pd._arith.conorm(INFINITE)])
+    return h_fs // subgroup_order(_s_class_relations(pd, s_places),
+                                  [_pic_class(pd, pd._arith.conorm(INFINITE))],
+                                  pd.group.rank + 1)
+
+
+def reject_repeated_places(s_bases) -> None:
+    """Raise a ValidationError naming the first base place that S lists
+    twice; S is a set, and a repeated place would count twice above it."""
+    for i, base in enumerate(s_bases):
+        if base in s_bases[:i]:
+            raise ValidationError(f"S lists the place {base.id} twice")
 
 
 def realize_profile(curve, s_bases, degree_bound: int | None = None,
@@ -1141,6 +1145,7 @@ def realize_profile(curve, s_bases, degree_bound: int | None = None,
     s_bases = list(s_bases)
     if not s_bases:
         raise ValidationError("S must be nonempty")
+    reject_repeated_places(s_bases)
     if pd is None:
         pd = picard_group(curve, degree_bound, extra_base_places=s_bases, config=config)
     profile, *_ = profile_and_s_classes(curve, s_bases, pd)

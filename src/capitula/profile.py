@@ -34,7 +34,7 @@ from math import gcd, prod
 from types import MappingProxyType
 
 from .abelian import FinAbGroup, sum_map_kernel
-from .arith import json_int, lcm_list
+from .arith import is_prime_power, json_int, lcm_list
 from .errors import HypothesisError, ValidationError
 
 
@@ -51,6 +51,9 @@ class FunctionField:
     def __post_init__(self):
         if self.q < 2:
             raise ValidationError("constant field cardinality must be at least 2")
+        if not is_prime_power(self.q):
+            raise ValidationError(
+                f"no finite field has {self.q} elements: q must be a prime power")
 
 
 @dataclass(frozen=True)
@@ -305,6 +308,15 @@ def validate(profile: ExtensionProfile) -> ValidationReport:
     if profile.q_prime is not None and not profile.is_function_field:
         violations.append(Violation(
             None, "q-prime-base", "q_prime is only meaningful for function fields"))
+    if profile.q_prime is not None and profile.is_function_field:
+        # the constant field of K contains F_q, so q' = q^k with k >= 1
+        q, power = profile.base.q, profile.q_prime
+        while power > q and power % q == 0:
+            power //= q
+        if power != q:
+            violations.append(Violation(
+                None, "q-prime-power",
+                f"q_prime = {profile.q_prime} is not a power of q = {q}"))
 
     for p in profile.places:
         if not p.in_S and not p.ramified:

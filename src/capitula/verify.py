@@ -50,6 +50,7 @@ from .fforacle import (
     picard_group,
     profile_and_s_classes,
     ramification_data,
+    reject_repeated_places,
     strongly_ambiguous_order,
     zeta_functional_equation_holds,
 )
@@ -147,6 +148,7 @@ def oracle_report(curve, s_bases=(INFINITE,), degree_bound=None,
     from .fforacle.curves import curve_to_json
 
     s_bases = list(s_bases)
+    reject_repeated_places(s_bases)
     ram, g = ramification_data(curve)
     pd = picard_group(curve, degree_bound, extra_base_places=s_bases, config=config)
     profile, s_k, cks, cks_action = profile_and_s_classes(curve, s_bases, pd)

@@ -29,6 +29,7 @@ from capitula.abelian import (
     snf_diagonal,
     solve_integer,
     staircase_quotient,
+    subgroup_order,
     sum_map_kernel,
 )
 from capitula.errors import ValidationError
@@ -231,54 +232,80 @@ class TestQuotientPresentation:
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_lifts_are_the_columns_of_u_inverse(self, data):
-        # numerator columns, their multiples and random combinations of them
-        m = data.draw(st.integers(min_value=1, max_value=4))
+        # Z^m / L for a full-rank L: multiples of the unit vectors, then
+        # random columns
+        m = data.draw(st.integers(min_value=0, max_value=4))
         vectors = st.lists(st.integers(min_value=-6, max_value=6), min_size=m, max_size=m)
-        num = data.draw(st.lists(vectors, min_size=1, max_size=4))
-        coefficients = st.lists(st.integers(min_value=-3, max_value=3),
-                                min_size=len(num), max_size=len(num))
         multiples = data.draw(st.lists(st.integers(min_value=1, max_value=6),
-                                       min_size=len(num), max_size=len(num)))
-        den = [[c * x for x in v] for c, v in zip(multiples, num)]
-        for cs in data.draw(st.lists(coefficients, max_size=3)):
-            den.append([sum(c * v[r] for c, v in zip(cs, num)) for r in range(m)])
-        pres = QuotientPresentation(num, den, m)
+                                       min_size=m, max_size=m))
+        den = [[c * int(i == j) for i in range(m)] for j, c in enumerate(multiples)]
+        den += data.draw(st.lists(vectors, max_size=3))
+        pres = QuotientPresentation(den, m)
         rank = pres.group.rank
         for i, lift in enumerate(pres.lifts):
             assert pres.coords(lift) == tuple(int(i == j) for j in range(rank))
-        u2inv = invert_unimodular(pres._u2) if pres._kept else []
-        bmat = from_columns(pres._basis, m)
-        assert pres.lifts == [mat_vec(bmat, [row[i] for row in u2inv]) for i in pres._kept]
+        assert all(pres.coords(col) == (0,) * rank for col in den)
+        u_inv = invert_unimodular(pres._u) if m else []
+        assert pres.lifts == [[row[i] for row in u_inv] for i in pres._kept]
 
     def test_finite_quotient_reads_the_presented_group(self):
-        # an empty numerator, rank zero, an infinite quotient, a denominator
-        # outside the numerator, then seeded lattices with all four outcomes
-        cases = [([], [], 3), ([[0, 0]], [[0, 0]], 2), ([], [], 0), ([[1, 0]], [], 2),
-                 ([[2, 0]], [[1, 0]], 2)]
+        # finite_quotient(I, den, m) is Z^m / L: an empty denominator, rank
+        # zero, a lattice of lower rank, then seeded lattices
+        cases = [([], 3), ([[0, 0]], 2), ([], 0), ([[2, 0]], 2), ([[2, 0], [0, 3]], 2)]
         rng = random.Random(15)
         for _ in range(300):
             m = rng.randint(1, 4)
-            num = [[rng.randint(-6, 6) for _ in range(m)] for _ in range(rng.randint(0, 4))]
-            den = [[c * x for x in v] for v in num for c in (rng.randint(0, 6),)]
-            den += [[sum(rng.randint(-3, 3) * v[r] for v in num) for r in range(m)]
-                    for _ in range(rng.randint(0, 2))]
-            if rng.random() < 0.1:
-                den.append([rng.randint(-6, 6) for _ in range(m)])
-            cases.append((num, den, m))
+            cases.append(([[rng.randint(-6, 6) for _ in range(m)]
+                           for _ in range(rng.randint(0, m + 2))], m))
         outcomes = set()
-        for num, den, m in cases:
+        for den, m in cases:
             try:
-                expected = QuotientPresentation(num, den, m).group
+                expected = QuotientPresentation(den, m).group
             except ValidationError as exc:
                 outcomes.add(str(exc))
                 with pytest.raises(ValidationError) as caught:
-                    finite_quotient(num, den, m)
+                    finite_quotient(identity_matrix(m), den, m)
                 assert str(caught.value) == str(exc)
                 continue
             outcomes.add("trivial" if expected.is_trivial() else "finite")
-            assert finite_quotient(num, den, m) == expected
-        assert outcomes == {"trivial", "finite", "quotient is infinite",
-                            "denominator lattice not contained in numerator lattice"}
+            assert finite_quotient(identity_matrix(m), den, m) == expected
+        assert outcomes == {"trivial", "finite", "quotient is infinite"}
+
+    def test_only_finite_quotient_has_a_numerator_to_leave(self):
+        # a presentation is of Z^m, so only a quotient of two lattices can
+        # have a denominator outside its numerator
+        with pytest.raises(ValidationError, match="denominator lattice not contained"):
+            finite_quotient([[2, 0]], [[1, 0]], 2)
+        assert finite_quotient([[2, 0], [0, 1]], [[4, 0], [0, 3]], 2) == FinAbGroup((6,))
+
+
+class TestSubgroupOrder:
+    def test_matches_enumeration(self):
+        # L holds r columns of determinant D != 0 and up to two more, so it
+        # contains D Z^r and Z^r / L = (Z/D)^r / (L mod D); the subgroup
+        # generated by gens has order |L + <gens> mod D| / |L mod D|
+        rng = random.Random(25)
+        checked = 0
+        while checked < 150:
+            r = rng.randint(1, 3)
+            square = [[rng.randint(-3, 3) for _ in range(r)] for _ in range(r)]
+            big_d = abs(det_bareiss(from_columns(square, r)))
+            if not 0 < big_d <= 12:
+                continue
+            den = square + [[rng.randint(-3, 3) for _ in range(r)]
+                            for _ in range(rng.randint(0, 2))]
+            rng.shuffle(den)
+            gens = [[rng.randint(-4, 4) for _ in range(r)] for _ in range(rng.randint(0, 3))]
+            expected = len(span_mod(den + gens, big_d, r)) // len(span_mod(den, big_d, r))
+            assert subgroup_order(den, gens, r) == expected
+            checked += 1
+
+    def test_rank_zero_and_infinite_quotients(self):
+        assert subgroup_order([], [], 0) == 1
+        assert subgroup_order([[]], [[], []], 0) == 1
+        assert subgroup_order([[4]], [[2]], 1) == 2
+        with pytest.raises(ValidationError, match="quotient is infinite"):
+            subgroup_order([[2, 0]], [[0, 1]], 2)
 
 
 class TestFinAbGroup:

@@ -112,3 +112,44 @@ def test_each_cohomology_group_is_computed_in_one_place():
               and [ast.unparse(d) for d in node.decorator_list] == ["cached_property"]]
     assert {node.name: calls(node) for node in cached} == {"h1": 1, "h2": 1}
     assert total == 2
+
+
+def test_quotients_are_presented_where_coordinates_are_read():
+    # SNF transforms are formed only for Pic^0, for C_{K,S} with its sigma
+    # and for the inclusion of a kernel; every other quotient is only
+    # counted (abelian.subgroup_order, staircase_quotient)
+    def calls(node):
+        return sum(name == "QuotientPresentation" for name in _called_names(node))
+
+    sites = {}
+    total = 0
+    for name, tree in _trees():
+        total += calls(tree)
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and calls(node):
+                sites[f"{name}:{node.name}"] = calls(node)
+    assert sites == {"fforacle/picard.py:_try_presentation": 1,
+                     "fforacle/picard.py:s_class_group": 1, "abelian.py:kernel": 1}
+    assert total == 3
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # the package __init__ files import in order to re-export; every other
+    # module uses each name it imports, or lists it in __all__
+    unused = []
+    for name, tree in _trees():
+        if name.endswith("__init__.py"):
+            continue
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported |= {alias.asname or alias.name for alias in node.names}
+            elif isinstance(node, ast.Import):
+                imported |= {(alias.asname or alias.name).split(".")[0] for alias in node.names}
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+                used |= set(ast.literal_eval(node.value))
+        unused += [f"{name}:{n}" for n in sorted(imported - used)]
+    assert unused == []

@@ -92,6 +92,19 @@ class TestAnalyze:
         assert code == 0
         assert not out["analysis"]["flags"]["imaginary"]
 
+    def test_function_field_that_does_not_exist_exits_2(self, tmp_path, capsys):
+        # no field has 6 elements; over F_2 a constant field of 6 elements
+        # is no extension either
+        profile = {"base": {"function": {"q": 6}}, "n": 2, "group": "cyclic",
+                   "places": [{"id": "inf", "in_S": True, "e": 2, "f": 1, "deg": 1}]}
+        assert main(["analyze", write(tmp_path, "p.json", profile)]) == 2
+        assert capsys.readouterr().err == \
+            "error: no finite field has 6 elements: q must be a prime power\n"
+        profile = dict(profile, base={"function": {"q": 2}}, q_prime=6)
+        assert main(["analyze", write(tmp_path, "p2.json", profile), "--json"]) == 2
+        out = json.loads(capsys.readouterr().out)
+        assert [v["rule"] for v in out["validation"]["violations"]] == ["q-prime-power"]
+
     def test_malformed_json_exits_1(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -178,6 +191,13 @@ class TestOracle:
         assert main(["oracle", write(tmp_path, "c.json", KUMMER_F5_CURVE), "--s", place]) == 2
         err = capsys.readouterr().err
         assert err == f"error: '{place}' is reducible over GF(5), not a place\n"
+
+    @pytest.mark.parametrize("places,name", [("inf,inf", "inf"), ("t,t+0", "t")])
+    def test_repeated_place_exits_2_by_name(self, tmp_path, capsys, places, name):
+        assert main(["oracle", write(tmp_path, "c.json", AS_CURVE), "--s", places]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: S lists the place {name} twice\n"
+        assert captured.out == ""
 
     def test_irreducible_quadratic_place_answers(self, tmp_path, capsys):
         code = main(["oracle", write(tmp_path, "c.json", KUMMER_F5_CURVE),

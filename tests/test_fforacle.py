@@ -881,6 +881,27 @@ class TestPicard:
         profile, pd = realize_profile(curve, [BasePlace(pi)])
         assert profile.h_FS == 2
 
+    @pytest.mark.parametrize("tokens", [("inf", "inf"), ("t", "t+0"), ("inf", "t", "inf")])
+    def test_a_place_repeated_in_s_is_refused_before_the_presentation(
+            self, monkeypatch, tokens):
+        # t and t+0 parse to one place; a repeated place used to count twice
+        # in s and s_k_count and give the profile two places with one id
+        from capitula import verify
+        from capitula.fforacle import picard
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("picard_group ran on a repeated place")
+
+        monkeypatch.setattr(verify, "picard_group", unreachable)
+        monkeypatch.setattr(picard, "picard_group", unreachable)
+        curve = corpus_entry("as_f2_r0").curve
+        s_bases = [parse_base_place(curve.field, token) for token in tokens]
+        message = f"S lists the place {s_bases[0].id} twice"
+        with pytest.raises(ValidationError, match=message):
+            verify.oracle_report(curve, s_bases)
+        with pytest.raises(ValidationError, match=message):
+            realize_profile(curve, s_bases)
+
 
 # ---------------------------------------------------------------------------
 # S-class quantities against quotients of the whole factor-base lattice
@@ -906,7 +927,7 @@ def _reference_s_quantities(pd, s_bases, s_k):
     unit = [[int(i == j) for i in range(k)] for j in range(k)]
     rel = [list(r) for r in pd._relations] + [unit[fb.index(w)] for w in s_k]
     perm_rows = [[int(pd._perm[j] == i) for j in range(k)] for i in range(k)]
-    pres = QuotientPresentation(unit, rel, k)
+    pres = QuotientPresentation(rel, k)
     action = AbHom(pres.group, pres.group, pres.induced_matrix(perm_rows))
     order = pres.group.order
 
@@ -1102,9 +1123,10 @@ class TestSClassQuantities:
 
     def test_period_index_verdict_reads_a_broken_delta_prime(self, monkeypatch):
         # y^2+y = t^3 + 1/t over F_2: delta = 1 and the coinvariants are Z/2,
-        # so a doubling lcm in delta_prime makes delta' = 2, which does not
-        # divide delta; delta_prime returns it and the verdict reads FAIL
-        from math import lcm
+        # so doubling the subgroup order that delta_prime reads makes
+        # delta' = 2, which does not divide delta; delta_prime returns it
+        # and the verdict reads FAIL
+        import sys
 
         from capitula import verify
         from capitula.fforacle import picard
@@ -1112,7 +1134,13 @@ class TestSClassQuantities:
         curve = corpus_entry("as_f2_r1").curve
         verdicts = {v.check: v for v in verify.oracle_report(curve).verdicts}
         assert verdicts["period_index_chain"].passed
-        monkeypatch.setattr(picard, "lcm", lambda a, b: 2 * lcm(a, b))
+        real = picard.subgroup_order
+
+        def doubled_for_delta_prime(den_cols, gen_cols, rank):
+            order = real(den_cols, gen_cols, rank)
+            return 2 * order if sys._getframe(1).f_code.co_name == "delta_prime" else order
+
+        monkeypatch.setattr(picard, "subgroup_order", doubled_for_delta_prime)
         report = verify.oracle_report(curve)
         assert (report.delta, report.delta_prime) == (1, 2)
         verdicts = {v.check: v for v in report.verdicts}

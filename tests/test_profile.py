@@ -3,6 +3,7 @@ import re
 
 import pytest
 
+from capitula.arith import is_prime_power
 from capitula.errors import HypothesisError, ValidationError
 from capitula.profile import (
     CYCLIC,
@@ -151,6 +152,14 @@ class TestValidate:
         ])
         assert any(v.rule == "outside-S-prime" for v in validate(p).violations)
 
+    @pytest.mark.parametrize("q_prime,ok", [(3, True), (27, True), (1, False), (6, False),
+                                            (12, False), (2, False)])
+    def test_q_prime_is_a_power_of_q(self, q_prime, ok):
+        p = ExtensionProfile(FunctionField(3), 2, CYCLIC, (
+            PlaceProfile("inf", True, 2, 1, deg=1),), q_prime=q_prime)
+        rules = [v.rule for v in validate(p).violations]
+        assert rules == ([] if ok else ["q-prime-power"])
+
     def test_d_prime_report(self):
         p = cyclic_profile(6, [
             PlaceProfile("a", True, 1, 2),
@@ -160,6 +169,43 @@ class TestValidate:
         assert report.d_prime == {"a": 2, "b": 3}
         assert report.d_prime_pairwise_coprime
         assert report.d_pairwise_coprime
+
+
+class TestFunctionField:
+    @pytest.mark.parametrize("q", [6, 10, 12, 15, 100])
+    def test_q_must_be_a_prime_power(self, q):
+        with pytest.raises(ValidationError, match=f"no finite field has {q} elements"):
+            FunctionField(q)
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 25, 27, 49, 1024, 10007])
+    def test_prime_powers_are_accepted(self, q):
+        assert FunctionField(q).q == q
+
+    def test_prime_power_test_matches_trial_division(self):
+        def by_trial_division(n):
+            p = next((d for d in range(2, n + 1) if n % d == 0), None)
+            while p and n % p == 0:
+                n //= p
+            return p is not None and n == 1
+
+        assert [n for n in range(-2, 5000) if is_prime_power(n) != by_trial_division(n)] == []
+        # sizes that trial division cannot reach: Mersenne primes, their
+        # powers, and a product of two primes near 10^9
+        for p in (2**61 - 1, 2**127 - 1):
+            assert is_prime_power(p) and is_prime_power(p**3)
+            assert not is_prime_power(3 * p) and not is_prime_power(p * (p + 2))
+        assert not is_prime_power((10**9 + 7) * (10**9 + 9))
+        # strong pseudoprimes to the bases 2, 3, 5, 7 and to the first 12
+        # primes: composite, and no prime powers
+        assert not is_prime_power(3215031751)
+        assert not is_prime_power(318665857834031151167461)
+        assert is_prime_power(2**4096)
+
+    def test_profile_json_over_six_elements_is_refused(self):
+        raw = {"base": {"function": {"q": 6}}, "n": 2, "group": "cyclic",
+               "places": [{"id": "inf", "in_S": True, "e": 2, "f": 1}]}
+        with pytest.raises(ValidationError, match="no finite field has 6 elements"):
+            profile_from_json(raw)
 
 
 class TestJson:
