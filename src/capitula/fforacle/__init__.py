@@ -24,15 +24,16 @@ from .picard import (
     OracleConfig,
     PicardData,
     PlaceAbove,
+    SClassGroup,
     base_class_number,
     capitulation_kernel_order,
+    check_s_bases,
     delta_prime,
     galois_invariants,
     invariants_of,
     picard_group,
     profile_and_s_classes,
     realize_profile,
-    reject_repeated_places,
     s_class_group,
     strongly_ambiguous_order,
 )

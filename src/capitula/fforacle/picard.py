@@ -43,15 +43,19 @@ place p0 of the Riemann-Roch spaces has degree one, so the factor-base
 Pic = Z^k / R is Pic^0 + Z p0: a divisor D has the class (coordinates of
 D - deg D p0 in Pic^0, deg D), and sigma acts on Z^(r+1) by [[A, c],
 [0, 1]], A the action on Pic^0 and c the class of sigma(p0) - p0.  The
-S-class group C_{K,S} is the quotient of Z^(r+1) by the invariant factors
-of Pic^0 and the classes of the places in S (Cohen, GTM 138, 2.4.3), and
-the invariant classes (a, d) are those with (sigma - 1) a = -d c, so delta'
-is the order of c in the coinvariants Pic^0 / (sigma - 1) Pic^0.  Each of
-these is a quotient Z^r / L.  Only Pic^0 and C_{K,S}, whose coordinates
-and sigma the report reads, are presented with SNF transforms
-(abelian.QuotientPresentation); delta', the strongly ambiguous classes and
-the image of C_{F,S} are only counted, as subgroup orders [Z^r : L] /
-[Z^r : L + <gens>] read off two Smith diagonals (abelian.subgroup_order).
+invariant classes (a, d) are those with (sigma - 1) a = -d c, so delta'
+is the order of c in the coinvariants Pic^0 / (sigma - 1) Pic^0, a
+subgroup order [Z^r : L] / [Z^r : L + <c>] read off two Smith diagonals
+(abelian.subgroup_order).  For a set S of base places, C_{K,S} is one
+record (SClassGroup), built once: the quotient of Z^(r+1) by the
+invariant factors of Pic^0 and the classes of the places of K above S
+(Cohen, GTM 138, 2.4.3), presented with SNF transforms
+(abelian.QuotientPresentation), so that its class_of reads any divisor in
+its coordinates.  Every S-class quantity is read off that record: sigma
+on it, the strongly ambiguous classes as the subgroup that the orbit sums
+generate, and the capitulation map j: C_{F,S} = Z/h_FS -> C_{K,S} as a
+homomorphism (abelian.AbHom) that sends the class of infinity to the class
+of its conorm, with |ker j| = h_FS / |j(C_{F,S})|.
 
 Every cover is read through one model (curves.CoverModel): y^n = c y +
 D(t) with Galois generator sigma: y -> zeta y + beta, where Artin-Schreier
@@ -135,8 +139,10 @@ from ..abelian import (
     HermiteModD,
     QuotientPresentation,
     columns,
+    finite_quotient,
     from_columns,
     identity_matrix,
+    image_order,
     kernel,
     subgroup_order,
 )
@@ -785,7 +791,7 @@ class PicardData:
     Pic^0 + Z p0, and _sigma_p0 holds the Pic^0 coordinates of sigma(p0) -
     p0 (module docstring).  _pres0 presents Pic^0 on the factor base
     without p0, and _relations are its Hermite rows lifted into L0.  The
-    S-class group is read off it once per S (profile_and_s_classes); the
+    S-class group is read off it once per S (s_class_group); the
     local integers d_v, D, n0 and |B| are not computed here but by the
     ExtensionProfile that realize_profile emits.
     """
@@ -796,7 +802,6 @@ class PicardData:
     l_poly: list[int]
     factor_base: list[PlaceAbove] = dataclass_field(repr=False, default_factory=list)
     _relations: list = dataclass_field(repr=False, default_factory=list)
-    _perm: list = dataclass_field(repr=False, default_factory=list)
     _pres0: object = dataclass_field(repr=False, default=None)
     _p0: PlaceAbove | None = dataclass_field(repr=False, default=None)
     _sigma_p0: tuple = dataclass_field(repr=False, default=())
@@ -809,9 +814,6 @@ class PicardData:
             raise UnsupportedError(
                 f"place {place.id} is outside the presentation; raise the degree bound"
             ) from None
-
-    def places_above(self, base: BasePlace) -> list[PlaceAbove]:
-        return [w for w in self.factor_base if w.base == base]
 
 
 def _candidate_functions(field, basis, cap):
@@ -985,7 +987,6 @@ def _try_presentation(arith, ram, genus, h, l_coeffs, b_bound, extra_bases, conf
         l_poly=list(l_coeffs),
         factor_base=fb,
         _relations=[lift(row) for row in rows],
-        _perm=perm,
         _pres0=pres,
         _p0=p0,
         _sigma_p0=pres.coords(sigma_p0),
@@ -1042,31 +1043,40 @@ def _pic_class(pd: PicardData, divisor: dict) -> list[int]:
     return list(pd._pres0.coords(vec)) + [deg]
 
 
-def _s_class_relations(pd: PicardData, s_places) -> list[list[int]]:
-    """The relations of C_{K,S} = Z^(r+1) / L: the invariant factors of
-    Pic^0 and the classes of the places in S_K.  S_K must be nonempty,
-    Galois stable and inside the factor base.
+@dataclass(frozen=True)
+class SClassGroup:
+    """C_{K,S} for a set S of base places, presented once as Z^(r+1) / L.
+
+    S_K is every place of K above S, so it is Galois stable.  L holds the
+    invariant factors of Pic^0 and the classes of the places of S_K, group
+    is the quotient in invariant-factor form and action the induced sigma
+    (module docstring).  class_of reads any factor-base divisor in its
+    coordinates.
     """
-    s_list = list(s_places)
-    if not s_list:
-        raise ValidationError("S_K must be nonempty")
-    idx = [pd.place_index(w) for w in s_list]
-    if any(pd._perm[i] not in idx for i in idx):
-        raise ValidationError("S_K is not Galois stable")
+
+    group: FinAbGroup
+    action: AbHom
+    s_bases: tuple
+    pd: PicardData = dataclass_field(repr=False)
+    _pres: QuotientPresentation = dataclass_field(repr=False)
+
+    def class_of(self, divisor: dict) -> tuple:
+        """The coordinates in C_{K,S} of a factor-base divisor of K."""
+        return self._pres.coords(_pic_class(self.pd, divisor))
+
+
+def s_class_group(pd: PicardData, s_bases) -> SClassGroup:
+    """Pic modulo the classes of the places above S, with the induced action.
+
+    A place above S outside the factor base raises UnsupportedError.
+    """
     den = [col + [0] for col in pd.group.relation_columns()]
-    den += [_pic_class(pd, {w: 1}) for w in s_list]
-    return den
-
-
-def s_class_group(pd: PicardData, s_places) -> tuple[FinAbGroup, AbHom]:
-    """Pic modulo the classes of the places in S_K, with the induced action.
-
-    The set must be Galois stable and inside the factor base presentation.
-    """
-    pres = QuotientPresentation(_s_class_relations(pd, s_places), pd.group.rank + 1)
+    den += [_pic_class(pd, {w: 1}) for base in s_bases for w in pd._arith.places_above(base)]
+    pres = QuotientPresentation(den, pd.group.rank + 1)
     sigma = [list(row) + [c] for row, c in zip(pd.sigma_action.matrix, pd._sigma_p0)]
     sigma.append([0] * pd.group.rank + [1])
-    return pres.group, AbHom(pres.group, pres.group, pres.induced_matrix(sigma))
+    return SClassGroup(pres.group, AbHom(pres.group, pres.group, pres.induced_matrix(sigma)),
+                       tuple(s_bases), pd, pres)
 
 
 def delta_prime(pd: PicardData) -> int:
@@ -1086,47 +1096,52 @@ def delta_prime(pd: PicardData) -> int:
 
 def base_class_number(s_bases) -> int:
     """h_{F,S} over the rational base: Pic(P^1) = Z modulo the degrees of S."""
-    degs = [b.degree for b in s_bases]
-    if not degs:
-        raise ValidationError("S must be nonempty")
-    return gcd_list(degs)
+    check_s_bases(s_bases)
+    return gcd_list([b.degree for b in s_bases])
 
 
-def strongly_ambiguous_order(pd: PicardData, s_places) -> int:
+def strongly_ambiguous_order(cks: SClassGroup) -> int:
     """Order of the subgroup of C_{K,S} generated by classes of
     Galois-invariant divisors (the transgressive ambiguous classes).
 
     The places above a base are one Galois orbit (module docstring), and
     the factor base holds all of them or none, as they share one degree.
     So the invariant divisors are spanned by one orbit sum per base: the
-    sum of the factor-base places above it.
+    sum of the factor-base places above it.  The subgroup has order
+    |C_{K,S}| / |C_{K,S} / <orbit sums>|.
     """
     orbit_sums: dict[BasePlace, dict[PlaceAbove, int]] = {}
-    for w in pd.factor_base:
+    for w in cks.pd.factor_base:
         orbit_sums.setdefault(w.base, {})[w] = 1
-    return subgroup_order(_s_class_relations(pd, s_places),
-                          [_pic_class(pd, div) for div in orbit_sums.values()],
-                          pd.group.rank + 1)
+    rank = cks.group.rank
+    classes = cks.group.relation_columns() + [cks.class_of(div) for div in orbit_sums.values()]
+    return cks.group.order // finite_quotient(identity_matrix(rank), classes, rank).order
 
 
-def capitulation_kernel_order(pd: PicardData, s_bases, s_places) -> int:
-    """|ker j|: classes of the base S-class group that die when extended.
+def capitulation_kernel_order(cks: SClassGroup) -> int:
+    """|ker j| for j: C_{F,S} -> C_{K,S}, the extension of classes.
 
-    C_{F,S} = Pic(P^1) / <S> is cyclic of order gcd(deg v : v in S),
-    generated by any divisor of degree one, such as the place at infinity,
-    which extends to the e-weighted sum of the places above it.
+    C_{F,S} = Pic(P^1) / <S> is cyclic of order h_FS = gcd(deg v : v in
+    S), generated by any divisor of degree one, such as the place at
+    infinity.  j sends it to the class of its conorm, the e-weighted sum of
+    the places above infinity, so |ker j| = h_FS / |j(C_{F,S})|.
     """
-    h_fs = base_class_number(s_bases)
-    if h_fs == 1:
-        return 1
-    return h_fs // subgroup_order(_s_class_relations(pd, s_places),
-                                  [_pic_class(pd, pd._arith.conorm(INFINITE))],
-                                  pd.group.rank + 1)
+    source = FinAbGroup.of(base_class_number(cks.s_bases))
+    image = cks.class_of(cks.pd._arith.conorm(INFINITE))
+    try:
+        j = AbHom(source, cks.group, tuple((x,) * source.rank for x in image))
+    except ValidationError as exc:
+        raise InconsistencyError(
+            f"j: C_F,S -> C_K,S is not well defined: h_FS = {source.order} does not "
+            f"kill the class of the conorm of infinity") from exc
+    return source.order // image_order(j)
 
 
-def reject_repeated_places(s_bases) -> None:
-    """Raise a ValidationError naming the first base place that S lists
-    twice; S is a set, and a repeated place would count twice above it."""
+def check_s_bases(s_bases) -> None:
+    """Raise a ValidationError when S is empty or lists a base place twice;
+    S is a nonempty set, and a repeated place would count twice above it."""
+    if not s_bases:
+        raise ValidationError("S must be nonempty")
     for i, base in enumerate(s_bases):
         if base in s_bases[:i]:
             raise ValidationError(f"S lists the place {base.id} twice")
@@ -1143,18 +1158,16 @@ def realize_profile(curve, s_bases, degree_bound: int | None = None,
     relative to S (the gcd of the S-degrees).
     """
     s_bases = list(s_bases)
-    if not s_bases:
-        raise ValidationError("S must be nonempty")
-    reject_repeated_places(s_bases)
+    check_s_bases(s_bases)
     if pd is None:
         pd = picard_group(curve, degree_bound, extra_base_places=s_bases, config=config)
-    profile, *_ = profile_and_s_classes(curve, s_bases, pd)
+    profile, _ = profile_and_s_classes(curve, s_bases, pd)
     return profile, pd
 
 
 def profile_and_s_classes(curve, s_bases: list, pd: PicardData):
-    """(profile, S_K, C_{K,S}, action on C_{K,S}) for S: the one build of
-    the S-class group behind realize_profile and verify.oracle_report."""
+    """(profile, C_{K,S}) for S: the one build of the S-class group behind
+    realize_profile and verify.oracle_report."""
     # the places of S, then the ramified places outside S in sort_key order
     ram_outside = [r.place for r in ramification_data(curve)[0] if r.place not in s_bases]
     places = []
@@ -1162,17 +1175,14 @@ def profile_and_s_classes(curve, s_bases: list, pd: PicardData):
         data = local_invariants(curve, base)
         places.append(PlaceProfile(
             id=base.id, in_S=base in s_bases, e=data.e, f=data.f, deg=base.degree))
-    s_k = []
-    for base in s_bases:
-        s_k.extend(pd.places_above(base))
-    group, action = s_class_group(pd, s_k)
+    cks = s_class_group(pd, s_bases)
     profile = ExtensionProfile(
         base=FunctionField(curve.field.order),
         n=curve.n,
         group=CYCLIC,
         places=tuple(places),
         h_FS=base_class_number(s_bases),
-        h_KS=group.order,
+        h_KS=cks.group.order,
         q_prime=curve.field.order,
     )
-    return profile, s_k, group, action
+    return profile, cks

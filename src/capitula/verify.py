@@ -42,6 +42,7 @@ from .fforacle import (
     OracleConfig,
     Poly,
     capitulation_kernel_order,
+    check_s_bases,
     corpus,
     delta_prime,
     galois_invariants,
@@ -50,7 +51,6 @@ from .fforacle import (
     picard_group,
     profile_and_s_classes,
     ramification_data,
-    reject_repeated_places,
     strongly_ambiguous_order,
     zeta_functional_equation_holds,
 )
@@ -148,10 +148,10 @@ def oracle_report(curve, s_bases=(INFINITE,), degree_bound=None,
     from .fforacle.curves import curve_to_json
 
     s_bases = list(s_bases)
-    reject_repeated_places(s_bases)
+    check_s_bases(s_bases)
     ram, g = ramification_data(curve)
     pd = picard_group(curve, degree_bound, extra_base_places=s_bases, config=config)
-    profile, s_k, cks, cks_action = profile_and_s_classes(curve, s_bases, pd)
+    profile, cks = profile_and_s_classes(curve, s_bases, pd)
     analysis = analyze_profile(profile)
     q = curve.field.order
     n = curve.n
@@ -170,7 +170,7 @@ def oracle_report(curve, s_bases=(INFINITE,), degree_bound=None,
         "splitting_degree_sum", "sum of e*f over places above v equals n",
         True, split_ok))
 
-    cks_invariants = invariants_of(cks, cks_action)
+    cks_invariants = invariants_of(cks.group, cks.action)
     jg = galois_invariants(pd)
     h_fs = profile.h_FS
 
@@ -210,7 +210,7 @@ def oracle_report(curve, s_bases=(INFINITE,), degree_bound=None,
             "ambiguous_class_order",
             "imaginary case: ambiguous classes count h_FS * prod e_v",
             _bound(analysis, "ambiguous_order"), cks_invariants.order))
-        class_module = GModule.cyclic(n, cks, cks_action.matrix)
+        class_module = GModule.cyclic(n, cks.group, cks.action.matrix)
         verdicts.append(_verdict(
             "class_h1_is_sum_map_kernel",
             "imaginary case: H^1 of S-classes vs the local sum-map kernel",
@@ -228,8 +228,8 @@ def oracle_report(curve, s_bases=(INFINITE,), degree_bound=None,
         # with one place above S the S-units are the constants, so the
         # exact order identities tying capitulation to unit cohomology
         # are fully computable
-        ker_j = capitulation_kernel_order(pd, s_bases, s_k)
-        trans = strongly_ambiguous_order(pd, s_k)
+        ker_j = capitulation_kernel_order(cks)
+        trans = strongly_ambiguous_order(cks)
         image_j = h_fs // ker_j
         coker_jprime = trans // image_j
         first, second = order_relation_check(
@@ -268,7 +268,7 @@ def oracle_report(curve, s_bases=(INFINITE,), degree_bound=None,
         jg_invariants=_factors(jg),
         s_ids=[b.id for b in s_bases],
         s_k_count=profile.s_k_count(),
-        s_class_group=_factors(cks),
+        s_class_group=_factors(cks.group),
         s_class_invariants=_factors(cks_invariants),
         h_KS=profile.h_KS,
         h_FS=h_fs,

@@ -103,8 +103,8 @@ def test_ac4_elementary_abelian_ambiguous_classes(name):
     entry = corpus_entry(name)
     pd = picard_group(entry.curve)
     assert pd.group.order == pd.h  # certified by L(1)
-    group, action = s_class_group(pd, pd.places_above(INFINITE))
-    ambiguous = invariants_of(group, action)
+    cks = s_class_group(pd, [INFINITE])
+    ambiguous = invariants_of(cks.group, cks.action)
     p = entry.curve.n
     expected = FinAbGroup.of(*([p] * entry.finite_ramified))
     assert ambiguous.invariant_factors == expected.invariant_factors
@@ -117,8 +117,8 @@ def test_ac5_ambiguous_order_identity():
         entry = corpus_entry(name)
         pd = picard_group(entry.curve)
         profile, _ = realize_profile(entry.curve, [INFINITE], pd=pd)
-        group, action = s_class_group(pd, pd.places_above(INFINITE))
-        ambiguous = invariants_of(group, action)
+        cks = s_class_group(pd, [INFINITE])
+        ambiguous = invariants_of(cks.group, cks.action)
         expected = prod(p.e for p in profile.ramified_outside_s)
         assert ambiguous.order == expected
     stamp("AC5 |C_KS^G| equals the product of outside-S ramification indices", t0, 60)
@@ -178,9 +178,9 @@ def test_ac9_order_relations_from_oracle_values():
         if profile.s_k_count() != 1:
             continue
         q, n = curve.field.order, curve.n
-        s_k = pd.places_above(INFINITE)
-        ker_j = capitulation_kernel_order(pd, [INFINITE], s_k)
-        trans = strongly_ambiguous_order(pd, s_k)
+        cks = s_class_group(pd, [INFINITE])
+        ker_j = capitulation_kernel_order(cks)
+        trans = strongly_ambiguous_order(cks)
         coker_jprime = trans // (profile.h_FS // ker_j)
         unit_module = GModule.trivial_action(Cyclic(n), FinAbGroup.of(q - 1))
         first, second = order_relation_check(

@@ -133,6 +133,25 @@ def test_quotients_are_presented_where_coordinates_are_read():
     assert total == 3
 
 
+def test_s_class_relations_have_one_builder():
+    # a divisor's class in Pic = Pic^0 + Z p0 is read only to build C_{K,S}
+    # and to read a divisor in it, so every S-class quantity reads the one
+    # presentation that s_class_group builds
+    tree = ast.parse((PACKAGE / "fforacle" / "picard.py").read_text())
+    callers = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            scopes = [(f"{node.name}.{item.name}", item) for item in node.body
+                      if isinstance(item, ast.FunctionDef)]
+        elif isinstance(node, ast.FunctionDef) and node in tree.body:
+            scopes = [(node.name, node)]
+        else:
+            continue
+        callers += [name for name, scope in scopes for called in _called_names(scope)
+                    if called == "_pic_class"]
+    assert sorted(callers) == ["SClassGroup.class_of", "s_class_group"]
+
+
 def test_no_module_imports_a_name_it_never_uses():
     # the package __init__ files import in order to re-export; every other
     # module uses each name it imports, or lists it in __all__

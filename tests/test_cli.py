@@ -199,6 +199,18 @@ class TestOracle:
         assert captured.err == f"error: S lists the place {name} twice\n"
         assert captured.out == ""
 
+    def test_empty_s_exits_2_before_the_presentation(self, tmp_path, capsys, monkeypatch):
+        from capitula import verify
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("picard_group ran on an empty S")
+
+        monkeypatch.setattr(verify, "picard_group", unreachable)
+        assert main(["oracle", write(tmp_path, "c.json", AS_CURVE), "--s", ","]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: S must be nonempty\n"
+        assert captured.out == ""
+
     def test_irreducible_quadratic_place_answers(self, tmp_path, capsys):
         code = main(["oracle", write(tmp_path, "c.json", KUMMER_F5_CURVE),
                      "--s", "t^2+2", "--json"])

@@ -61,6 +61,7 @@ from capitula.fforacle.gf import (
     multiplicative_order,
     pth_root,
 )
+from capitula.fforacle.picard import _sigma_permutation
 from capitula.fforacle.poly import (
     _irreducibles_in_order,
     _is_irreducible,
@@ -797,10 +798,11 @@ class TestPicard:
     def test_sigma_cycles_the_places_above_a_split_base(self):
         for entry in corpus():
             pd = picard_group(entry.curve)
+            perm = _sigma_permutation(pd._arith, pd.factor_base)
             for i, w in enumerate(pd.factor_base):
                 orbit = [i]
-                while pd._perm[orbit[-1]] != i:
-                    orbit.append(pd._perm[orbit[-1]])
+                while perm[orbit[-1]] != i:
+                    orbit.append(perm[orbit[-1]])
                 assert {pd.factor_base[j].base for j in orbit} == {w.base}
                 assert len(orbit) == (entry.curve.n if w.label_index >= 0 else 1)
 
@@ -828,24 +830,20 @@ class TestPicard:
 
     def test_s_class_group_imaginary_equals_pic0(self):
         pd = picard_group(corpus_entry("as_f2_r1").curve)
-        group, _ = s_class_group(pd, pd.places_above(INFINITE))
-        assert group.invariant_factors == pd.group.invariant_factors
+        cks = s_class_group(pd, [INFINITE])
+        assert cks.group.invariant_factors == pd.group.invariant_factors
 
     def test_s_class_group_all_rational_places_of_p1_cover(self):
         # genus 0: killing the classes of both degree-one ramified places
         pd = picard_group(corpus_entry("kummer_f3_g0").curve)
-        s_k = pd.places_above(INFINITE) + pd.places_above(
-            BasePlace(Poly.x(F3)))
-        group, _ = s_class_group(pd, s_k)
-        assert group.is_trivial()
+        assert s_class_group(pd, [INFINITE, BasePlace(Poly.x(F3))]).group.is_trivial()
 
     def test_s_class_group_with_split_place(self):
         # genus 1, S = {inf, t}: t splits on y^2+y=t^3, its classes generate
         pd = picard_group(corpus_entry("as_f2_r0").curve,
                           extra_base_places=[BasePlace(T2)])
-        s_k = pd.places_above(INFINITE) + pd.places_above(BasePlace(T2))
-        group, _ = s_class_group(pd, s_k)
-        assert group.is_trivial()  # order h / ord(class difference) = 3/3
+        cks = s_class_group(pd, [INFINITE, BasePlace(T2)])
+        assert cks.group.is_trivial()  # order h / ord(class difference) = 3/3
 
     def test_delta_prime_examples(self):
         assert delta_prime(picard_group(corpus_entry("kummer_f3_g0").curve)) == 1
@@ -855,8 +853,9 @@ class TestPicard:
 
     def test_degree_map_is_galois_invariant(self):
         pd = picard_group(corpus_entry("as_f4_g1").curve)
+        perm = _sigma_permutation(pd._arith, pd.factor_base)
         for i, w in enumerate(pd.factor_base):
-            assert pd.factor_base[pd._perm[i]].deg == w.deg
+            assert pd.factor_base[perm[i]].deg == w.deg
 
     def test_realize_profile_examples(self):
         profile, pd = realize_profile(corpus_entry("as_f2_r0").curve, [INFINITE])
@@ -881,22 +880,27 @@ class TestPicard:
         profile, pd = realize_profile(curve, [BasePlace(pi)])
         assert profile.h_FS == 2
 
-    @pytest.mark.parametrize("tokens", [("inf", "inf"), ("t", "t+0"), ("inf", "t", "inf")])
-    def test_a_place_repeated_in_s_is_refused_before_the_presentation(
-            self, monkeypatch, tokens):
+    @pytest.mark.parametrize("tokens, message", [
+        (("inf", "inf"), "S lists the place inf twice"),
+        (("t", "t+0"), "S lists the place t twice"),
+        (("inf", "t", "inf"), "S lists the place inf twice"),
+        ((), "S must be nonempty"),
+    ])
+    def test_an_empty_or_repeated_s_is_refused_before_the_presentation(
+            self, monkeypatch, tokens, message):
         # t and t+0 parse to one place; a repeated place used to count twice
-        # in s and s_k_count and give the profile two places with one id
+        # in s and s_k_count and give the profile two places with one id.
+        # An empty S used to be refused only after Pic^0 was certified
         from capitula import verify
         from capitula.fforacle import picard
 
         def unreachable(*args, **kwargs):
-            raise AssertionError("picard_group ran on a repeated place")
+            raise AssertionError("picard_group ran on an inadmissible S")
 
         monkeypatch.setattr(verify, "picard_group", unreachable)
         monkeypatch.setattr(picard, "picard_group", unreachable)
         curve = corpus_entry("as_f2_r0").curve
         s_bases = [parse_base_place(curve.field, token) for token in tokens]
-        message = f"S lists the place {s_bases[0].id} twice"
         with pytest.raises(ValidationError, match=message):
             verify.oracle_report(curve, s_bases)
         with pytest.raises(ValidationError, match=message):
@@ -919,6 +923,15 @@ def _s_bases(field, s_ids):
         for x in s_ids))
 
 
+def _genus3_cover():
+    """y^2 = 2t^7 + t^6 + 3t^5 + 3t^3 + 4t^2 + 2t over F_5: g = 3, h = 160."""
+    import json
+    from pathlib import Path
+
+    return curve_from_json(json.loads(
+        (Path(__file__).parent / "data" / "kummer_f5_g3.json").read_text()))
+
+
 def _reference_s_quantities(pd, s_bases, s_k):
     """C_{K,S}, its invariants, the strongly ambiguous order, |ker j| and
     delta', all computed on Z^k modulo the relations R of the factor base."""
@@ -926,7 +939,8 @@ def _reference_s_quantities(pd, s_bases, s_k):
     k = len(fb)
     unit = [[int(i == j) for i in range(k)] for j in range(k)]
     rel = [list(r) for r in pd._relations] + [unit[fb.index(w)] for w in s_k]
-    perm_rows = [[int(pd._perm[j] == i) for j in range(k)] for i in range(k)]
+    perm = _sigma_permutation(pd._arith, fb)
+    perm_rows = [[int(perm[j] == i) for j in range(k)] for i in range(k)]
     pres = QuotientPresentation(rel, k)
     action = AbHom(pres.group, pres.group, pres.induced_matrix(perm_rows))
     order = pres.group.order
@@ -935,10 +949,10 @@ def _reference_s_quantities(pd, s_bases, s_k):
     for start in range(k):
         if start in seen:
             continue
-        orbit, j = {start}, pd._perm[start]
+        orbit, j = {start}, perm[start]
         while j != start:
             orbit.add(j)
-            j = pd._perm[j]
+            j = perm[j]
         seen |= orbit
         orbit_cols.append([int(i in orbit) for i in range(k)])
     ambiguous = order // finite_quotient(unit, rel + orbit_cols, k).order
@@ -947,9 +961,7 @@ def _reference_s_quantities(pd, s_bases, s_k):
     h_fs = 0
     for base in s_bases:
         h_fs = gcd(h_fs, base.degree)
-    con_inf = [0] * k
-    for w in pd.places_above(INFINITE):
-        con_inf[fb.index(w)] = w.e
+    con_inf = [w.e if w.base == INFINITE else 0 for w in fb]
     image = order // finite_quotient(unit, rel + [con_inf], k).order
     ker_j = h_fs // image
 
@@ -968,11 +980,45 @@ class TestSClassQuantities:
         curve = corpus_entry(name).curve
         s_bases = _s_bases(curve.field, s_ids)
         pd = picard_group(curve, extra_base_places=s_bases)
-        s_k = [w for base in s_bases for w in pd.places_above(base)]
-        group, action = s_class_group(pd, s_k)
-        got = (group, invariants_of(group, action), strongly_ambiguous_order(pd, s_k),
-               capitulation_kernel_order(pd, s_bases, s_k), delta_prime(pd))
+        s_k = [w for w in pd.factor_base if w.base in s_bases]
+        cks = s_class_group(pd, s_bases)
+        got = (cks.group, invariants_of(cks.group, cks.action), strongly_ambiguous_order(cks),
+               capitulation_kernel_order(cks), delta_prime(pd))
         assert got == _reference_s_quantities(pd, s_bases, s_k)
+
+    def test_a_wrong_conorm_of_infinity_is_caught(self, monkeypatch):
+        # mutation: every e_w in the conorm of infinity read as 1, with
+        # h_FS = 2.  Where twice the wrong class is not zero, building j
+        # refuses it; where it is, |ker j| leaves the reference; where every
+        # e_w is 1 already, nothing changes
+        from capitula.fforacle import picard
+
+        cases = [(e.name, e.curve) for e in corpus()] + [("kummer_f5_g3", _genus3_cover())]
+        outcome = {}
+        for name, curve in cases:
+            s_bases = _s_bases(curve.field, ("quadratic",))
+            pd = picard_group(curve, extra_base_places=s_bases)
+            cks = s_class_group(pd, s_bases)
+            s_k = [w for w in pd.factor_base if w.base in s_bases]
+            expected = _reference_s_quantities(pd, s_bases, s_k)[3]
+            assert capitulation_kernel_order(cks) == expected
+            real = picard.CurveArithmetic.conorm
+            monkeypatch.setattr(picard.CurveArithmetic, "conorm", lambda arith, base: (
+                dict.fromkeys(real(arith, base), 1) if base == INFINITE else real(arith, base)))
+            try:
+                got = capitulation_kernel_order(cks)
+            except InconsistencyError as exc:
+                assert str(exc).startswith("j: C_F,S -> C_K,S is not well defined"), name
+                outcome[name] = "refused"
+            else:
+                outcome[name] = "unchanged" if got == expected else f"{expected} -> {got}"
+            monkeypatch.undo()
+        assert outcome == {
+            "as_f2_r0": "2 -> 1", "kummer_f3_g0": "2 -> 1",
+            "as_f3_r1": "unchanged", "kummer_f3_dp2": "unchanged",
+            **{name: "refused" for name in ("as_f2_r1", "as_f2_r2", "as_f3_r0", "as_f4_g1",
+                                            "kummer_f3_g1", "kummer_f4_g1", "as_f3_g3",
+                                            "kummer_f5_g3")}}
 
     def test_capitulation_is_injective_for_odd_degree(self):
         # the norm of the extended class is n times the class, and n is
@@ -984,29 +1030,19 @@ class TestSClassQuantities:
                 continue
             s_bases = _s_bases(curve.field, ("quadratic",))
             pd = picard_group(curve, extra_base_places=s_bases)
-            s_k = pd.places_above(s_bases[0])
-            assert capitulation_kernel_order(pd, s_bases, s_k) == 1, entry.name
+            assert capitulation_kernel_order(s_class_group(pd, s_bases)) == 1, entry.name
             checked += 1
         assert checked == 4
 
-    def _outside(self, pd, *degrees):
-        """The places of K above the first base place of each degree."""
-        bases = [BasePlace(monic_irreducibles(F2, d)[0]) for d in degrees]
-        return bases, [w for b in bases for w in pd._arith.places_above(b)]
-
-    def test_strongly_ambiguous_names_a_place_outside(self):
+    @pytest.mark.parametrize("degrees", [(1, 4), (4, 6)], ids=["inf,deg4", "deg4,deg6"])
+    def test_s_class_group_names_a_place_outside(self, degrees):
+        # y^2+y = t^3 over F_2 presented without S: no place above a base of
+        # degree 4 or 6 is in the presentation (degree 1 stands for inf)
         pd = picard_group(corpus_entry("as_f2_r0").curve)
-        _, outside = self._outside(pd, 4)
+        s_bases = [INFINITE if d == 1 else BasePlace(monic_irreducibles(F2, d)[0])
+                   for d in degrees]
         with pytest.raises(UnsupportedError, match="outside the presentation"):
-            strongly_ambiguous_order(pd, pd.places_above(INFINITE) + outside)
-
-    def test_capitulation_kernel_names_a_place_outside(self):
-        # y^2+y = t^3 over F_2 with S of degrees 4 and 6: h_FS = 2, and
-        # no place above S is in the presentation
-        pd = picard_group(corpus_entry("as_f2_r0").curve)
-        s_bases, s_k = self._outside(pd, 4, 6)
-        with pytest.raises(UnsupportedError, match="outside the presentation"):
-            capitulation_kernel_order(pd, s_bases, s_k)
+            s_class_group(pd, s_bases)
 
     def test_imaginary_verdicts_compare_the_calculator(self, monkeypatch):
         # y^2+y = t^3 over F_2, S = {inf}: one place above S and gcd(2, q-1) = 1,
@@ -1565,22 +1601,19 @@ class TestRelationSearch:
             picard_group(curve)
 
     def test_genus_three_certifies_at_b_equal_to_g(self):
-        # y^2 = 2t^7 + t^6 + 3t^5 + 3t^3 + 4t^2 + 2t over F_5 (g = 3, h = 160):
-        # the first try, at (b, m) = (3, 7), certifies
-        import json
+        # the genus-3 cover: the first try, at (b, m) = (3, 7), certifies
         import signal
-        from pathlib import Path
 
         from capitula.verify import oracle_report
 
         def timeout(signum, frame):
             raise TimeoutError("the genus-3 Kummer cover over F_5 took over 10 s")
 
-        raw = json.loads((Path(__file__).parent / "data" / "kummer_f5_g3.json").read_text())
+        curve = _genus3_cover()
         previous = signal.signal(signal.SIGALRM, timeout)
         signal.alarm(10)
         try:
-            report = oracle_report(curve_from_json(raw))
+            report = oracle_report(curve)
         finally:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, previous)
