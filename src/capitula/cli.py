@@ -15,6 +15,7 @@ failure (including failed checks), 3 resource cap exceeded.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from math import lcm
@@ -30,8 +31,7 @@ from .profile import profile_from_json, profile_to_json, validate
 from .verify import SUITES, oracle_report
 
 CONFIG_FILE = "capitula.json"
-_CONFIG_KEYS = {"max_field_size", "max_genus", "max_degree_bound",
-                "max_rr_degree", "max_candidates", "max_precision"}
+_CONFIG_KEYS = {f.name for f in dataclasses.fields(OracleConfig)}
 
 EXIT_OK = 0
 EXIT_USAGE = 1

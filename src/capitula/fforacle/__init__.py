@@ -4,10 +4,9 @@ class groups with Galois action."""
 
 from .corpus import CorpusEntry, corpus, corpus_entry
 from .curves import (
-    ASCurve,
     BasePlace,
+    Cover,
     INFINITE,
-    KummerCurve,
     LocalData,
     RamifiedPlace,
     as_reduce,

@@ -9,7 +9,7 @@ for every entry.
 
 from dataclasses import dataclass
 
-from .curves import ASCurve, Curve, KummerCurve
+from .curves import Cover
 from .gf import GF
 from .poly import Poly, RationalFunc
 
@@ -18,7 +18,7 @@ from .poly import Poly, RationalFunc
 class CorpusEntry:
     name: str
     description: str
-    curve: Curve
+    curve: Cover
     finite_ramified: int  # ramified primes away from infinity
 
 
@@ -29,40 +29,40 @@ def corpus() -> list[CorpusEntry]:
     entries = [
         CorpusEntry(
             "as_f2_r0", "y^2+y = t^3 over F_2 (genus 1, ramified only at infinity)",
-            ASCurve.make(f2, RationalFunc.of(t2**3)), 0),
+            Cover.artin_schreier(f2, RationalFunc.of(t2**3)), 0),
         CorpusEntry(
             "as_f2_r1", "y^2+y = t^3 + 1/t over F_2 (genus 2, one finite ramified prime)",
-            ASCurve.make(f2, RationalFunc(t2**4 + one2, t2)), 1),
+            Cover.artin_schreier(f2, RationalFunc(t2**4 + one2, t2)), 1),
         CorpusEntry(
             "as_f2_r2", "y^2+y = t + 1/t + 1/(t+1) over F_2 (genus 2, two finite ramified primes)",
-            ASCurve.make(f2, RationalFunc.of(t2) + RationalFunc(one2, t2)
-                         + RationalFunc(one2, t2 + one2)), 2),
+            Cover.artin_schreier(f2, RationalFunc.of(t2) + RationalFunc(one2, t2)
+                                 + RationalFunc(one2, t2 + one2)), 2),
         CorpusEntry(
             "as_f3_r0", "y^3-y = t^2 over F_3 (genus 1, ramified only at infinity)",
-            ASCurve.make(f3, RationalFunc.of(t3**2)), 0),
+            Cover.artin_schreier(f3, RationalFunc.of(t3**2)), 0),
         CorpusEntry(
             "as_f3_r1", "y^3-y = 1/t + 1 over F_3 (genus 0, inert at infinity)",
-            ASCurve.make(f3, RationalFunc(one3 + t3, t3)), 1),
+            Cover.artin_schreier(f3, RationalFunc(one3 + t3, t3)), 1),
         CorpusEntry(
             "as_f4_g1", "y^2+y = t^3 over F_4 (genus 1, full 3-torsion class group)",
-            ASCurve.make(f4, RationalFunc.of(t4**3)), 0),
+            Cover.artin_schreier(f4, RationalFunc.of(t4**3)), 0),
         CorpusEntry(
             "kummer_f3_g0", "y^2 = t over F_3 (genus 0)",
-            KummerCurve.make(f3, 2, RationalFunc.of(t3)), 1),
+            Cover.kummer(f3, 2, RationalFunc.of(t3)), 1),
         CorpusEntry(
             "kummer_f3_g1", "y^2 = t^3 - t over F_3 (genus 1, full 2-torsion)",
-            KummerCurve.make(f3, 2, RationalFunc.of(t3**3 - t3)), 3),
+            Cover.kummer(f3, 2, RationalFunc.of(t3**3 - t3)), 3),
         CorpusEntry(
             "kummer_f4_g1", "y^3 = t^2 + t over F_4 (genus 1, tame cyclic cubic)",
-            KummerCurve.make(f4, 3, RationalFunc.of(t4 * t4 + t4)), 2),
+            Cover.kummer(f4, 3, RationalFunc.of(t4 * t4 + t4)), 2),
         CorpusEntry(
             "kummer_f3_dp2",
             "y^2 = (t^2+1)(t^2+t+2) over F_3 (genus 1, no invariant class of odd degree)",
-            KummerCurve.make(f3, 2, RationalFunc.of(
+            Cover.kummer(f3, 2, RationalFunc.of(
                 (t3 * t3 + one3) * (t3 * t3 + t3 + one3 + one3))), 2),
         CorpusEntry(
             "as_f3_g3", "y^3-y = t^2 + 1/t over F_3 (genus 3, class number 27)",
-            ASCurve.make(f3, RationalFunc(t3**3 + one3, t3)), 1),
+            Cover.artin_schreier(f3, RationalFunc(t3**3 + one3, t3)), 1),
     ]
     return entries
 

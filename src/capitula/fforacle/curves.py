@@ -11,15 +11,20 @@ Fields and Codes, Prop. 3.7.3 and 3.7.8): y^n = c y + D(t), where D is
 `defining` (Q resp. f), with the Galois generator y -> zeta y + beta.
 Artin-Schreier is (c, zeta, beta) = (1, 1, 1) and Kummer is (0, zeta_l, 0)
 for the primitive l-th root of unity zeta_l that comes first in element
-order.  This module is the only one that tells the two families apart;
-the Picard engine reads the model alone.
+order.  One record, `Cover(field, kind, n, defining, constant_ext)`,
+holds either family.  The family is read only where the mathematics
+differs: the two constructors `Cover.artin_schreier` (`as_reduce`) and
+`Cover.kummer` (`_kummer_normalize`), `Cover.model`, `_decompose`, the
+curve JSON and the repr.  This module is the only one that tells the two
+families apart; the Picard engine reads the model alone.
 
 The infinite place is handled through the substitution t -> 1/u, which
 turns it into the finite place u = 0 of F_q(u) (`local_model`); all local
 computations run on that uniform polynomial model, from `ResiduePoint`
 and the Artin-Schreier reduction to `local_invariants`.  Each cover
-computes its per-place facts once: `divisor` (v_P(D)), a table of the
-decomposition types (e, f, g), and from those two `ramification_data`.
+computes its per-place facts once, as cached properties of the record:
+`divisor` (v_P(D)), `decompositions`, the table of decomposition types
+(e, f, g), and from those two `ramification_data`.
 
 A decomposition type is read down to F_q, with no residue field built.
 At an unramified Artin-Schreier place, w = Q mod pi splits the place when
@@ -144,8 +149,52 @@ class CoverModel(NamedTuple):
     beta: object
 
 
-class _CoverTables:
-    """The per-place facts of a cover, each computed once per cover."""
+@dataclass(frozen=True)
+class Cover:
+    """y^n = c y + D(t) over F_q(t), of the family `kind` names, with D
+    `defining`.  Build one with `artin_schreier` or `kummer`, which reduce
+    D and detect the split and constant-field cases; each per-place fact
+    is then computed once per cover."""
+
+    field: object
+    kind: str
+    n: int
+    defining: RationalFunc
+    constant_ext: bool = False
+
+    @classmethod
+    def artin_schreier(cls, field, Q: RationalFunc) -> "Cover":
+        """y^p - y = Q(t), with Q reduced (all pole orders prime to p)."""
+        reduced = as_reduce(Q, field)
+        return cls(field, "artin_schreier", field.char, reduced, reduced.is_constant())
+
+    @classmethod
+    def kummer(cls, field, ell: int, f: RationalFunc) -> "Cover":
+        """y^ell = f(t), ell | q - 1, with multiplicities reduced mod ell."""
+        if ell < 2:
+            raise ValidationError("Kummer degree must be at least 2")
+        if (field.order - 1) % ell:
+            raise ValidationError(
+                f"need ell | q-1 for a cyclic Kummer cover; ell={ell}, q={field.order}")
+        if f.is_zero():
+            raise ValidationError("defining function must be nonzero")
+        normalized, constant_ext = _kummer_normalize(field, ell, f)
+        return cls(field, "kummer", ell, normalized, constant_ext)
+
+    def over(self, big) -> "Cover":
+        """The same cover over an extension of the constant field."""
+        rat = self.defining
+        return Cover(big, self.kind, self.n,
+                     RationalFunc(rat.num.map_coefficients(big.embed, big),
+                                  rat.den.map_coefficients(big.embed, big)))
+
+    @cached_property
+    def model(self) -> CoverModel:
+        if self.kind == "artin_schreier":
+            one = self.field.one()
+            return CoverModel(one, one, one)
+        zero = self.field.zero()
+        return CoverModel(zero, primitive_root_of_unity(self.field, self.n), zero)
 
     @cached_property
     def divisor(self) -> dict[BasePlace, int]:
@@ -196,103 +245,9 @@ class _CoverTables:
             raise InconsistencyError(f"Riemann-Hurwitz gave 2g-2 = {two_g_minus_2}")
         return tuple(ram), (two_g_minus_2 + 2) // 2
 
-
-def _map_into(big, rat: RationalFunc) -> RationalFunc:
-    """rat with its coefficients embedded into the extension field big."""
-    return RationalFunc(rat.num.map_coefficients(big.embed, big),
-                        rat.den.map_coefficients(big.embed, big))
-
-
-@dataclass(frozen=True)
-class ASCurve(_CoverTables):
-    """y^p - y = Q(t) with Q reduced (all pole orders prime to p)."""
-
-    field: object
-    Q: RationalFunc
-    constant_ext: bool = False
-
-    @property
-    def p(self):
-        return self.field.char
-
-    @property
-    def n(self):
-        return self.field.char
-
-    @property
-    def kind(self):
-        return "artin_schreier"
-
-    @property
-    def defining(self) -> RationalFunc:
-        return self.Q
-
-    @cached_property
-    def model(self) -> CoverModel:
-        one = self.field.one()
-        return CoverModel(one, one, one)
-
-    def over(self, big) -> "ASCurve":
-        """The same cover over an extension of the constant field."""
-        return ASCurve(big, _map_into(big, self.Q))
-
-    @classmethod
-    def make(cls, field, Q: RationalFunc) -> "ASCurve":
-        reduced = as_reduce(Q, field)
-        constant_ext = reduced.is_constant()
-        return cls(field, reduced, constant_ext)
-
     def __repr__(self):
-        return f"ASCurve(q={self.field.order}, y^{self.p}-y={self.Q!r})"
-
-
-@dataclass(frozen=True)
-class KummerCurve(_CoverTables):
-    """y^ell = f(t) with ell | q - 1 and multiplicities reduced mod ell."""
-
-    field: object
-    ell: int
-    f: RationalFunc
-    constant_ext: bool = False
-
-    @property
-    def n(self):
-        return self.ell
-
-    @property
-    def kind(self):
-        return "kummer"
-
-    @property
-    def defining(self) -> RationalFunc:
-        return self.f
-
-    @cached_property
-    def model(self) -> CoverModel:
-        zero = self.field.zero()
-        return CoverModel(zero, primitive_root_of_unity(self.field, self.ell), zero)
-
-    def over(self, big) -> "KummerCurve":
-        """The same cover over an extension of the constant field."""
-        return KummerCurve(big, self.ell, _map_into(big, self.f))
-
-    @classmethod
-    def make(cls, field, ell: int, f: RationalFunc) -> "KummerCurve":
-        if ell < 2:
-            raise ValidationError("Kummer degree must be at least 2")
-        if (field.order - 1) % ell:
-            raise ValidationError(
-                f"need ell | q-1 for a cyclic Kummer cover; ell={ell}, q={field.order}")
-        if f.is_zero():
-            raise ValidationError("defining function must be nonzero")
-        normalized, constant_ext = _kummer_normalize(field, ell, f)
-        return cls(field, ell, normalized, constant_ext)
-
-    def __repr__(self):
-        return f"KummerCurve(q={self.field.order}, y^{self.ell}={self.f!r})"
-
-
-Curve = ASCurve | KummerCurve
+        lhs = f"y^{self.n}-y" if self.kind == "artin_schreier" else f"y^{self.n}"
+        return f"Cover(q={self.field.order}, {lhs}={self.defining!r})"
 
 
 def as_reduce(Q: RationalFunc, field) -> RationalFunc:
@@ -396,20 +351,20 @@ class LocalData:
         return self.e * self.f
 
 
-def defining_valuation(curve: Curve, place: BasePlace) -> int:
+def defining_valuation(curve: Cover, place: BasePlace) -> int:
     """Order of the defining function D at the place, read off `divisor`;
     min(v_P(D), 0) when the model's c is nonzero (zeros are never read)."""
     return curve.divisor.get(place, 0)
 
 
-def local_invariants(curve: Curve, place: BasePlace) -> LocalData:
+def local_invariants(curve: Cover, place: BasePlace) -> LocalData:
     """The (e, f, g) decomposition type of a base place in the cover."""
     if place not in curve.decompositions:
         curve.decompositions[place] = _decompose(curve, place)
     return curve.decompositions[place]
 
 
-def _decompose(curve: Curve, place: BasePlace) -> LocalData:
+def _decompose(curve: Cover, place: BasePlace) -> LocalData:
     """(e, f, g) from the unit of D at the place, read down to F_q: the
     Artin-Schreier trace and the Kummer power-residue symbol of the residue
     ubar in kappa_P are a trace and a norm from kappa_P to F_q (module
@@ -417,20 +372,20 @@ def _decompose(curve: Curve, place: BasePlace) -> LocalData:
     field = curve.field
     v = defining_valuation(curve, place)
     pi, rat = local_model(curve.defining, place)
+    n = curve.n
     if curve.kind == "artin_schreier":
         if v < 0:
-            if (-v) % curve.p == 0:
+            if (-v) % n == 0:
                 raise InconsistencyError("unreduced Artin-Schreier data")
-            return LocalData(place, curve.p, 1, 1)
+            return LocalData(place, n, 1, 1)
         # Q mod pi: Q is regular at the place
         residue = (rat.num * rat.den.invmod(pi)) % pi
         if absolute_trace(field, trace_mod(pi, residue)) == 0:
-            return LocalData(place, 1, 1, curve.p)
-        return LocalData(place, 1, curve.p, 1)
+            return LocalData(place, 1, 1, n)
+        return LocalData(place, 1, n, 1)
 
-    ell = curve.ell
-    d = gcd(ell, v % ell)
-    e = ell // d
+    d = gcd(n, v % n)
+    e = n // d
     if d == 1:
         # f and g divide d
         return LocalData(place, e, 1, 1)
@@ -440,10 +395,10 @@ def _decompose(curve: Curve, place: BasePlace) -> LocalData:
     # whose order, a divisor of d, is the residue degree
     h = field.pow(field.div(norm_mod(pi, num), norm_mod(pi, den)), (field.order - 1) // d)
     f_w = next(k for k in range(1, d + 1) if d % k == 0 and field.pow(h, k) == field.one())
-    return LocalData(place, e, f_w, ell // (e * f_w))
+    return LocalData(place, e, f_w, n // (e * f_w))
 
 
-def splitting(curve: Curve, place: BasePlace) -> LocalData:
+def splitting(curve: Cover, place: BasePlace) -> LocalData:
     """Decomposition type of a place; total (ramified places included)."""
     _reject_constant_ext(curve)
     return local_invariants(curve, place)
@@ -456,7 +411,7 @@ class RamifiedPlace:
     different_exponent: int
 
 
-def ramification_data(curve: Curve) -> tuple[list[RamifiedPlace], int]:
+def ramification_data(curve: Cover) -> tuple[list[RamifiedPlace], int]:
     """Ramified places with different exponents, plus the genus from the
     Riemann-Hurwitz formula over the rational base."""
     _reject_constant_ext(curve)
@@ -464,11 +419,11 @@ def ramification_data(curve: Curve) -> tuple[list[RamifiedPlace], int]:
     return list(ram), genus
 
 
-def genus(curve: Curve) -> int:
+def genus(curve: Cover) -> int:
     return ramification_data(curve)[1]
 
 
-def _reject_constant_ext(curve: Curve):
+def _reject_constant_ext(curve: Cover):
     if curve.constant_ext:
         raise UnsupportedError(
             "the cover extends the constant field; geometric invariants do not apply")
@@ -480,7 +435,7 @@ def _reject_constant_ext(curve: Curve):
 _CURVE_KEYS = {"kind", "q", "p_or_l", "Q_or_f"}
 
 
-def curve_from_json(data) -> Curve:
+def curve_from_json(data) -> Cover:
     """Parse the curve description schema.
 
     Coefficients are element indices of GF(q), 0..q-1 as `element_index`
@@ -530,13 +485,13 @@ def curve_from_json(data) -> Curve:
         if degree != field.char:
             raise ValidationError(
                 f"Artin-Schreier degree must be the characteristic {field.char}")
-        return ASCurve.make(field, rat)
+        return Cover.artin_schreier(field, rat)
     if kind == "kummer":
-        return KummerCurve.make(field, degree, rat)
+        return Cover.kummer(field, degree, rat)
     raise ValidationError(f"unknown curve kind {kind!r}")
 
 
-def curve_to_json(curve: Curve) -> dict:
+def curve_to_json(curve: Cover) -> dict:
     field = curve.field
     rat = curve.defining
     return {

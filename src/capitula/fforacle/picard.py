@@ -159,6 +159,7 @@ from .curves import (
     local_model,
     ramification_data,
 )
+from .gf import MAX_FIELD_SIZE
 from .poly import (
     Poly,
     factor_with_bounded_degree,
@@ -173,7 +174,7 @@ class OracleConfig:
     max_degree_bound: int = 8
     max_rr_degree: int = 96
     max_candidates: int = 8000
-    max_field_size: int = 4096
+    max_field_size: int = MAX_FIELD_SIZE
     max_genus: int = 5
     max_precision: int = 512
 

@@ -19,6 +19,29 @@ def test_only_curves_names_the_cover_families():
     assert naming == {"fforacle/curves.py"}
 
 
+def test_covers_are_built_by_their_constructors():
+    # the record itself normalizes nothing, so a cover is built only by
+    # Cover.artin_schreier and Cover.kummer (through cls) and by Cover.over,
+    # whose defining data the constructors already normalized
+    sites = []
+    for name, tree in _trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                builders = {"Cover", "cls"} if node.name == "Cover" else {"Cover"}
+                scopes = [(f"{node.name}.{item.name}", item) for item in node.body
+                          if isinstance(item, ast.FunctionDef)]
+            elif isinstance(node, ast.FunctionDef) and node in tree.body:
+                builders, scopes = {"Cover"}, [(node.name, node)]
+            else:
+                continue
+            sites += [f"{name}:{scope_name}" for scope_name, scope in scopes
+                      for called in _called_names(scope) if called in builders]
+    total = sum(called == "Cover" for _, tree in _trees() for called in _called_names(tree))
+    assert sorted(sites) == ["fforacle/curves.py:Cover.artin_schreier",
+                             "fforacle/curves.py:Cover.kummer", "fforacle/curves.py:Cover.over"]
+    assert total == 1
+
+
 def test_only_curves_names_the_decomposition_kinds():
     # the local engines read (e, f, g) and the places they build, not the
     # kind that LocalData names

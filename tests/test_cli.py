@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -58,6 +59,17 @@ class TestAnalyze:
         out = json.loads(captured.out)
         assert not out["validation"]["ok"]
         assert any(v["rule"] == "local-h2-upper" for v in out["validation"]["violations"])
+
+    def test_assume_genus_field_reports_the_genus_h1_order(self, tmp_path, capsys):
+        profile = dict(CYCLIC9_PROFILE, h_FS=2)
+        code = main(["analyze", write(tmp_path, "p.json", profile),
+                     "--assume-genus-field", "--json"])
+        out = json.loads(capsys.readouterr().out)
+        assert code == 0
+        # |H^1| = h_F * e_v = 2 * 3; with h_F > 1 the structure needs the
+        # class exponent condition
+        assert out["analysis"]["bounds"]["genus_h1_order"] == {"value": 6, "kind": "exact"}
+        assert "genus_h1" not in out["analysis"]["structures"]
 
     def test_pairwise_coprime_reports_norm_flag(self, tmp_path, capsys):
         code = main(["analyze", write(tmp_path, "p.json", COPRIME_PROFILE), "--json"])
@@ -273,6 +285,16 @@ class TestConfig:
         with pytest.raises(ValueError) as info:
             load_config(tmp_path)
         assert str(info.value) == message
+
+    def test_a_config_naming_every_field_at_its_default_loads_the_default(self, tmp_path):
+        from capitula.cli import load_config
+        from capitula.fforacle import OracleConfig
+        from capitula.fforacle.gf import MAX_FIELD_SIZE
+
+        defaults = dataclasses.asdict(OracleConfig())
+        assert defaults["max_field_size"] == MAX_FIELD_SIZE
+        (tmp_path / "capitula.json").write_text(json.dumps(defaults))
+        assert load_config(tmp_path) == OracleConfig()
 
     def test_no_command_exits_1(self):
         assert main([]) == 1

@@ -16,11 +16,10 @@ from capitula.errors import (
     ValidationError,
 )
 from capitula.fforacle import (
-    ASCurve,
     BasePlace,
+    Cover,
     GF,
     INFINITE,
-    KummerCurve,
     Poly,
     RationalFunc,
     as_reduce,
@@ -98,8 +97,8 @@ def _over_tower(curve):
                               for poly in (rat.num, rat.den)))
 
     if curve.kind == "artin_schreier":
-        return ASCurve.make(tower, move(curve.Q))
-    return KummerCurve.make(tower, curve.ell, move(curve.f))
+        return Cover.artin_schreier(tower, move(curve.defining))
+    return Cover.kummer(tower, curve.n, move(curve.defining))
 
 
 class TestFiniteFields:
@@ -336,52 +335,52 @@ class TestReduction:
             as_reduce(RationalFunc.of(Poly.zero(F2)), F2)
 
     def test_constant_extension_flagged(self):
-        curve = ASCurve.make(F2, RationalFunc.of(ONE2))
+        curve = Cover.artin_schreier(F2, RationalFunc.of(ONE2))
         assert curve.constant_ext
         with pytest.raises(UnsupportedError):
             ramification_data(curve)
 
     def test_kummer_normalization(self):
-        curve = KummerCurve.make(F3, 2, RationalFunc.of(T3**3))
+        curve = Cover.kummer(F3, 2, RationalFunc.of(T3**3))
         # multiplicity 3 reduces to 1
-        assert curve.f == RationalFunc.of(T3)
+        assert curve.defining == RationalFunc.of(T3)
         with pytest.raises(DegenerateExtensionError):
-            KummerCurve.make(F3, 2, RationalFunc.of(T3**2))
+            Cover.kummer(F3, 2, RationalFunc.of(T3**2))
         nonsquare = Poly(F3, [F3.from_int(-1)])
-        assert KummerCurve.make(F3, 2, RationalFunc.of(nonsquare)).constant_ext
+        assert Cover.kummer(F3, 2, RationalFunc.of(nonsquare)).constant_ext
 
     def test_kummer_needs_roots_of_unity(self):
         with pytest.raises(ValidationError):
-            KummerCurve.make(F2, 2, RationalFunc.of(T2))
+            Cover.kummer(F2, 2, RationalFunc.of(T2))
 
 
 class TestRamification:
     def test_elliptic_as(self):
-        curve = ASCurve.make(F2, RationalFunc.of(T2**3))
+        curve = Cover.artin_schreier(F2, RationalFunc.of(T2**3))
         ram, genus = ramification_data(curve)
         assert genus == 1
         assert [(r.place.id, r.e, r.different_exponent) for r in ram] == [("inf", 2, 4)]
 
     def test_genus_two_as(self):
-        curve = ASCurve.make(F2, RationalFunc(T2**4 + ONE2, T2))
+        curve = Cover.artin_schreier(F2, RationalFunc(T2**4 + ONE2, T2))
         ram, genus = ramification_data(curve)
         assert genus == 2
         assert {(r.place.id, r.different_exponent) for r in ram} == {("inf", 4), ("t", 2)}
 
     def test_kummer_genus_zero(self):
-        curve = KummerCurve.make(F3, 2, RationalFunc.of(T3))
+        curve = Cover.kummer(F3, 2, RationalFunc.of(T3))
         ram, genus = ramification_data(curve)
         assert genus == 0
         assert {r.place.id for r in ram} == {"inf", "t"}
         assert all(r.different_exponent == 1 for r in ram)
 
     def test_splitting_examples(self):
-        curve = ASCurve.make(F2, RationalFunc.of(T2**3))
+        curve = Cover.artin_schreier(F2, RationalFunc.of(T2**3))
         assert splitting(curve, BasePlace(T2)).kind == "split"
         assert splitting(curve, BasePlace(T2**2 + T2 + ONE2)).kind == "split"
         assert splitting(curve, BasePlace(T2 + ONE2)).kind == "inert"
         assert splitting(curve, INFINITE).kind == "ramified"
-        kummer = KummerCurve.make(F3, 2, RationalFunc.of(T3))
+        kummer = Cover.kummer(F3, 2, RationalFunc.of(T3))
         assert splitting(kummer, BasePlace(parse_poly(F3, "t+2"))).kind == "split"
 
     def test_splitting_consistency_efg(self):
@@ -411,8 +410,8 @@ class TestRamification:
 
 def _kummer(q, ell, num, den="1"):
     field = GF(q)
-    return KummerCurve.make(field, ell, RationalFunc(parse_poly(field, num),
-                                                     parse_poly(field, den)))
+    return Cover.kummer(field, ell, RationalFunc(parse_poly(field, num),
+                                                 parse_poly(field, den)))
 
 
 # ---------------------------------------------------------------------------
@@ -428,9 +427,9 @@ def _reference_ramification(curve):
         return factor_with_bounded_degree(poly, max(poly.degree, 1))[1]
 
     if curve.kind == "artin_schreier":
-        p = curve.p
-        places = [(BasePlace(pi), m) for pi, m in factored(curve.Q.den).items()]
-        v_inf = curve.Q.valuation_at_infinity()
+        p = curve.n
+        places = [(BasePlace(pi), m) for pi, m in factored(curve.defining.den).items()]
+        v_inf = curve.defining.valuation_at_infinity()
         if v_inf < 0:
             places.append((INFINITE, -v_inf))
         ram, deg_sum = [], 0
@@ -441,11 +440,11 @@ def _reference_ramification(curve):
             deg_sum += (p - 1) * (m + 1) * place.degree
         two_g_minus_2 = -2 * p + deg_sum
     else:
-        ell = curve.ell
-        mults = {BasePlace(pi): m for pi, m in factored(curve.f.num).items()}
-        for pi, m in factored(curve.f.den).items():
+        ell = curve.n
+        mults = {BasePlace(pi): m for pi, m in factored(curve.defining.num).items()}
+        for pi, m in factored(curve.defining.den).items():
             mults[BasePlace(pi)] = mults.get(BasePlace(pi), 0) - m
-        v_inf = curve.f.valuation_at_infinity()
+        v_inf = curve.defining.valuation_at_infinity()
         if v_inf % ell:
             mults[INFINITE] = v_inf
         ram, two_g_minus_2 = [], -2 * ell
@@ -472,17 +471,17 @@ def _infinity_in_t(curve):
         return field.div(rat.num.leading(), rat.den.leading())
 
     if curve.kind == "artin_schreier":
-        v = curve.Q.valuation_at_infinity()
+        v = curve.defining.valuation_at_infinity()
         if v < 0:
-            return curve.p, 1, 1
-        if absolute_trace(field, value_at_infinity(curve.Q)) == 0:
-            return 1, 1, curve.p
-        return 1, curve.p, 1
-    ell = curve.ell
-    a = curve.f.valuation_at_infinity()
+            return curve.n, 1, 1
+        if absolute_trace(field, value_at_infinity(curve.defining)) == 0:
+            return 1, 1, curve.n
+        return 1, curve.n, 1
+    ell = curve.n
+    a = curve.defining.valuation_at_infinity()
     d = gcd(ell, a % ell)
     e = ell // d
-    ubar = value_at_infinity(curve.f * RationalFunc.of(Poly.x(field))**a)  # f t^a
+    ubar = value_at_infinity(curve.defining * RationalFunc.of(Poly.x(field))**a)  # f t^a
     h = field.pow(ubar, (field.order - 1) // d)
     f_w = next(k for k in range(1, d + 1) if d % k == 0 and field.pow(h, k) == field.one())
     return e, f_w, ell // (e * f_w)
@@ -510,9 +509,9 @@ def _seeded_covers():
                                random_poly(rng.randrange(0, 4), True))
             try:
                 if i % 2 == 0 or not ells:
-                    curve = ASCurve.make(field, rat)
+                    curve = Cover.artin_schreier(field, rat)
                 else:
-                    curve = KummerCurve.make(field, ells[i // 2 % len(ells)], rat)
+                    curve = Cover.kummer(field, ells[i // 2 % len(ells)], rat)
             except DegenerateExtensionError:
                 continue
             if not curve.constant_ext:
@@ -673,19 +672,19 @@ class TestZeta:
         assert l_polynomial(curve, max_field_size=q**g) == l_polynomial(curve)
 
     def test_elliptic_count_and_l(self):
-        curve = ASCurve.make(F2, RationalFunc.of(T2**3))
+        curve = Cover.artin_schreier(F2, RationalFunc.of(T2**3))
         assert count_points(curve, 1) == 3
         coeffs, h = l_polynomial(curve)
         assert coeffs == [1, 0, 2]
         assert h == 3
 
     def test_genus_zero(self):
-        curve = KummerCurve.make(F3, 2, RationalFunc.of(T3))
+        curve = Cover.kummer(F3, 2, RationalFunc.of(T3))
         assert l_polynomial(curve) == ([1], 1)
 
     def test_genus_two_regression(self):
         # recorded oracle value for y^2+y = t^3 + 1/t over F_2
-        curve = ASCurve.make(F2, RationalFunc(T2**4 + ONE2, T2))
+        curve = Cover.artin_schreier(F2, RationalFunc(T2**4 + ONE2, T2))
         coeffs, h = l_polynomial(curve)
         assert h == 8
         assert coeffs == [1, 1, 0, 2, 4]
@@ -697,7 +696,7 @@ class TestZeta:
             assert zeta_functional_equation_holds(coeffs, genus, entry.curve.field.order)
 
     def test_base_change_preserves_counts(self):
-        curve = ASCurve.make(F2, RationalFunc.of(T2**3))
+        curve = Cover.artin_schreier(F2, RationalFunc.of(T2**3))
         assert count_points(curve, 2) == count_points(base_change(curve, 2), 1)
 
 
@@ -708,8 +707,8 @@ def _table_field_covers():
     return {
         "as_f4_g1": corpus_entry("as_f4_g1").curve,
         "kummer_f4_g1": corpus_entry("kummer_f4_g1").curve,
-        "as_f8_g1": ASCurve.make(f8, RationalFunc.of(t8**3 + t8.scale(2))),
-        "kummer_f9_g1": KummerCurve.make(f9, 2, RationalFunc.of(t9**3 + t9.scale(5))),
+        "as_f8_g1": Cover.artin_schreier(f8, RationalFunc.of(t8**3 + t8.scale(2))),
+        "kummer_f9_g1": Cover.kummer(f9, 2, RationalFunc.of(t9**3 + t9.scale(5))),
     }
 
 
@@ -1194,7 +1193,7 @@ def _valuation_curves():
     (bases of degree 1), whose Galois orbits do not run in label order."""
     f7 = GF(7)
     t7 = Poly.x(f7)
-    cubic = KummerCurve.make(f7, 3, RationalFunc.of(t7**2 + t7))
+    cubic = Cover.kummer(f7, 3, RationalFunc.of(t7**2 + t7))
     return [(e.name, e.curve, 2) for e in corpus()] + [("kummer_f7_cubic", cubic, 1)]
 
 
@@ -1217,12 +1216,12 @@ def _local_equation(curve, base):
     """(s, G): y = pi^s Y and G(Y) = 0 is the local equation with unit data."""
     pi, _, to_model = _model(curve, base)
     if curve.kind == "artin_schreier":
-        u = to_model(curve.Q)
-        return 0, lambda r, m: (r**curve.p - r - _mod(u, m)) % m
-    f = to_model(curve.f)
+        u = to_model(curve.defining)
+        return 0, lambda r, m: (r**curve.n - r - _mod(u, m)) % m
+    f = to_model(curve.defining)
     a = _valuation_at(f, pi)
     u = f * RationalFunc.of(pi)**(-a)
-    return a // curve.ell, lambda r, m: (r**curve.ell - _mod(u, m)) % m
+    return a // curve.n, lambda r, m: (r**curve.n - _mod(u, m)) % m
 
 
 def _mod(rat, modulus):
@@ -1238,7 +1237,7 @@ def _oracle_roots(curve, base, labels, precision=ORACLE_PRECISION):
     if curve.kind == "artin_schreier":
         derivative = lambda r: Poly.constant(field, field.neg(field.one()))
     else:
-        ell = curve.ell
+        ell = curve.n
         derivative = lambda r: (r**(ell - 1)).scale(field.from_int(ell)) % modulus
     roots = []
     for label in labels:
@@ -1757,6 +1756,28 @@ class TestRiemannRoch:
                            match=rf"L\({m} P0\) has dimension {m - genus}, "
                                  rf"not m \+ 1 - g = {m + 1 - genus}"):
             picard.riemann_roch_basis(arith, p0, m, genus)
+
+    def test_a_double_ramified_zero_enters_the_denominator(self):
+        # y^3 = t^2 (t+1)(t+2) over F_7: at t, y^2 / t is integral, so the
+        # basis needs t in its denominator H and the per-i multipliers E_i
+        from capitula.fforacle.picard import CurveArithmetic, riemann_roch_basis
+        from capitula.verify import oracle_report
+
+        curve = curve_from_json({"kind": "kummer", "q": 7, "p_or_l": 3,
+                                 "Q_or_f": {"num": [0, 0, 2, 3, 1]}})
+        _, genus = ramification_data(curve)
+        assert genus == 2
+        pd = picard_group(curve)
+        assert pd.group.invariant_factors == (3, 3, 9)
+        assert pd.group.order == pd.h == 81
+        report = oracle_report(curve)
+        assert report.verdicts and all(v.passed for v in report.verdicts)
+        arith = CurveArithmetic(curve)
+        [p0] = arith.places_above(INFINITE)
+        for m in range(3, 9):
+            basis, den = riemann_roch_basis(arith, p0, m, genus)
+            assert len(basis) == m + 1 - genus, m
+            assert den == {BasePlace(Poly.x(curve.field)): 1}
 
 
 def _rational_det(mat):

@@ -378,6 +378,22 @@ class TestAnalyze:
         assert report.structures["semisimple_h2"].is_trivial()
         assert report.bounds["ker_j_exact"].value == 3
 
+    @pytest.mark.parametrize("class_exponent", [False, True])
+    def test_genus_field_condition_reads_genus_field_h1(self, class_exponent):
+        p = cyclic_profile(6, [
+            PlaceProfile("s0", True, 1, 1),
+            PlaceProfile("u", False, 2, 1),
+            PlaceProfile("v", False, 3, 1),
+        ], h_FS=6)
+        report = analyze_profile(p, genus_field_condition=True,
+                                 class_exponent_condition=class_exponent)
+        order, structure = genus_field_h1(6, [2, 3], class_exponent)
+        assert order == 36 and (structure is not None) == class_exponent
+        assert report.bounds["genus_h1_order"].value == order
+        assert report.bounds["genus_h1_order"].kind == "exact"
+        assert report.structures.get("genus_h1") == structure
+        assert "genus_h1_order" not in analyze_profile(p).bounds
+
     def test_rank87_in_report(self):
         p = ExtensionProfile(
             base=FunctionField(3), n=4, group=abelian_shape(2, 2),

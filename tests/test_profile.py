@@ -1,3 +1,5 @@
+import ast
+import inspect
 import json
 import re
 
@@ -99,6 +101,38 @@ class TestDn0:
             compute_D_n0(p)
 
 
+def general_profile(n, places, **kw):
+    return ExtensionProfile(base=NumberField(), n=n, group=GENERAL, places=tuple(places), **kw)
+
+
+# one profile per validate rule, each violating that rule
+TRIPPING = {
+    "unique-ids": cyclic_profile(2, [PlaceProfile("v", True, 1, 1),
+                                     PlaceProfile("v", True, 2, 1)]),
+    "nonempty-S": cyclic_profile(2, [PlaceProfile("v", False, 2, 1)]),
+    "group-order": ExtensionProfile(NumberField(), 6, abelian_shape(2, 2),
+                                    (PlaceProfile("s0", True, 1, 1),)),
+    "q-prime-base": cyclic_profile(2, [PlaceProfile("s0", True, 2, 1)], q_prime=4),
+    "q-prime-power": ExtensionProfile(FunctionField(3), 2, CYCLIC, (
+        PlaceProfile("inf", True, 2, 1, deg=1),), q_prime=6),
+    "outside-S-prime": cyclic_profile(2, [PlaceProfile("s0", True, 1, 1),
+                                          PlaceProfile("v", False, 1, 2)]),
+    "local-degree": cyclic_profile(4, [PlaceProfile("s0", True, 3, 1)]),
+    "local-h2-lower": general_profile(8, [PlaceProfile("s0", True, 1, 1),
+                                          PlaceProfile("v", False, 2, 2, h2_local_order=3)]),
+    "local-h2-upper": general_profile(8, [PlaceProfile("s0", True, 1, 1),
+                                          PlaceProfile("v", False, 2, 2, h2_local_order=8)]),
+    "local-h2-cyclic": cyclic_profile(4, [PlaceProfile("s0", True, 1, 1),
+                                          PlaceProfile("v", False, 4, 1, h2_local_order=2)]),
+    # d' = (1, 2, 3) is pairwise coprime, d = (1, 3, 3) is not; h2 = 3
+    # also fails to divide e^2 = 4 at v
+    "coprime-implication": general_profile(6, [
+        PlaceProfile("s0", True, 1, 1),
+        PlaceProfile("v", False, 2, 1, h2_local_order=3),
+        PlaceProfile("w", False, 3, 1, h2_local_order=3)]),
+}
+
+
 class TestValidate:
     def test_well_formed(self):
         p = cyclic_profile(4, [
@@ -159,6 +193,17 @@ class TestValidate:
             PlaceProfile("inf", True, 2, 1, deg=1),), q_prime=q_prime)
         rules = [v.rule for v in validate(p).violations]
         assert rules == ([] if ok else ["q-prime-power"])
+
+    @pytest.mark.parametrize("rule", sorted(TRIPPING))
+    def test_every_rule_has_a_profile_that_trips_it(self, rule):
+        assert rule in [v.rule for v in validate(TRIPPING[rule]).violations]
+
+    def test_the_tripping_profiles_name_every_rule(self):
+        # each Violation that validate builds names its rule as a constant
+        tree = ast.parse(inspect.getsource(validate))
+        rules = {node.args[1].value for node in ast.walk(tree) if isinstance(node, ast.Call)
+                 and getattr(node.func, "id", None) == "Violation"}
+        assert rules == set(TRIPPING)
 
     def test_d_prime_report(self):
         p = cyclic_profile(6, [
