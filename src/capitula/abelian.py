@@ -384,8 +384,18 @@ class HermiteModD:
 
     @property
     def rows(self) -> list[list[int]]:
-        """A triangular basis of R + D Z^m, one row per vector."""
-        return [list(row) for row in self._rows]
+        """The Hermite normal form of R + D Z^m: the triangular basis with
+        the entries above each pivot reduced into [0, pivot), pivot by
+        pivot.  It is unique for the lattice, so it does not depend on the
+        order in which the vectors were added."""
+        rows = [list(row) for row in self._rows]
+        for i, pivot_row in enumerate(rows):
+            pivot = pivot_row[i]
+            for row in rows[:i]:
+                f = row[i] // pivot
+                if f:
+                    row[i:] = [x - f * y for x, y in zip(row[i:], pivot_row[i:])]
+        return rows
 
     def add(self, vec) -> None:
         d = self.modulus

@@ -39,7 +39,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
-from itertools import product
 from math import prod
 from operator import mul
 
@@ -219,8 +218,13 @@ def multiplicative_group_module(q: int, n: int) -> GModule:
 
 
 def _indices(r, d):
-    """The multi-indices alpha in N^r with |alpha| = d, in lexicographic order."""
-    return [alpha for alpha in product(range(d + 1), repeat=r) if sum(alpha) == d]
+    """The multi-indices alpha in N^r (r >= 1) with |alpha| = d, in
+    lexicographic order: each prefix carries what is left of d, and the
+    last coordinate takes the rest."""
+    out = [((), d)]
+    for _ in range(r - 1):
+        out = [(head + (a,), left - a) for head, left in out for a in range(left + 1)]
+    return [head + (left,) for head, left in out]
 
 
 def _coboundary(blocks, src, tgt, k):

@@ -12,10 +12,21 @@ An extension field holds a monic irreducible modulus over its base field
 and represents elements as coefficient tuples over the base.  Residue
 fields of places and the cached extensions of `extension` are such
 towers over the constant field, so evaluation "mod pi" needs no change of
-basis and no table is built per place.  Multiplication and powers, the
-residual-root scan's hot loop, are written out on the tuples; an inverse
-is poly.py's extended Euclid (`Poly.invmod`) modulo the modulus, and the
-elements run in index order straight from `element_from_index`.
+basis and no table is built per place.  A product, the residual-root
+scan's hot loop, is the base field's polynomial product of the two tuples
+reduced by the modulus, both through the base field's kernels (below); an
+inverse is poly.py's extended Euclid (`Poly.invmod`) modulo the modulus,
+and the elements run in index order straight from `element_from_index`.
+
+Every field class also carries the kernels that `Poly` runs on, on
+coefficient vectors lowest first: `trim`, `poly_add`, `poly_sub`,
+`poly_scale`, `poly_mul`, `poly_divmod` and `poly_eval`.  Their results
+may end in zeros, which `trim` strips when `Poly` stores them, so `Poly`
+never asks which field it holds.  GF(p) sums plain integer products and
+reduces once per output coefficient (in a division, each coefficient of
+the running remainder when it tops the divisor); a table field multiplies
+through its logs and adds with its own add, XOR or Zech; an extension
+field runs the generic loops on its own add, sub and mul.
 
 Moduli for the standard extensions GF(p^k) are shipped as a fixed table
 (the lexicographically smallest monic irreducible, coefficient vector read
@@ -27,6 +38,7 @@ non-prime bases follow the same rule in element-index order
 
 from __future__ import annotations
 
+from itertools import starmap, zip_longest
 from operator import pos, xor
 
 from ..arith import is_prime
@@ -67,6 +79,17 @@ IRREDUCIBLE_TABLE = {
     (13, 2): (2, 0, 1),
     (13, 3): (2, 0, 0, 1),
 }
+
+
+def _trim_ints(coeffs) -> tuple:
+    """A coefficient vector of int elements without its trailing zeros."""
+    cs = tuple(coeffs)
+    if cs and not cs[-1]:
+        n = len(cs) - 1
+        while n and not cs[n - 1]:
+            n -= 1
+        cs = cs[:n]
+    return cs
 
 
 class PrimeField:
@@ -115,6 +138,61 @@ class PrimeField:
         if e < 0:
             return self.pow(self.inv(a), -e)
         return pow(a, e, self.char)
+
+    # -- kernels on coefficient vectors (module docstring) -----------------
+
+    trim = staticmethod(_trim_ints)
+
+    def poly_add(self, a, b):
+        p = self.char
+        return [(x + y) % p for x, y in zip_longest(a, b, fillvalue=0)]
+
+    def poly_sub(self, a, b):
+        p = self.char
+        return [(x - y) % p for x, y in zip_longest(a, b, fillvalue=0)]
+
+    def poly_scale(self, a, c):
+        p = self.char
+        return [x * c % p for x in a]
+
+    def poly_mul(self, a, b):
+        """Plain integer products, summed and reduced once per coefficient."""
+        if not a or not b:
+            return []
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for k, y in enumerate(b, i):
+                    out[k] += x * y
+        p = self.char
+        return [c % p for c in out]
+
+    def poly_divmod(self, a, b):
+        """Long division by b made monic; each coefficient of the running
+        remainder is reduced when it tops the divisor, or at the end."""
+        p = self.char
+        m = len(b) - 1
+        rem = list(a)
+        dq = len(rem) - m - 1
+        if dq < 0:
+            return [], rem
+        inv = pow(b[-1], p - 2, p)
+        low = b[:m] if inv == 1 else [y * inv % p for y in b[:m]]
+        quo = [0] * (dq + 1)
+        for shift in range(dq, -1, -1):
+            c = rem[shift + m] % p
+            if c:
+                quo[shift] = c * inv % p
+                for k, y in enumerate(low, shift):
+                    rem[k] -= c * y
+        return quo, [x % p for x in rem[:m]]
+
+    def poly_eval(self, a, x):
+        p = self.char
+        acc = 0
+        for c in reversed(a):
+            acc = (acc * x + c) % p
+        return acc
 
     def elements(self):
         return list(range(self.char))
@@ -185,23 +263,10 @@ class ExtField:
         return tuple(self.base.neg(x) for x in a)
 
     def mul(self, a, b):
+        # a product of two d-vectors has 2d - 1 >= d + 1 coefficients, so the
+        # remainder by the monic modulus has exactly d
         base = self.base
-        d = self.degree
-        prod = [base.zero()] * (2 * d - 1)
-        for i, x in enumerate(a):
-            if base.is_zero(x):
-                continue
-            for j, y in enumerate(b):
-                prod[i + j] = base.add(prod[i + j], base.mul(x, y))
-        # reduce by the monic modulus
-        for k in range(2 * d - 2, d - 1, -1):
-            c = prod[k]
-            if base.is_zero(c):
-                continue
-            prod[k] = base.zero()
-            for j in range(self.degree):
-                prod[k - d + j] = base.sub(prod[k - d + j], base.mul(c, self.modulus[j]))
-        return tuple(prod[:d])
+        return tuple(base.poly_divmod(base.poly_mul(a, b), self.modulus)[1])
 
     def inv(self, a):
         if self.is_zero(a):
@@ -223,6 +288,58 @@ class ExtField:
             cur = self.mul(cur, cur)
             e >>= 1
         return result
+
+    # -- kernels on coefficient vectors (module docstring) -----------------
+    # the generic loops on the field's own add, sub and mul
+
+    def trim(self, coeffs):
+        cs = list(coeffs)
+        while cs and self.is_zero(cs[-1]):
+            cs.pop()
+        return tuple(cs)
+
+    def poly_add(self, a, b):
+        return list(starmap(self.add, zip_longest(a, b, fillvalue=self.zero())))
+
+    def poly_sub(self, a, b):
+        return list(starmap(self.sub, zip_longest(a, b, fillvalue=self.zero())))
+
+    def poly_scale(self, a, c):
+        return [self.mul(c, x) for x in a]
+
+    def poly_mul(self, a, b):
+        if not a or not b:
+            return []
+        out = [self.zero()] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if self.is_zero(x):
+                continue
+            for j, y in enumerate(b):
+                out[i + j] = self.add(out[i + j], self.mul(x, y))
+        return out
+
+    def poly_divmod(self, a, b):
+        rem = list(a)
+        dq = len(rem) - len(b)
+        if dq < 0:
+            return [], rem
+        quo = [self.zero()] * (dq + 1)
+        inv_lead = self.inv(b[-1])
+        for shift in range(dq, -1, -1):
+            top = shift + len(b) - 1
+            if self.is_zero(rem[top]):
+                continue
+            c = self.mul(rem[top], inv_lead)
+            quo[shift] = c
+            for i, bc in enumerate(b):
+                rem[shift + i] = self.sub(rem[shift + i], self.mul(c, bc))
+        return quo, rem[:len(b) - 1]
+
+    def poly_eval(self, a, x):
+        acc = self.zero()
+        for c in reversed(a):
+            acc = self.add(self.mul(acc, x), c)
+        return acc
 
     def elements(self):
         return [self.element_from_index(i) for i in range(self.order)]
@@ -338,6 +455,70 @@ class TableField:
                 raise ZeroDivisionError("inverse of zero")
             return 0 if e else 1
         return self._exp[self._log[a] * e % (self.order - 1)]
+
+    # -- kernels on coefficient vectors (module docstring) -----------------
+    # products through the logs, sums through add: XOR in characteristic 2,
+    # the Zech table otherwise
+
+    trim = staticmethod(_trim_ints)
+
+    def poly_add(self, a, b):
+        return list(starmap(self.add, zip_longest(a, b, fillvalue=0)))
+
+    def poly_sub(self, a, b):
+        return list(starmap(self.sub, zip_longest(a, b, fillvalue=0)))
+
+    def poly_scale(self, a, c):
+        if not c:
+            return []
+        log, exp = self._log, self._exp
+        lc = log[c]
+        return [exp[lc + log[x]] if x else 0 for x in a]
+
+    def poly_mul(self, a, b):
+        if not a or not b:
+            return []
+        log, exp, add = self._log, self._exp, self.add
+        logs_b = [(j, log[y]) for j, y in enumerate(b) if y]
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                lx = log[x]
+                for j, ly in logs_b:
+                    k = i + j
+                    out[k] = add(out[k], exp[lx + ly])
+        return out
+
+    def poly_divmod(self, a, b):
+        """Long division adding the logs of -b_j / lead(b), in (-n, n)."""
+        log, exp, add = self._log, self._exp, self.add
+        m = len(b) - 1
+        rem = list(a)
+        dq = len(rem) - m - 1
+        if dq < 0:
+            return [], rem
+        inv = -log[b[-1]]
+        logs_b = [(j, log[self.neg(y)] + inv) for j, y in enumerate(b[:m]) if y]
+        quo = [0] * (dq + 1)
+        for shift in range(dq, -1, -1):
+            c = rem[shift + m]
+            if c:
+                lc = log[c]
+                quo[shift] = exp[lc + inv]
+                for j, ly in logs_b:
+                    k = shift + j
+                    rem[k] = add(rem[k], exp[lc + ly])
+        return quo, rem[:m]
+
+    def poly_eval(self, a, x):
+        if not x:
+            return a[0] if a else 0
+        log, exp, add = self._log, self._exp, self.add
+        lx = log[x]
+        acc = 0
+        for c in reversed(a):
+            acc = add(exp[log[acc] + lx] if acc else 0, c)
+        return acc
 
     def elements(self):
         return range(self.order)

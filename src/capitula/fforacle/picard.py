@@ -36,7 +36,15 @@ So h L0 lies in P, and so does R'.  Once [L0 : R'] = h, R' = P, and the
 triangular Hermite basis of R' presents Pic^0; wherever [L0 : R] = h, h
 L0 lies in R, so R = R'.  A relation lattice of lower rank leaves the
 index at least 2h.  sigma acts on Z^(k-1) as drop o perm o lift, where
-lift restores the p0 coordinate of degree zero.
+lift restores the p0 coordinate of degree zero.  perm is built before the
+search, because each smooth candidate z gives n - 1 relations for one
+divisor computation: div(sigma^i z) = sigma^i(div z) for 1 <= i <= n - 2
+go in after div z, until the index reaches h (Duursma, Gaudry and Morain,
+ASIACRYPT 1999).  The sum of all n conjugates is div N(z), which the base
+relations already hold, so the last is left out, and n = 2 adds none.
+The rows that present Pic^0 are the reduced Hermite form of P
+(abelian.HermiteModD.rows), which P alone determines, so the presentation
+and the matrix of sigma do not depend on the order of the relations.
 
 Every other class group is read off that one presentation.  The rational
 place p0 of the Riemann-Roch spaces has degree one, so the factor-base
@@ -918,14 +926,29 @@ def _try_presentation(arith, ram, genus, h, l_coeffs, b_bound, extra_bases, conf
     del degrees[p0_at]
     form = HermiteModD(k - 1, 2 * h)
 
-    def add_relation(div: dict[PlaceAbove, int]) -> None:
+    # sigma on Z^k, built once: the certified action below reads it too
+    perm = _sigma_permutation(arith, fb)
+
+    def apply_sigma(vec: list[int]) -> list[int]:
+        out = [0] * k
+        for i, v in enumerate(vec):
+            out[perm[i]] = v
+        return out
+
+    def add_relation(div: dict[PlaceAbove, int], conjugates: int = 0) -> None:
+        """Add div, then sigma^i(div) for i up to conjugates, until the
+        index reaches h."""
         if any(w not in index for w in div):
             return
         vec = [0] * k
         for w, v in div.items():
             vec[index[w]] = v
-        del vec[p0_at]
-        form.add(vec)
+        for i in range(conjugates + 1):
+            if i:
+                vec = apply_sigma(vec)
+            form.add(vec[:p0_at] + vec[p0_at + 1:])
+            if form.index == h:
+                return
 
     def lift(vec: list[int]) -> list[int]:
         """The divisor of degree zero that drops to vec."""
@@ -946,7 +969,9 @@ def _try_presentation(arith, ram, genus, h, l_coeffs, b_bound, extra_bases, conf
             tried += 1
             div = arith.divisor_of(cand, b_bound, extra_bases=critical, den=den)
             if div is not None:
-                add_relation(div)
+                # div(sigma^i z) = sigma^i(div z); the sum over all n of them
+                # is div N(z), so the last conjugate is left out
+                add_relation(div, curve.n - 2)
                 if form.index == h:
                     break
     if form.index != h:
@@ -966,17 +991,13 @@ def _try_presentation(arith, ram, genus, h, l_coeffs, b_bound, extra_bases, conf
         raise InconsistencyError(
             f"Hermite index {h} but the presentation has order {group.order}")
 
-    perm = _sigma_permutation(arith, fb)
-
-    def apply_sigma(vec: list[int]) -> list[int]:
-        out = [0] * k
-        for i, v in enumerate(lift(vec)):
-            out[perm[i]] += v
+    def sigma_on_l0(vec: list[int]) -> list[int]:
+        out = apply_sigma(lift(vec))
         del out[p0_at]
         return out
 
     sigma = AbHom(group, group, pres.induced_matrix(
-        from_columns([apply_sigma(e) for e in identity_matrix(k - 1)], k - 1)))
+        from_columns([sigma_on_l0(e) for e in identity_matrix(k - 1)], k - 1)))
     # sigma(p0) - p0 with its p0 coordinate dropped
     sigma_p0 = [0] * k
     sigma_p0[perm[p0_at]] = 1

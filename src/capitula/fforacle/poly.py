@@ -1,10 +1,13 @@
 """Polynomials and rational functions in one variable over a finite field.
 
 Coefficients are stored ascending with no trailing zeros; the zero
-polynomial is the empty tuple.  Rational functions are kept in lowest
-terms with a monic denominator, so valuations can be read off from
-multiplicities.  Everything downstream (places, curves, local expansions)
-speaks these two types.
+polynomial is the empty tuple.  The arithmetic on the coefficients runs in
+the coefficient field's kernels (gf.py: trim, add, sub, scale, mul, divmod
+and evaluation on coefficient vectors), so Poly holds a field and a tuple
+and never asks which kind of field it holds.  Rational functions are kept
+in lowest terms with a monic denominator, so valuations can be read off
+from multiplicities.  Everything downstream (places, curves, local
+expansions) speaks these two types.
 """
 
 from __future__ import annotations
@@ -18,11 +21,8 @@ class Poly:
     __slots__ = ("field", "coeffs")
 
     def __init__(self, field, coeffs):
-        cs = list(coeffs)
-        while cs and field.is_zero(cs[-1]):
-            cs.pop()
         self.field = field
-        self.coeffs = tuple(cs)
+        self.coeffs = field.trim(coeffs)
 
     @classmethod
     def zero(cls, field):
@@ -66,37 +66,26 @@ class Poly:
         return hash((self.field, self.coeffs))
 
     def __add__(self, other):
-        f = self.field
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = list(self.coeffs) + [f.zero()] * (n - len(self.coeffs))
-        b = list(other.coeffs) + [f.zero()] * (n - len(other.coeffs))
-        return Poly(f, [f.add(x, y) for x, y in zip(a, b)])
+        return Poly(self.field, self.field.poly_add(self.coeffs, other.coeffs))
 
     def __neg__(self):
-        return Poly(self.field, [self.field.neg(c) for c in self.coeffs])
+        return Poly(self.field, self.field.poly_sub((), self.coeffs))
 
     def __sub__(self, other):
-        return self + (-other)
+        return Poly(self.field, self.field.poly_sub(self.coeffs, other.coeffs))
 
     def __mul__(self, other):
-        f = self.field
-        if self.is_zero() or other.is_zero():
-            return Poly.zero(f)
-        out = [f.zero()] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, x in enumerate(self.coeffs):
-            if f.is_zero(x):
-                continue
-            for j, y in enumerate(other.coeffs):
-                out[i + j] = f.add(out[i + j], f.mul(x, y))
-        return Poly(f, out)
+        return Poly(self.field, self.field.poly_mul(self.coeffs, other.coeffs))
 
     def scale(self, c):
         f = self.field
         if c == f.one():
             return self
-        return Poly(f, [f.mul(c, x) for x in self.coeffs])
+        return Poly(f, f.poly_scale(self.coeffs, c))
 
     def __pow__(self, e):
+        if e < 0:
+            raise ValidationError("a polynomial power needs a nonnegative exponent")
         result = Poly.one(self.field)
         cur = self
         while e:
@@ -108,6 +97,8 @@ class Poly:
 
     def powmod(self, e, mod):
         """self^e modulo mod, reducing after every product."""
+        if e < 0:
+            raise ValidationError("a polynomial power needs a nonnegative exponent")
         result = Poly.one(self.field) % mod
         cur = self % mod
         while e:
@@ -122,20 +113,9 @@ class Poly:
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         f = self.field
-        rem = list(self.coeffs)
-        dq = len(rem) - len(other.coeffs)
-        if dq < 0:
+        if len(self.coeffs) < len(other.coeffs):
             return Poly.zero(f), self
-        quo = [f.zero()] * (dq + 1)
-        inv_lead = f.inv(other.leading())
-        for shift in range(dq, -1, -1):
-            top = shift + other.degree
-            if top >= len(rem) or f.is_zero(rem[top]):
-                continue
-            c = f.mul(rem[top], inv_lead)
-            quo[shift] = c
-            for i, oc in enumerate(other.coeffs):
-                rem[shift + i] = f.sub(rem[shift + i], f.mul(c, oc))
+        quo, rem = f.poly_divmod(self.coeffs, other.coeffs)
         return Poly(f, quo), Poly(f, rem)
 
     def __floordiv__(self, other):
@@ -170,11 +150,7 @@ class Poly:
 
     def evaluate(self, point):
         """Horner evaluation at a point of the coefficient field."""
-        f = self.field
-        acc = f.zero()
-        for c in reversed(self.coeffs):
-            acc = f.add(f.mul(acc, point), c)
-        return acc
+        return self.field.poly_eval(self.coeffs, point)
 
     def map_coefficients(self, fn, new_field):
         return Poly(new_field, [fn(c) for c in self.coeffs])

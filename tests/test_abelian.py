@@ -221,6 +221,20 @@ class TestHermiteModD:
         assert form.index == quotient.order
         assert finite_quotient(identity_matrix(m), form.rows, m) == quotient
 
+    @settings(max_examples=200, deadline=None)
+    @given(small_vector_lists, st.integers(min_value=1, max_value=40), st.randoms())
+    def test_rows_do_not_depend_on_the_order_of_the_vectors(self, shape, modulus, rng):
+        # the rows are the reduced Hermite form of R + D Z^m, which the
+        # lattice alone determines
+        m, vecs = shape
+        shuffled = list(vecs)
+        rng.shuffle(shuffled)
+        rows = hermite_of(m, modulus, vecs).rows
+        assert hermite_of(m, modulus, shuffled).rows == rows
+        for i, row in enumerate(rows):
+            assert not any(row[:i]) and row[i] > 0
+            assert all(0 <= above[i] < row[i] for above in rows[:i])
+
     def test_rejects_bad_input(self):
         with pytest.raises(ValidationError):
             HermiteModD(2, 0)

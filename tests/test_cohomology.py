@@ -592,3 +592,14 @@ class TestCyclicVerdictsCanFail:
     ], ids=["extra_z2_in_degree_2", "degrees_swapped", "extra_z3_in_degree_1"])
     def test_wrong_group_fails(self, monkeypatch, wrong, failing):
         assert self._failing(monkeypatch, wrong) == failing
+
+
+def test_indices_are_the_compositions_in_product_order():
+    from itertools import product
+
+    from capitula.cohomology import _indices
+
+    for r in range(1, 7):
+        for d in range(4):
+            assert _indices(r, d) == [alpha for alpha in product(range(d + 1), repeat=r)
+                                      if sum(alpha) == d], (r, d)

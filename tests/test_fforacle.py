@@ -773,6 +773,28 @@ class TestPicard:
                 form.add(row[:p0_at] + row[p0_at + 1:])
             assert form.index == pd.h, entry.name
 
+    def test_relations_are_the_same_rows_in_any_order(self):
+        # at index h the rows span the principal divisors P, and their
+        # reduced Hermite form depends on P alone: another basis of P, the
+        # rows shuffled and each added to a multiple of the next, gives the
+        # same rows
+        import random
+
+        rng = random.Random(7)
+        for entry in corpus():
+            pd = picard_group(entry.curve)
+            m, p0_at = len(pd.factor_base) - 1, pd.factor_base.index(pd._p0)
+            rows = [row[:p0_at] + row[p0_at + 1:] for row in pd._relations]
+            shuffled = list(rows)
+            rng.shuffle(shuffled)
+            mixed = [[x + c * y for x, y in zip(row, after)]
+                     for row, after, c in zip(shuffled, shuffled[1:] + [[0] * m],
+                                              [rng.randrange(1, 5) for _ in rows])]
+            form = HermiteModD(m, 2 * pd.h)
+            for row in mixed:
+                form.add(row)
+            assert form.rows == rows, entry.name
+
     def test_genus_zero_trivial(self):
         pd = picard_group(corpus_entry("kummer_f3_g0").curve)
         assert pd.group.is_trivial()
@@ -1619,6 +1641,31 @@ class TestRelationSearch:
         assert (report.genus, report.class_number) == (3, 160)
         assert report.pic0 == [2, 2, 2, 2, 10]
         assert report.all_passed, [v.check for v in report.verdicts if not v.passed]
+
+    def test_conjugate_relations_shorten_the_cubic_search(self, monkeypatch):
+        # y^3 = t^5+2t^3+2t^2+2t+2 over F_4 (g = 3, h = 183): each smooth
+        # divisor also gives its sigma-conjugate, so the search computes
+        # fewer divisors than the 64 it took with one relation per divisor
+        import json
+        from pathlib import Path
+
+        from capitula.fforacle import picard
+        from capitula.verify import oracle_report
+
+        calls = []
+        real = picard.CurveArithmetic.divisor_of
+
+        def counting(self, *args, **kwargs):
+            calls.append(1)
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(picard.CurveArithmetic, "divisor_of", counting)
+        curve = curve_from_json(json.loads(
+            (Path(__file__).parent / "data" / "kummer_f4_l3_g3.json").read_text()))
+        report = oracle_report(curve, [parse_base_place(curve.field, "t^2+t+2")])
+        assert (report.n, report.genus, report.class_number) == (3, 3, 183)
+        assert report.all_passed, [v.check for v in report.verdicts if not v.passed]
+        assert len(calls) < 64
 
     def test_the_first_try_takes_b_at_least_g(self, monkeypatch):
         # y^2 = t^5 + t^2 + 1 over F_3 has genus 2: a request at b = 1 tries
